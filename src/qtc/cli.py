@@ -31,7 +31,7 @@ from . import synth as synth_mod
 from . import variational as var_mod
 from .circuits import AnsatzSpec, FeatureMapSpec
 from .corpus import load_stage, manifest_hash, save_stage, stratified_split
-from .errors import NumericalError, ValidationError, VersioningError
+from .errors import NumericalError, ParseError, SchemaError, ValidationError, VersioningError
 from .optimizer import OptimizerConfig, write_trace_csv
 
 DEFAULTS = {
@@ -66,12 +66,27 @@ DEFAULTS = {
 MODEL_CHOICES = ("svc", "qsvc", "vqc", "qnnc")
 
 
+def _same_type(value, default) -> bool:
+    """Whether a config-file value may stand in for ``default``.
+
+    An int is accepted where a float is expected; a bool never counts as a number.
+    """
+    if isinstance(value, bool):
+        return isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def _resolve(args: argparse.Namespace, command: str) -> dict:
     """Merge CLI flags over config-file values over built-in defaults."""
     file_cfg = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except ValueError as exc:
+                raise ParseError(f"{args.config}: invalid JSON ({exc})") from exc
         if not isinstance(file_cfg, dict):
             raise ValidationError(f"{args.config}: config file must hold a JSON object")
     resolved = {}
@@ -80,9 +95,16 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         if cli_value is not None:
             resolved[key] = cli_value
         elif key in file_cfg:
+            if not _same_type(file_cfg[key], default):
+                raise SchemaError(
+                    f"{args.config}: {key!r} must be of type {type(default).__name__}, "
+                    f"got {file_cfg[key]!r}"
+                )
             resolved[key] = file_cfg[key]
         else:
             resolved[key] = default
+    if resolved.get("shots", 0) < 0:
+        raise ValidationError(f"shots must be >= 0 (0 = exact), got {resolved['shots']}")
     return resolved
 
 
@@ -193,7 +215,7 @@ def cmd_kernel(args) -> None:
     ids, X, _ = _train_arrays(stage)
     spec = FeatureMapSpec(cfg["feature_map"], X.shape[1], cfg["reps"])
     mode = "exact" if cfg["shots"] == 0 else "sampled"
-    g = kernel_mod.gram(spec, X, mode=mode, shots=max(cfg["shots"], 1), seed=cfg["seed"])
+    g = kernel_mod.gram(spec, X, mode=mode, shots=cfg["shots"], seed=cfg["seed"])
     kernel_mod.save_gram(args.workdir, g, _data_hash(ids, X), manifest_hash(stage.manifest))
     print(f"gram: {g.values.shape[0]} x {g.values.shape[1]} ({g.mode})")
 
@@ -240,9 +262,7 @@ def cmd_train(args) -> None:
             data_hash = _data_hash(ids, X)
             g = _cached_gram(args.workdir, fm, mode, cfg["shots"], cfg["seed"], data_hash)
             if g is None:
-                g = kernel_mod.gram(
-                    fm, X, mode=mode, shots=max(cfg["shots"], 1), seed=cfg["seed"]
-                )
+                g = kernel_mod.gram(fm, X, mode=mode, shots=cfg["shots"], seed=cfg["seed"])
                 kernel_mod.save_gram(args.workdir, g, data_hash, upstream)
             if mode == "sampled":
                 g = kernel_mod.psd_project(g)
@@ -351,7 +371,7 @@ def _predict_payload(payload: dict, stage, X_test: np.ndarray) -> np.ndarray:
                     X_test,
                     support,
                     mode=mode,
-                    shots=max(payload["kernel"]["shots"], 1),
+                    shots=payload["kernel"]["shots"],
                     seed=payload["kernel"]["seed"],
                 )
                 K = g.values

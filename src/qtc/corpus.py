@@ -259,6 +259,10 @@ def stratified_split(labels, ids, test_fraction: float, seed: int) -> DatasetSpl
         if members.size < 2:
             raise ValidationError(f"class {cls} has fewer than 2 samples")
         n_test = int(math.floor(test_fraction * members.size + 0.5))
+        if n_test >= members.size:
+            raise ValidationError(
+                f"test_fraction {test_fraction} leaves class {cls} with no training document"
+            )
         order = rng.permutation(members.size)
         test_ids.extend(ids[members[k]] for k in order[:n_test])
         train_ids.extend(ids[members[k]] for k in order[n_test:])
@@ -310,14 +314,16 @@ def save_stage(
     os.makedirs(directory, exist_ok=True)
 
     with open(os.path.join(directory, "features.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(["id"] + features.feature_names) + "\n")
-        for doc_id, row in zip(features.ids, features.values):
-            fh.write(doc_id + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id"] + features.feature_names)
+        for doc_id, row in zip(features.ids, features.values.tolist()):
+            writer.writerow([doc_id] + [f"{v:.17g}" for v in row])
 
     with open(os.path.join(directory, "labels.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("id,label_index\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "label_index"])
         for doc_id, lab in zip(features.ids, labels):
-            fh.write(f"{doc_id},{int(lab)}\n")
+            writer.writerow([doc_id, int(lab)])
 
     manifest = {
         "stage": stage,

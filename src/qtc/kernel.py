@@ -151,14 +151,32 @@ def save_gram(directory, g: GramMatrix, data_hash: str, upstream_hash: str | Non
         fh.write("\n")
 
 
+# Manifest fields load_gram reads, with the JSON types each may hold.
+_MANIFEST_FIELDS = {
+    "shape": list,
+    "mode": str,
+    "feature_map": dict,
+    "shots": (int, type(None)),
+    "seed": (int, type(None)),
+}
+
+
 def load_gram(directory) -> tuple[GramMatrix, dict]:
     """Read a Gram cache written by save_gram; returns (matrix, manifest)."""
     path = os.path.join(directory, "gram.csv")
+    manifest_path = os.path.join(directory, "gram.manifest.json")
     try:
-        with open(os.path.join(directory, "gram.manifest.json"), encoding="utf-8") as fh:
+        with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read gram manifest in {directory}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{manifest_path}: manifest must hold a JSON object")
+    for key, kind in _MANIFEST_FIELDS.items():
+        if key not in manifest:
+            raise ParseError(f"{manifest_path}: missing field {key!r}")
+        if isinstance(manifest[key], bool) or not isinstance(manifest[key], kind):
+            raise ParseError(f"{manifest_path}: field {key!r} has the wrong type")
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -172,10 +190,14 @@ def load_gram(directory) -> tuple[GramMatrix, dict]:
     values = np.asarray(rows, dtype=float)
     if list(values.shape) != manifest["shape"]:
         raise ParseError(f"{path}: shape {values.shape} does not match manifest")
+    try:
+        spec = FeatureMapSpec.from_dict(manifest["feature_map"])
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"{manifest_path}: malformed feature_map ({exc!r})") from exc
     g = GramMatrix(
         values=values,
         mode=manifest["mode"],
-        feature_map=FeatureMapSpec.from_dict(manifest["feature_map"]),
+        feature_map=spec,
         shots=manifest["shots"],
         seed=manifest["seed"],
     )

@@ -10,20 +10,18 @@ Conventions
 * Angles may be bound floats or free symbols (strings); a circuit must be
   fully bound before it can run.
 
-The per-gate amplitude update is delegated to a compiled Cython kernel when
-available, otherwise to a vectorized NumPy fallback (see qtc.qsim._backend).
+Gates are applied in place with vectorized NumPy slice arithmetic on reshaped
+views of the amplitude array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ValidationError
-from ._backend import apply_circuit as _apply_compiled
-from ._backend import backend_name
-from ._codes import KIND_CX, KIND_H, KIND_P, KIND_RY
 
 __all__ = [
     "Gate",
@@ -38,8 +36,9 @@ __all__ = [
     "backend_name",
 ]
 
-_KIND_CODE = {"h": KIND_H, "p": KIND_P, "ry": KIND_RY, "cx": KIND_CX}
+_KINDS = ("h", "p", "ry", "cx")
 _PARAMETRIC = ("p", "ry")
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ class Gate:
     angle: float | str | None = None
 
     def __post_init__(self):
-        if self.kind not in _KIND_CODE:
+        if self.kind not in _KINDS:
             raise ValidationError(f"unknown gate kind {self.kind!r}")
         if self.kind == "cx":
             if len(self.qubits) != 2:
@@ -146,21 +145,45 @@ def zero_state(n_qubits: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-def _compile(circuit: Circuit):
-    """Flatten a bound circuit into opcode arrays for the gate kernel."""
-    n = len(circuit.gates)
-    kinds = np.empty(n, dtype=np.int64)
-    q0 = np.empty(n, dtype=np.int64)
-    q1 = np.empty(n, dtype=np.int64)
-    angles = np.zeros(n, dtype=np.float64)
-    for i, g in enumerate(circuit.gates):
-        if isinstance(g.angle, str):
-            raise ValidationError(f"unbound parameter {g.angle!r} in circuit")
-        kinds[i] = _KIND_CODE[g.kind]
-        q0[i] = g.qubits[0]
-        q1[i] = g.qubits[1] if len(g.qubits) == 2 else 0
-        angles[i] = 0.0 if g.angle is None else float(g.angle)
-    return kinds, q0, q1, angles
+def backend_name() -> str:
+    """Name of the gate kernel; NumPy is the only one."""
+    return "numpy"
+
+
+def _apply(amps: np.ndarray, n_qubits: int, gate: Gate) -> None:
+    """Apply one bound gate to the flat amplitude array in place."""
+    if isinstance(gate.angle, str):
+        raise ValidationError(f"unbound parameter {gate.angle!r} in circuit")
+    if gate.kind == "cx":
+        # Qubit k is axis n-1-k; swap the target's halves where the control is 1.
+        v = amps.reshape((2,) * n_qubits)
+        control, target = (n_qubits - 1 - q for q in gate.qubits)
+        t0 = [slice(None)] * n_qubits
+        t0[control] = 1
+        t1 = list(t0)
+        t0[target], t1[target] = 0, 1
+        t0, t1 = tuple(t0), tuple(t1)
+        tmp = v[t0].copy()
+        v[t0] = v[t1]
+        v[t1] = tmp
+        return
+    # Viewed as (dim // (2 * step), 2, step) with step = 2**q, the middle
+    # axis is qubit q.
+    v = amps.reshape(-1, 2, 1 << gate.qubits[0])
+    if gate.kind == "p":
+        theta = float(gate.angle)
+        v[:, 1] *= complex(math.cos(theta), math.sin(theta))
+        return
+    a = v[:, 0].copy()
+    b = v[:, 1].copy()
+    if gate.kind == "h":
+        v[:, 0] = (a + b) * _INV_SQRT2
+        v[:, 1] = (a - b) * _INV_SQRT2
+    else:
+        half = 0.5 * float(gate.angle)
+        c, s = math.cos(half), math.sin(half)
+        v[:, 0] = c * a - s * b
+        v[:, 1] = s * a + c * b
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -170,15 +193,15 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
             f"gate targets qubit {max(gate.qubits)} on a {state.n_qubits}-qubit state"
         )
     out = state.copy()
-    circ = Circuit(state.n_qubits, (gate,))
-    _apply_compiled(out.amplitudes, *_compile(circ))
+    _apply(out.amplitudes, out.n_qubits, gate)
     return out
 
 
 def run(circuit: Circuit) -> StateVector:
     """Run a fully bound circuit on |0...0>."""
     state = zero_state(circuit.n_qubits)
-    _apply_compiled(state.amplitudes, *_compile(circuit))
+    for gate in circuit.gates:
+        _apply(state.amplitudes, circuit.n_qubits, gate)
     return state
 
 

@@ -157,6 +157,23 @@ class TestPipeline:
         assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
         assert (pipeline_dir / "gram.csv").stat().st_mtime_ns == before
 
+    def test_damaged_gram_cache_recomputed_by_train(self, pipeline_dir):
+        assert run_cli("kernel", "--workdir", pipeline_dir) == 0
+        path = pipeline_dir / "gram.manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["shape"]
+        path.write_text(json.dumps(manifest))
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
+        assert json.loads(path.read_text())["shape"] == [96, 96]
+
+    @pytest.mark.parametrize("command", ["kernel", "train"])
+    def test_negative_shots_rejected(self, pipeline_dir, capsys, command):
+        capsys.readouterr()
+        assert run_cli(command, "--workdir", pipeline_dir, "--shots", -5) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "shots" in err
+        assert not (pipeline_dir / "gram.manifest.json").exists()
+
 
 class TestConfigPrecedence:
     def test_flag_beats_file_beats_default(self, tmp_path, capsys):
@@ -171,6 +188,26 @@ class TestConfigPrecedence:
         assert resolved["vocab_size"] == 30  # default
         rows = read_rows(out)
         assert len(rows) == 12
+
+    def test_malformed_config_file(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text("{bad")
+        assert run_cli("synth", "--config", cfgfile, "--out", tmp_path / "c.csv") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "invalid JSON" in err
+
+    @pytest.mark.parametrize(
+        "values, code",
+        [({"components": "two"}, 1), ({"scale_hi": True}, 1), ({"components": 2.0}, 1),
+         ({"scale_hi": 3}, 0)],
+    )
+    def test_config_value_type_checked(self, pipeline_dir, capsys, values, code):
+        cfgfile = pipeline_dir / "cfg.json"
+        cfgfile.write_text(json.dumps(values))
+        capsys.readouterr()
+        assert run_cli("reduce", "--config", cfgfile, "--workdir", pipeline_dir) == code
+        if code:
+            assert capsys.readouterr().err.count("\n") == 1
 
     def test_defaults_echoed(self, tmp_path, capsys):
         run_cli("synth", "--out", tmp_path / "c.csv")

@@ -209,6 +209,12 @@ class TestSplit:
         with pytest.raises(ValidationError):
             stratified_split(np.array([0, 0, 1]), ["a", "b", "c"], 0.5, seed=0)
 
+    def test_fraction_leaving_no_training_document_rejected(self):
+        labels = np.repeat([0, 1, 2], 40)
+        ids = [f"d{i}" for i in range(120)]
+        with pytest.raises(ValidationError, match="no training document"):
+            stratified_split(labels, ids, 0.99, seed=7)
+
 
 class TestStageRoundTrip:
     def _stage(self, n=6, d=3, seed=0):
@@ -228,6 +234,14 @@ class TestStageRoundTrip:
         assert back.features.feature_names == fm.feature_names
         assert np.array_equal(back.labels, labels)
         assert back.encoding.classes == enc.classes
+
+    def test_ids_with_commas_and_quotes_round_trip(self, tmp_path):
+        fm, labels, enc = self._stage(n=3)
+        fm = FeatureMatrix(['a,"b"', "plain", "x\ny"], fm.feature_names, fm.values)
+        save_stage(tmp_path, fm, labels, enc, stage="tfidf")
+        back = load_stage(tmp_path)
+        assert back.features.ids == fm.ids
+        assert np.array_equal(back.labels, labels)
 
     def test_stage_mismatch(self, tmp_path):
         fm, labels, enc = self._stage()

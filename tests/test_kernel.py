@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from qtc.circuits import FeatureMapSpec
-from qtc.errors import ValidationError
+from qtc.errors import ParseError, ValidationError
 from qtc.kernel import (
     GramMatrix,
     exact_kernel,
@@ -193,6 +194,9 @@ class TestPsdProject:
         assert np.linalg.norm(clipped - values) <= np.linalg.norm(shift - values) + 1e-12
 
 
+MISSING = object()
+
+
 class TestGramPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(41)
@@ -204,3 +208,21 @@ class TestGramPersistence:
         assert back.mode == "exact"
         assert back.feature_map == ZZ2
         assert manifest["data_hash"] == "abc123"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("shape", MISSING), ("mode", MISSING), ("feature_map", MISSING), ("shots", MISSING),
+         ("seed", MISSING), ("shape", "5x5"), ("mode", 1), ("feature_map", [1]),
+         ("feature_map", {"kind": "zz"}), ("shots", "many"), ("seed", 1.5), ("seed", True)],
+    )
+    def test_damaged_manifest_raises_parse_error(self, tmp_path, field, value):
+        save_gram(tmp_path, gram(ZZ2, np.zeros((2, 2))), data_hash="abc123")
+        path = tmp_path / "gram.manifest.json"
+        manifest = json.loads(path.read_text())
+        if value is MISSING:
+            del manifest[field]
+        else:
+            manifest[field] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match=field):
+            load_gram(tmp_path)

@@ -15,8 +15,6 @@ from qtc.qsim import (
     sample,
     zero_state,
 )
-from qtc.qsim import _apply_numpy
-from qtc.qsim.core import _compile
 
 INV = 1.0 / math.sqrt(2.0)
 
@@ -206,18 +204,6 @@ class TestSample:
         state = run(Circuit(3, tuple(Gate("h", (q,)) for q in range(3))))
         counts = sample(state, 4321, seed=0)
         assert sum(counts.values()) == 4321
-
-
-class TestBackendEquivalence:
-    def test_numpy_fallback_matches_active_backend(self):
-        rng = np.random.default_rng(77)
-        for _ in range(10):
-            n = int(rng.integers(1, 5))
-            circ = random_circuit(rng, n, 25)
-            fast = run(circ).amplitudes
-            slow = zero_state(n).amplitudes
-            _apply_numpy.apply_circuit(slow, *_compile(circ))
-            assert np.allclose(fast, slow, atol=1e-12)
 
 
 class TestBinding:
