@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 from .qsim import Circuit, Gate
 
@@ -91,23 +93,27 @@ class AnsatzSpec:
 def build_feature_map(spec: FeatureMapSpec, x) -> Circuit:
     """Encode the feature vector x as a bound circuit per ``spec``.
 
-    Gates are emitted in qubit-index order within each repetition, entangled
-    pairs in ascending i.
+    A 2-D x (one row per point) gives one circuit for the whole batch: its P
+    angles are arrays with one entry per row, each equal to the float angle
+    that row alone would give.  Gates are emitted in qubit-index order within
+    each repetition, entangled pairs in ascending i.
     """
-    x = [float(v) for v in x]
-    if len(x) != spec.n_qubits:
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != spec.n_qubits:
         raise ValidationError(
-            f"feature map expects {spec.n_qubits} features, got {len(x)}"
+            f"feature map expects {spec.n_qubits} features, got shape {x.shape}"
         )
+    # Python floats for one point, column arrays for a batch.
+    cols = x.tolist() if x.ndim == 1 else list(x.T)
     gates: list[Gate] = []
     for _ in range(spec.reps):
         for q in range(spec.n_qubits):
             gates.append(Gate("h", (q,)))
         for q in range(spec.n_qubits):
-            gates.append(Gate("p", (q,), 2.0 * x[q]))
+            gates.append(Gate("p", (q,), 2.0 * cols[q]))
         if spec.kind == "zz":
             for i in range(spec.n_qubits - 1):
-                pair_angle = 2.0 * (math.pi - x[i]) * (math.pi - x[i + 1])
+                pair_angle = 2.0 * (math.pi - cols[i]) * (math.pi - cols[i + 1])
                 gates.append(Gate("cx", (i, i + 1)))
                 gates.append(Gate("p", (i + 1,), pair_angle))
                 gates.append(Gate("cx", (i, i + 1)))

@@ -354,29 +354,41 @@ def cmd_evaluate(args) -> None:
     print(text, end="")
 
 
+def _decision_scores(payload: dict, stage, X_test: np.ndarray) -> np.ndarray:
+    """One-vs-rest SVM scores, one column per class, from a single test Gram.
+
+    The Gram is taken against the union of the classes' support ids in
+    first-seen order, so test rows are encoded once and a support id shared
+    by several classes has one kernel entry (one estimate in sampled mode).
+    """
+    union: dict[str, int] = {}
+    for entry in payload["per_class"]:
+        for sid in entry["support_ids"]:
+            union.setdefault(sid, len(union))
+    support = stage.features.rows_for(list(union))
+    if payload["type"] == "svc":
+        spec = svm_mod.PolyKernelSpec.from_dict(payload["kernel"]["poly"])
+        K = svm_mod.poly_gram(X_test, support, spec=spec)
+    else:
+        K = kernel_mod.gram(
+            FeatureMapSpec.from_dict(payload["kernel"]["feature_map"]),
+            X_test,
+            support,
+            mode=payload["kernel"]["mode"],
+            shots=payload["kernel"]["shots"],
+            seed=payload["kernel"]["seed"],
+        ).values
+    scores = np.empty((X_test.shape[0], len(payload["per_class"])))
+    for k, entry in enumerate(payload["per_class"]):
+        columns = [union[sid] for sid in entry["support_ids"]]
+        scores[:, k] = K[:, columns] @ np.asarray(entry["dual_coefs"]) + entry["bias"]
+    return scores
+
+
 def _predict_payload(payload: dict, stage, X_test: np.ndarray) -> np.ndarray:
     kind = payload["type"]
     if kind in ("svc", "qsvc"):
-        scores = np.empty((X_test.shape[0], len(payload["per_class"])))
-        for k, entry in enumerate(payload["per_class"]):
-            support = stage.features.rows_for(entry["support_ids"])
-            if kind == "svc":
-                spec = svm_mod.PolyKernelSpec.from_dict(payload["kernel"]["poly"])
-                K = svm_mod.poly_gram(X_test, support, spec=spec)
-            else:
-                fm = FeatureMapSpec.from_dict(payload["kernel"]["feature_map"])
-                mode = payload["kernel"]["mode"]
-                g = kernel_mod.gram(
-                    fm,
-                    X_test,
-                    support,
-                    mode=mode,
-                    shots=payload["kernel"]["shots"],
-                    seed=payload["kernel"]["seed"],
-                )
-                K = g.values
-            scores[:, k] = K @ np.asarray(entry["dual_coefs"]) + entry["bias"]
-        return np.argmax(scores, axis=1).astype(np.int64)
+        return np.argmax(_decision_scores(payload, stage, X_test), axis=1).astype(np.int64)
     if kind in ("vqc", "qnnc"):
         model = var_mod.VariationalModel(
             feature_map=FeatureMapSpec.from_dict(payload["feature_map"]),

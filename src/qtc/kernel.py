@@ -1,6 +1,6 @@
 """Fidelity kernel K(x, y) = |<phi(y)|phi(x)>|^2 and Gram-matrix assembly.
 
-Exact mode computes encoded statevectors once per point and takes inner
+Exact mode encodes all points with one batched simulator run and takes inner
 products directly.  Sampled mode mirrors hardware execution: it runs the
 compose(map(x), adjoint(map(y))) circuit and estimates the kernel as the
 frequency of the all-zeros outcome.  Per-entry sampling seeds are derived
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ class GramMatrix:
 
 
 def encoded_state(spec: FeatureMapSpec, x) -> np.ndarray:
-    """Amplitudes of the encoded state |phi(x)>."""
+    """Amplitudes of the encoded state |phi(x)>; one row per point for a 2-D x."""
     return run(build_feature_map(spec, x)).amplitudes
 
 
@@ -90,8 +91,8 @@ def gram(
     K = np.empty((m, mp), dtype=float)
 
     if mode == "exact":
-        SX = np.array([encoded_state(spec, row) for row in X])
-        SY = SX if square else np.array([encoded_state(spec, row) for row in Ym])
+        SX = encoded_state(spec, X)
+        SY = SX if square else encoded_state(spec, Ym)
         K[:] = np.abs(SX.conj() @ SY.T) ** 2
         if square:
             iu = np.triu_indices(m, k=1)
@@ -134,9 +135,13 @@ def psd_project(g: GramMatrix) -> GramMatrix:
 def save_gram(directory, g: GramMatrix, data_hash: str, upstream_hash: str | None = None) -> None:
     """Write gram.csv (no header) and gram.manifest.json into ``directory``."""
     os.makedirs(directory, exist_ok=True)
+    values = np.asarray(g.values, dtype=float)
+    # One %-format per row; converting the whole matrix to Python floats at
+    # once would hold m*m float objects in memory.
+    fmt = ",".join(["%.17g"] * values.shape[1]) + "\n"
     with open(os.path.join(directory, "gram.csv"), "w", encoding="utf-8", newline="") as fh:
-        for row in g.values:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        for row in values:
+            fh.write(fmt % tuple(row.tolist()))
     manifest = {
         "feature_map": g.feature_map.to_dict(),
         "mode": g.mode,
@@ -177,17 +182,13 @@ def load_gram(directory) -> tuple[GramMatrix, dict]:
             raise ParseError(f"{manifest_path}: missing field {key!r}")
         if isinstance(manifest[key], bool) or not isinstance(manifest[key], kind):
             raise ParseError(f"{manifest_path}: field {key!r} has the wrong type")
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(v) for v in line.split(",")])
-            except ValueError as exc:
-                raise ParseError(f"{path}: bad value at row {lineno}") from exc
-    values = np.asarray(rows, dtype=float)
+    try:
+        with warnings.catch_warnings():
+            # loadtxt only warns about a file with no rows; that is a damaged cache.
+            warnings.simplefilter("error", UserWarning)
+            values = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8")
+    except (ValueError, UserWarning) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if list(values.shape) != manifest["shape"]:
         raise ParseError(f"{path}: shape {values.shape} does not match manifest")
     try:

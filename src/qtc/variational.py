@@ -1,13 +1,15 @@
 """Variational classifiers: encoder + trainable ansatz + measurement decoding.
 
-A sample x runs through compose(feature_map(x), ansatz(theta)); the outcome
+A sample x runs through feature_map(x) and then ansatz(theta); the outcome
 distribution over the 2**n basis indices is folded onto classes by the
 modulo rule (outcome index mod n_classes), which is total and surjective
 whenever 2**n >= n_classes.  Two loss functions distinguish the two model
 flavors: mean cross-entropy of the true-class probability, and mean squared
 distance to the one-hot target.
 
-Exact mode uses statevector probabilities and is fully deterministic;
+All rows run as one batch: the feature map encodes them in one simulator
+run, and the bound ansatz then runs over those states.  Exact mode uses
+statevector probabilities and is fully deterministic;
 sampled mode draws ``shots`` measurement outcomes with a seed derived from
 (master seed, sample bytes, parameter bytes) so repeated runs reproduce.
 """
@@ -19,15 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import AnsatzSpec, FeatureMapSpec, bind_ansatz, build_ansatz, build_feature_map, compose
+from .circuits import AnsatzSpec, FeatureMapSpec, bind_ansatz, build_ansatz, build_feature_map
 from .errors import ValidationError
 from .optimizer import OptimizerConfig, OptimizationTrace, minimize
-from .qsim import Circuit, probabilities, run, sample
+from .qsim import StateVector, probabilities, run, sample
 
 __all__ = [
     "VariationalModel",
     "TrainingResult",
     "interpret",
+    "encode",
     "class_probabilities",
     "cross_entropy",
     "squared_error",
@@ -90,22 +93,41 @@ def interpret(model: VariationalModel, outcome: int) -> int:
     return outcome % model.n_classes
 
 
-def _bound_ansatz(model: VariationalModel) -> Circuit:
-    return bind_ansatz(build_ansatz(model.ansatz), model.theta)
+def encode(model: VariationalModel, X) -> StateVector:
+    """Encoded states of the rows of X: one batched feature-map run.
+
+    They do not depend on theta, so ``train`` computes them once and passes
+    them to every ``loss`` evaluation.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.n_qubits:
+        raise ValidationError(f"expected rows of {model.n_qubits} features, got shape {X.shape}")
+    return run(build_feature_map(model.feature_map, X))
 
 
-def _outcome_distribution(model: VariationalModel, x, ansatz_circuit: Circuit) -> np.ndarray:
-    state = run(compose(build_feature_map(model.feature_map, x), ansatz_circuit))
+def _probability_matrix(model: VariationalModel, X, states: StateVector | None = None) -> np.ndarray:
+    """Class probabilities per row of X; ``states`` are the rows' encodings, if known."""
+    X = np.asarray(X, dtype=float)
+    if states is None:
+        states = encode(model, X)
+    out = run(bind_ansatz(build_ansatz(model.ansatz), model.theta), states)
     if model.shots == 0:
-        return probabilities(state)
-    digest = zlib.crc32(
-        np.asarray(x, dtype="<f8").tobytes() + model.theta.astype("<f8").tobytes()
-    )
-    counts = sample(state, model.shots, (model.seed, digest))
-    freq = np.zeros(1 << model.n_qubits)
-    for idx, c in counts.items():
-        freq[idx] = c / model.shots
-    return freq
+        dist = probabilities(out)
+    else:
+        dist = np.zeros(out.amplitudes.shape)
+        theta_bytes = model.theta.astype("<f8").tobytes()
+        for r, (x, amps) in enumerate(zip(X, out.amplitudes)):
+            digest = zlib.crc32(x.astype("<f8").tobytes() + theta_bytes)
+            counts = sample(StateVector(model.n_qubits, amps), model.shots, (model.seed, digest))
+            for idx, c in counts.items():
+                dist[r, idx] = c / model.shots
+    # Outcome i counts for class i mod n_classes.  A running sum over each
+    # class's outcomes adds them in index order, as a per-row np.bincount does,
+    # so every row's fold is bitwise the one-state fold.
+    folded = np.zeros((dist.shape[0], model.n_classes))
+    for c in range(min(model.n_classes, dist.shape[1])):
+        folded[:, c] = np.cumsum(dist[:, c::model.n_classes], axis=1)[:, -1]
+    return folded
 
 
 def class_probabilities(model: VariationalModel, x) -> np.ndarray:
@@ -113,22 +135,7 @@ def class_probabilities(model: VariationalModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if x.size != model.n_qubits:
         raise ValidationError(f"expected {model.n_qubits} features, got {x.size}")
-    dist = _outcome_distribution(model, x, _bound_ansatz(model))
-    out = np.zeros(model.n_classes)
-    for idx, p in enumerate(dist):
-        out[idx % model.n_classes] += p
-    return out
-
-
-def _probability_matrix(model: VariationalModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    ansatz_circuit = _bound_ansatz(model)
-    folds = np.arange(1 << model.n_qubits) % model.n_classes
-    rows = np.empty((X.shape[0], model.n_classes))
-    for r, x in enumerate(X):
-        dist = _outcome_distribution(model, x, ansatz_circuit)
-        rows[r] = np.bincount(folds, weights=dist, minlength=model.n_classes)
-    return rows
+    return _probability_matrix(model, x[None, :])[0]
 
 
 def cross_entropy(probs: np.ndarray, y) -> float:
@@ -147,12 +154,16 @@ def squared_error(probs: np.ndarray, y) -> float:
     return float(np.mean(np.sum((probs - onehot) ** 2, axis=1)))
 
 
-def loss(model: VariationalModel, X, y) -> float:
-    """Training loss of the model on (X, y) under its configured loss kind."""
+def loss(model: VariationalModel, X, y, *, states: StateVector | None = None) -> float:
+    """Training loss of the model on (X, y) under its configured loss kind.
+
+    ``states``, when given, must be ``encode(model, X)``; the feature map is
+    then not run again.
+    """
     y = np.asarray(y, dtype=np.int64)
     if y.size and (y.min() < 0 or y.max() >= model.n_classes):
         raise ValidationError("labels out of range")
-    probs = _probability_matrix(model, X)
+    probs = _probability_matrix(model, X, states)
     if model.loss_kind == "cross_entropy":
         return cross_entropy(probs, y)
     return squared_error(probs, y)
@@ -174,16 +185,18 @@ def train(
     """Fit ansatz angles by derivative-free loss minimization.
 
     theta0 is drawn uniformly from [-pi, pi]^k with ``init_seed``; the
-    template's theta is ignored.
+    template's theta is ignored.  X is encoded once; each objective
+    evaluation runs only the bound ansatz over those states.
     """
     X = np.asarray(X, dtype=float)
     if X.shape[0] == 0:
         raise ValidationError("training set is empty")
     rng = np.random.default_rng(init_seed)
     theta0 = rng.uniform(-np.pi, np.pi, template.ansatz.n_parameters)
+    states = encode(template, X)
 
     def objective(theta):
-        return loss(template.with_theta(theta), X, y)
+        return loss(template.with_theta(theta), X, y, states=states)
 
     theta_best, _, trace = minimize(objective, theta0, config)
     return TrainingResult(

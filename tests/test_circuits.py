@@ -59,6 +59,32 @@ class TestFeatureMap:
             FeatureMapSpec("zzz", 2)
 
 
+class TestFeatureMapBatch:
+    @pytest.mark.parametrize("kind", ["z", "zz"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_batch_equals_per_row_circuits(self, kind, n):
+        spec = FeatureMapSpec(kind, n, reps=2)
+        X = np.random.default_rng(n).uniform(0, math.pi, (5, n))
+        batch = build_feature_map(spec, X)
+        for r, x in enumerate(X):
+            one = build_feature_map(spec, x)
+            assert [(g.kind, g.qubits) for g in batch.gates] == [(g.kind, g.qubits) for g in one.gates]
+            for gb, g1 in zip(batch.gates, one.gates):
+                if g1.angle is None:
+                    assert gb.angle is None
+                else:
+                    assert isinstance(gb.angle, np.ndarray) and gb.angle.shape == (5,)
+                    assert gb.angle[r] == g1.angle  # exactly the float angle
+
+    def test_batch_width_mismatch(self):
+        with pytest.raises(ValidationError, match="expects 2 features"):
+            build_feature_map(FeatureMapSpec("zz", 2), np.zeros((3, 3)))
+
+    def test_three_dimensional_input_rejected(self):
+        with pytest.raises(ValidationError):
+            build_feature_map(FeatureMapSpec("zz", 2), np.zeros((2, 3, 2)))
+
+
 class TestAnsatz:
     def test_figure_shape_two_qubits_one_rep(self):
         circ = build_ansatz(AnsatzSpec(2, reps=1))

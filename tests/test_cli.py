@@ -1,12 +1,15 @@
 import csv
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qtc.cli import main
-from qtc.corpus import Document, encode_labels, fit_tfidf, transform_tfidf
+from qtc import kernel as kernel_mod
+from qtc.circuits import FeatureMapSpec
+from qtc.cli import _decision_scores, _predict_payload, main
+from qtc.corpus import Document, FeatureMatrix, encode_labels, fit_tfidf, transform_tfidf
 from qtc.reduce import fit_pca, transform_pca
 
 
@@ -256,3 +259,46 @@ class TestDeterminism:
         assert s1.keys() == s2.keys()
         for rel in s1:
             assert s1[rel] == s2[rel], f"artifact differs: {rel}"
+
+
+class TestQsvcScoring:
+    """Scores of a saved QSVC model against one test Gram over all support ids."""
+
+    @staticmethod
+    def payload(mode):
+        # Both classes weigh only support "b": at position 1 in class 0, at
+        # position 0 in class 1.
+        return {
+            "type": "qsvc",
+            "kernel": {"feature_map": FeatureMapSpec("zz", 2).to_dict(), "mode": mode,
+                       "shots": 64, "seed": 3},
+            "per_class": [
+                {"support_ids": ["a", "b"], "dual_coefs": [0.0, 1.0], "bias": 0.0},
+                {"support_ids": ["b", "c"], "dual_coefs": [1.0, 0.0], "bias": 0.0},
+            ],
+        }
+
+    @staticmethod
+    def data():
+        rng = np.random.default_rng(8)
+        stage = SimpleNamespace(
+            features=FeatureMatrix(["a", "b", "c"], ["f0", "f1"], rng.uniform(0, 3, (3, 2)))
+        )
+        return stage, rng.uniform(0, 3, (25, 2))
+
+    def test_shared_support_id_gets_one_sampled_estimate(self):
+        stage, X_test = self.data()
+        scores = _decision_scores(self.payload("sampled"), stage, X_test)
+        assert np.array_equal(scores[:, 0], scores[:, 1])
+        # Equal scores tie, and ties go to the lowest class.
+        assert np.array_equal(_predict_payload(self.payload("sampled"), stage, X_test),
+                              np.zeros(len(X_test), dtype=np.int64))
+
+    def test_exact_scores_equal_per_class_grams(self):
+        stage, X_test = self.data()
+        payload = self.payload("exact")
+        scores = _decision_scores(payload, stage, X_test)
+        fm = FeatureMapSpec.from_dict(payload["kernel"]["feature_map"])
+        for k, entry in enumerate(payload["per_class"]):
+            K = kernel_mod.gram(fm, X_test, stage.features.rows_for(entry["support_ids"])).values
+            assert np.allclose(scores[:, k], K @ np.asarray(entry["dual_coefs"]), atol=1e-12)

@@ -8,6 +8,7 @@ from qtc.circuits import FeatureMapSpec
 from qtc.errors import ParseError, ValidationError
 from qtc.kernel import (
     GramMatrix,
+    encoded_state,
     exact_kernel,
     gram,
     load_gram,
@@ -226,3 +227,39 @@ class TestGramPersistence:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ParseError, match=field):
             load_gram(tmp_path)
+
+    def test_csv_bytes_match_per_value_format(self, tmp_path):
+        values = np.random.default_rng(42).uniform(-1, 1, (4, 3))
+        values[0, 0] = 1.0
+        values[1, 1] = 1e-300
+        save_gram(tmp_path, GramMatrix(values, "exact", ZZ2), data_hash="abc123")
+        expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in values)
+        assert (tmp_path / "gram.csv").read_text(encoding="utf-8") == expected
+        back, _ = load_gram(tmp_path)
+        assert np.array_equal(back.values, values)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1,0.5\n0.5\n", "1,0.5\n0.5,abc\n", ""],
+        ids=["ragged_row", "non_numeric_cell", "empty_file"],
+    )
+    def test_malformed_csv_raises_parse_error(self, tmp_path, text):
+        save_gram(tmp_path, gram(ZZ2, np.zeros((2, 2))), data_hash="abc123")
+        (tmp_path / "gram.csv").write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="gram.csv"):
+            load_gram(tmp_path)
+
+
+class TestBatchedEncoding:
+    def test_rows_equal_single_point_states_bitwise(self):
+        X = np.random.default_rng(43).uniform(0, math.pi, (7, 2))
+        batch = encoded_state(ZZ2, X)
+        for r, x in enumerate(X):
+            assert np.array_equal(batch[r].view(float), encoded_state(ZZ2, x).view(float))
+
+    def test_gram_equals_gram_of_single_point_states(self):
+        rng = np.random.default_rng(44)
+        X, Y = rng.uniform(0, math.pi, (6, 2)), rng.uniform(0, math.pi, (4, 2))
+        SX = np.array([encoded_state(ZZ2, x) for x in X])
+        SY = np.array([encoded_state(ZZ2, y) for y in Y])
+        assert np.array_equal(gram(ZZ2, X, Y).values, np.abs(SX.conj() @ SY.T) ** 2)

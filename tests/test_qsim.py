@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qtc.circuits import AnsatzSpec, FeatureMapSpec, bind_ansatz, build_ansatz, build_feature_map
 from qtc.errors import ValidationError
+from qtc.qsim import core
 from qtc.qsim import (
     Circuit,
     Gate,
@@ -223,3 +227,153 @@ class TestBinding:
         circ = Circuit(1, (Gate("ry", (0,), "a"),))
         with pytest.raises(ValidationError, match="expected 1"):
             circ.bind([1.0, 2.0])
+
+
+# ------------------------------------------------------------------ batches
+
+
+def random_batch_circuit(rng, n_qubits, n_gates, rows) -> Circuit:
+    """A random circuit whose P/RY angles are, at random, floats or per-row arrays."""
+    gates = []
+    for g in random_circuit(rng, n_qubits, n_gates).gates:
+        if g.kind in ("p", "ry") and rng.integers(2):
+            g = Gate(g.kind, g.qubits, rng.uniform(-4, 4, rows))
+        gates.append(g)
+    return Circuit(n_qubits, tuple(gates))
+
+
+def row_circuit(circuit: Circuit, r: int) -> Circuit:
+    """The float-angle circuit that row r of a batch circuit stands for."""
+    return Circuit(circuit.n_qubits, tuple(
+        Gate(g.kind, g.qubits, float(g.angle[r])) if isinstance(g.angle, np.ndarray) else g
+        for g in circuit.gates
+    ))
+
+
+def random_states(rng, rows, n_qubits) -> np.ndarray:
+    amps = rng.normal(size=(rows, 1 << n_qubits)) + 1j * rng.normal(size=(rows, 1 << n_qubits))
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(np.asarray(a).view(np.float64), np.asarray(b).view(np.float64))
+
+
+class TestBatchRun:
+    def test_batch_equals_rows_bitwise(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 4):
+            for _ in range(8):
+                rows = int(rng.integers(1, 6))
+                circ = random_batch_circuit(rng, n, 16, rows)
+                out = run(circ, StateVector(n, np.tile(zero_state(n).amplitudes, (rows, 1))))
+                assert out.amplitudes.shape == (rows, 1 << n)
+                for r in range(rows):
+                    assert_bitwise(out.amplitudes[r], run(row_circuit(circ, r)).amplitudes)
+
+    def test_batch_from_given_states_equals_rows_bitwise(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 4):
+            rows = 5
+            circ = random_batch_circuit(rng, n, 20, rows)
+            start = random_states(rng, rows, n)
+            out = run(circ, StateVector(n, start))
+            for r in range(rows):
+                one = run(row_circuit(circ, r), StateVector(n, start[r]))
+                assert one.amplitudes.shape == (1 << n,)
+                assert_bitwise(out.amplitudes[r], one.amplitudes)
+
+    def test_rows_match_dense_oracle(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 3, 4):
+            circ = random_batch_circuit(rng, n, 12, 4)
+            out = run(circ, StateVector(n, np.tile(zero_state(n).amplitudes, (4, 1))))
+            for r in range(4):
+                assert np.allclose(out.amplitudes[r], dense_run(row_circuit(circ, r)), atol=1e-10)
+
+    def test_array_angle_circuit_starts_one_row_per_angle(self):
+        circ = Circuit(1, (Gate("h", (0,)), Gate("p", (0,), np.array([0.0, math.pi]))))
+        out = run(circ)
+        assert np.allclose(out.amplitudes, [[INV, INV], [INV, -INV]], atol=1e-15)
+
+    def test_chunk_boundaries_do_not_change_rows(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        circ = random_batch_circuit(rng, 3, 30, 7)
+        whole = run(circ).amplitudes
+        monkeypatch.setattr(core, "_CHUNK_AMPLITUDES", 16)  # two 3-qubit rows per chunk
+        assert_bitwise(run(circ).amplitudes, whole)
+
+    def test_feature_map_and_ansatz_12_qubits_bitwise(self):
+        rng = np.random.default_rng(15)
+        X = rng.uniform(0, math.pi, (10, 12))  # more rows than one chunk holds
+        spec = FeatureMapSpec("zz", 12, reps=2)
+        ansatz = bind_ansatz(build_ansatz(AnsatzSpec(12, reps=1)), rng.uniform(-3, 3, 24))
+        batch = run(ansatz, run(build_feature_map(spec, X)))
+        for r, x in enumerate(X):
+            one = run(Circuit(12, build_feature_map(spec, x).gates + ansatz.gates))
+            assert_bitwise(batch.amplitudes[r], one.amplitudes)
+
+    def test_input_states_untouched(self):
+        rng = np.random.default_rng(16)
+        start = random_states(rng, 3, 2)
+        kept = start.copy()
+        run(Circuit(2, (Gate("h", (0,)), Gate("cx", (0, 1)))), StateVector(2, start))
+        assert_bitwise(start, kept)
+
+    def test_angle_arrays_of_different_lengths_rejected(self):
+        circ = Circuit(1, (Gate("p", (0,), np.zeros(2)), Gate("ry", (0,), np.zeros(3))))
+        with pytest.raises(ValidationError, match="differ in length"):
+            run(circ)
+
+    def test_angle_rows_must_match_batch(self):
+        circ = Circuit(1, (Gate("p", (0,), np.zeros(2)),))
+        with pytest.raises(ValidationError, match="2 rows on a batch of 3"):
+            run(circ, StateVector(1, np.tile(zero_state(1).amplitudes, (3, 1))))
+
+    def test_state_width_must_match(self):
+        with pytest.raises(ValidationError, match="2-qubit circuit"):
+            run(Circuit(2, (Gate("h", (0,)),)), zero_state(1))
+
+    def test_angle_array_must_be_one_dimensional(self):
+        with pytest.raises(ValidationError, match="1-D"):
+            Gate("p", (0,), np.zeros((2, 2)))
+
+    def test_sample_rejects_batch(self):
+        batch = run(Circuit(1, (Gate("ry", (0,), np.array([0.1, 0.2])),)))
+        with pytest.raises(ValidationError, match="batch"):
+            sample(batch, 10, seed=0)
+
+
+@st.composite
+def batch_cases(draw):
+    """(circuit with float and per-row angles, row count) on 1-5 qubits."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.integers(1, 9))
+    angle = st.floats(-7.0, 7.0, allow_nan=False)
+    gates = []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(("h", "p", "ry", "cx") if n > 1 else ("h", "p", "ry")))
+        if kind == "cx":
+            control, target = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                            unique=True))
+            gates.append(Gate("cx", (control, target)))
+        elif kind == "h":
+            gates.append(Gate("h", (draw(st.integers(0, n - 1)),)))
+        elif draw(st.booleans()):
+            values = draw(st.lists(angle, min_size=rows, max_size=rows))
+            gates.append(Gate(kind, (draw(st.integers(0, n - 1)),), np.array(values)))
+        else:
+            gates.append(Gate(kind, (draw(st.integers(0, n - 1)),), draw(angle)))
+    return Circuit(n, tuple(gates)), rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch_cases(), st.integers(0, 2**32 - 1))
+def test_property_batch_run_equals_row_runs(case, seed):
+    circ, rows = case
+    start = random_states(np.random.default_rng(seed), rows, circ.n_qubits)
+    out = run(circ, StateVector(circ.n_qubits, start))
+    for r in range(rows):
+        one = run(row_circuit(circ, r), StateVector(circ.n_qubits, start[r]))
+        assert_bitwise(out.amplitudes[r], one.amplitudes)

@@ -1,15 +1,18 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 
-from qtc.circuits import AnsatzSpec, FeatureMapSpec
+from qtc.circuits import AnsatzSpec, FeatureMapSpec, bind_ansatz, build_ansatz, build_feature_map, compose
 from qtc.errors import ValidationError
-from qtc.optimizer import OptimizerConfig
+from qtc.optimizer import OptimizerConfig, minimize
+from qtc.qsim import probabilities, run, sample
 from qtc.variational import (
     VariationalModel,
     class_probabilities,
     cross_entropy,
+    encode,
     interpret,
     loss,
     predict,
@@ -203,3 +206,79 @@ class TestTrain:
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValidationError):
             train(np.zeros((0, 2)), [], make_model(), OptimizerConfig(max_evaluations=10))
+
+
+# ----------------------------------------------- per-point reference path
+
+
+def per_point_probabilities(model, X):
+    """Class probabilities one point at a time: map(x) and ansatz composed into
+    one circuit, run from |0...0>, drawn with the (seed, crc32(x || theta))
+    seed in sampled mode, and folded with np.bincount."""
+    ansatz = bind_ansatz(build_ansatz(model.ansatz), model.theta)
+    folds = np.arange(1 << model.n_qubits) % model.n_classes
+    rows = np.empty((len(X), model.n_classes))
+    for r, x in enumerate(np.asarray(X, dtype=float)):
+        state = run(compose(build_feature_map(model.feature_map, x), ansatz))
+        if model.shots == 0:
+            dist = probabilities(state)
+        else:
+            digest = zlib.crc32(x.astype("<f8").tobytes() + model.theta.astype("<f8").tobytes())
+            dist = np.zeros(1 << model.n_qubits)
+            for idx, c in sample(state, model.shots, (model.seed, digest)).items():
+                dist[idx] = c / model.shots
+        rows[r] = np.bincount(folds, weights=dist, minlength=model.n_classes)
+    return rows
+
+
+def per_point_loss(model, X, y):
+    probs = per_point_probabilities(model, X)
+    if model.loss_kind == "cross_entropy":
+        return cross_entropy(probs, y)
+    return squared_error(probs, y)
+
+
+def small_model(n_qubits, **kwargs):
+    ansatz = AnsatzSpec(n_qubits, reps=1)
+    return VariationalModel(FeatureMapSpec("zz", n_qubits, reps=2), ansatz,
+                            np.zeros(ansatz.n_parameters), **kwargs)
+
+
+class TestCachedEncoding:
+    @pytest.mark.parametrize("shots", [0, 64])
+    @pytest.mark.parametrize("loss_kind", ["cross_entropy", "squared_error"])
+    def test_train_matches_per_point_loss_bitwise(self, loss_kind, shots):
+        X, y = blob_dataset(per_class=6)
+        template = make_model(loss_kind=loss_kind, shots=shots, seed=11)
+        cfg = OptimizerConfig(max_evaluations=12)
+        result = train(X, y, template, cfg, init_seed=3)
+        assert result.trace.objectives == [
+            per_point_loss(template.with_theta(t), X, y) for t in result.trace.parameters
+        ]
+        theta0 = np.random.default_rng(3).uniform(-np.pi, np.pi, template.ansatz.n_parameters)
+        theta_ref, _, trace_ref = minimize(
+            lambda t: per_point_loss(template.with_theta(t), X, y), theta0, cfg
+        )
+        assert np.array_equal(result.model.theta, theta_ref)
+        assert result.trace.objectives == trace_ref.objectives
+
+    @pytest.mark.parametrize("n_qubits, n_classes", [(1, 2), (3, 3), (5, 3)])
+    @pytest.mark.parametrize("shots", [0, 64])
+    def test_probabilities_match_per_point_bitwise(self, n_qubits, n_classes, shots):
+        rng = np.random.default_rng(n_qubits)
+        model = small_model(n_qubits, n_classes=n_classes, loss_kind="cross_entropy",
+                            shots=shots, seed=5).with_theta(rng.uniform(-3, 3, 2 * n_qubits))
+        X = rng.uniform(0, math.pi, (9, n_qubits))
+        expected = per_point_probabilities(model, X)
+        assert np.array_equal(predict(model, X), np.argmax(expected, axis=1))
+        for r, x in enumerate(X):
+            assert np.array_equal(class_probabilities(model, x), expected[r])
+
+    def test_loss_with_cached_states_equals_loss_without(self):
+        X, y = blob_dataset(per_class=4)
+        model = make_model(theta=np.array([0.3, -1.1, 0.8, 2.0]))
+        assert loss(model, X, y, states=encode(model, X)) == loss(model, X, y)
+
+    def test_encode_rejects_wrong_width(self):
+        with pytest.raises(ValidationError):
+            encode(make_model(), np.zeros((3, 3)))
