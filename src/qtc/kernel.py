@@ -10,13 +10,14 @@ never change the result.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import mapped_empty
 from .circuits import FeatureMapSpec, build_feature_map, compose
 from .errors import ParseError, ValidationError
 from .qsim import adjoint, run, sample
@@ -88,15 +89,20 @@ def gram(
         raise ValidationError("gram expects 2-D inputs with matching feature counts")
 
     m, mp = X.shape[0], Ym.shape[0]
-    K = np.empty((m, mp), dtype=float)
+    K = mapped_empty((m, mp))
 
     if mode == "exact":
         SX = encoded_state(spec, X)
         SY = SX if square else encoded_state(spec, Ym)
-        K[:] = np.abs(SX.conj() @ SY.T) ** 2
+        # In place in K: the only other m x mp array is the complex overlap.
+        overlap = mapped_empty((m, mp), dtype=np.complex128)
+        np.matmul(SX.conj(), SY.T, out=overlap)
+        np.abs(overlap, out=K)
+        del overlap
+        np.square(K, out=K)
         if square:
-            iu = np.triu_indices(m, k=1)
-            K[(iu[1], iu[0])] = K[iu]
+            for i in range(1, m):
+                K[i, :i] = K[:i, i]
             np.fill_diagonal(K, 1.0)
     else:
         for i in range(m):
@@ -156,6 +162,9 @@ def save_gram(directory, g: GramMatrix, data_hash: str, upstream_hash: str | Non
         fh.write("\n")
 
 
+# Values per block of lines that load_gram parses at once (512 KiB of floats).
+_READ_BLOCK_VALUES = 1 << 16
+
 # Manifest fields load_gram reads, with the JSON types each may hold.
 _MANIFEST_FIELDS = {
     "shape": list,
@@ -164,6 +173,39 @@ _MANIFEST_FIELDS = {
     "shots": (int, type(None)),
     "seed": (int, type(None)),
 }
+
+
+def _read_csv_matrix(path, rows: int, cols: int) -> np.ndarray:
+    """Parse a headerless numeric CSV of rows x cols values; blank lines are skipped.
+
+    The matrix is allocated once at its final shape and filled a block of
+    lines at a time.  Parsing the whole file in one call grows the result as
+    it reads, and the freed smaller copies can stay resident in the heap.
+    """
+    # Every value takes at least a digit and a separator.
+    if 2 * rows * cols > os.path.getsize(path) + 1:
+        raise ParseError(f"{path}: too short for the manifest shape {[rows, cols]}")
+    values = mapped_empty((rows, cols))
+    block = max(1, _READ_BLOCK_VALUES // max(cols, 1))
+    done = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            while lines := list(itertools.islice(fh, block)):
+                lines = [line for line in lines if not line.isspace()]
+                if not lines:
+                    continue
+                part = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+                if part.shape[1] != cols:
+                    raise ParseError(f"{path}: {part.shape[1]} columns, manifest says {cols}")
+                if done + part.shape[0] > rows:
+                    raise ParseError(f"{path}: more than the manifest's {rows} rows")
+                values[done:done + part.shape[0]] = part
+                done += part.shape[0]
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if done != rows:
+        raise ParseError(f"{path}: {done} rows, manifest says {rows}")
+    return values
 
 
 def load_gram(directory) -> tuple[GramMatrix, dict]:
@@ -182,15 +224,10 @@ def load_gram(directory) -> tuple[GramMatrix, dict]:
             raise ParseError(f"{manifest_path}: missing field {key!r}")
         if isinstance(manifest[key], bool) or not isinstance(manifest[key], kind):
             raise ParseError(f"{manifest_path}: field {key!r} has the wrong type")
-    try:
-        with warnings.catch_warnings():
-            # loadtxt only warns about a file with no rows; that is a damaged cache.
-            warnings.simplefilter("error", UserWarning)
-            values = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8")
-    except (ValueError, UserWarning) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if list(values.shape) != manifest["shape"]:
-        raise ParseError(f"{path}: shape {values.shape} does not match manifest")
+    shape = manifest["shape"]
+    if len(shape) != 2 or not all(type(n) is int and n >= 0 for n in shape):
+        raise ParseError(f"{manifest_path}: field 'shape' must hold two counts")
+    values = _read_csv_matrix(path, *shape)
     try:
         spec = FeatureMapSpec.from_dict(manifest["feature_map"])
     except (KeyError, TypeError) as exc:

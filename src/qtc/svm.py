@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arrays import mapped_empty
 from .errors import ValidationError
 
 __all__ = [
@@ -99,7 +100,8 @@ def train_binary(G, y, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_
     if C <= 0:
         raise ValidationError("C must be positive")
 
-    Q = (y[:, None] * y[None, :]) * G
+    # Q is never formed: Q_ij = y_i y_j G_ij only flips signs, which is exact,
+    # so every product with it is taken as the same product with G.
     alpha = np.zeros(m)
     grad = -np.ones(m)  # gradient of the dual objective: Q a - 1
     tau = 1e-12
@@ -122,7 +124,7 @@ def train_binary(G, y, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_
 
         old_i, old_j = alpha[i], alpha[j]
         if y[i] != y[j]:
-            quad = Q[i, i] + Q[j, j] + 2.0 * Q[i, j]
+            quad = G[i, i] + G[j, j] + 2.0 * (y[i] * y[j] * G[i, j])
             if quad <= 0:
                 quad = tau
             delta = (-grad[i] - grad[j]) / quad
@@ -146,7 +148,7 @@ def train_binary(G, y, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_
                     alpha[j] = C
                     alpha[i] = C + diff
         else:
-            quad = Q[i, i] + Q[j, j] - 2.0 * Q[i, j]
+            quad = G[i, i] + G[j, j] - 2.0 * (y[i] * y[j] * G[i, j])
             if quad <= 0:
                 quad = tau
             delta = (grad[i] - grad[j]) / quad
@@ -170,7 +172,10 @@ def train_binary(G, y, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_
                     alpha[i] = 0.0
                     alpha[j] = total
 
-        grad += Q[:, i] * (alpha[i] - old_i) + Q[:, j] * (alpha[j] - old_j)
+        grad += (
+            G[:, i] * (y * (y[i] * (alpha[i] - old_i)))
+            + G[:, j] * (y * (y[j] * (alpha[j] - old_j)))
+        )
 
     bias = _bias_of(alpha, y, grad, C)
     return SvmBinaryModel(alpha=alpha, y=y, bias=bias, C=C, tol=tol, converged=converged)
@@ -236,7 +241,12 @@ def poly_gram(X, Y=None, *, spec: PolyKernelSpec) -> np.ndarray:
     """Polynomial kernel matrix over rows of X (or X versus Y)."""
     X = np.asarray(X, dtype=float)
     Ym = X if Y is None else np.asarray(Y, dtype=float)
-    return (spec.gamma * (X @ Ym.T) + spec.coef0) ** spec.degree
+    G = mapped_empty((X.shape[0], Ym.shape[0]))
+    np.matmul(X, Ym.T, out=G)
+    G *= spec.gamma
+    G += spec.coef0
+    G **= spec.degree
+    return G
 
 
 def default_gamma(X) -> float:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qtc import kernel as kernel_mod
 from qtc.circuits import FeatureMapSpec
 from qtc.errors import ParseError, ValidationError
 from qtc.kernel import (
@@ -249,6 +250,47 @@ class TestGramPersistence:
         with pytest.raises(ParseError, match="gram.csv"):
             load_gram(tmp_path)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1,0.5\n", "1,0.5\n0.5,1\n0.5,1\n", "1,0.5,0\n0.5,1,0\n", "1\n0.5\n"],
+        ids=["missing_row", "extra_row", "extra_column", "missing_column"],
+    )
+    def test_csv_not_of_manifest_shape_raises_parse_error(self, tmp_path, text):
+        save_gram(tmp_path, gram(ZZ2, np.zeros((2, 2))), data_hash="abc123")
+        (tmp_path / "gram.csv").write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="gram.csv"):
+            load_gram(tmp_path)
+
+    @pytest.mark.parametrize("shape", [[2], [2, 2, 1], [2, -2], [2, 2.0], [2, True]])
+    def test_manifest_shape_not_two_counts_raises_parse_error(self, tmp_path, shape):
+        save_gram(tmp_path, gram(ZZ2, np.zeros((2, 2))), data_hash="abc123")
+        path = tmp_path / "gram.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["shape"] = shape
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match="shape"):
+            load_gram(tmp_path)
+
+    def test_manifest_shape_larger_than_file_raises_before_allocating(self, tmp_path):
+        save_gram(tmp_path, gram(ZZ2, np.zeros((2, 2))), data_hash="abc123")
+        path = tmp_path / "gram.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["shape"] = [10**9, 10**9]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match="too short"):
+            load_gram(tmp_path)
+
+    def test_read_in_blocks_with_blank_lines(self, tmp_path, monkeypatch):
+        # Two values a block: one row per parse, and a block of blank lines.
+        monkeypatch.setattr(kernel_mod, "_READ_BLOCK_VALUES", 2)
+        values = np.random.default_rng(45).uniform(0, 1, (5, 2))
+        save_gram(tmp_path, GramMatrix(values, "exact", ZZ2), data_hash="abc123")
+        lines = (tmp_path / "gram.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2:2] = ["\n", "  \n"]
+        (tmp_path / "gram.csv").write_text("".join(lines) + "\n", encoding="utf-8")
+        back, _ = load_gram(tmp_path)
+        assert np.array_equal(back.values, values)
+
 
 class TestBatchedEncoding:
     def test_rows_equal_single_point_states_bitwise(self):
@@ -263,3 +305,12 @@ class TestBatchedEncoding:
         SX = np.array([encoded_state(ZZ2, x) for x in X])
         SY = np.array([encoded_state(ZZ2, y) for y in Y])
         assert np.array_equal(gram(ZZ2, X, Y).values, np.abs(SX.conj() @ SY.T) ** 2)
+
+    def test_square_gram_mirrors_upper_triangle(self):
+        X = np.random.default_rng(46).uniform(0, math.pi, (9, 2))
+        S = np.array([encoded_state(ZZ2, x) for x in X])
+        expected = np.abs(S.conj() @ S.T) ** 2
+        iu = np.triu_indices(len(X), k=1)
+        expected[(iu[1], iu[0])] = expected[iu]
+        np.fill_diagonal(expected, 1.0)
+        assert np.array_equal(gram(ZZ2, X).values, expected)

@@ -228,6 +228,16 @@ class TestPolyKernel:
             for j in range(6):
                 assert G[i, j] == pytest.approx(poly_kernel(X[i], X[j], spec), abs=1e-9)
 
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [6, 400])  # 400 x 400 floats fill a separate mapping
+    def test_gram_bitwise_equals_formula(self, degree, rows):
+        rng = np.random.default_rng(16)
+        X, Y = rng.normal(size=(rows, 3)), rng.normal(size=(rows // 2, 3))
+        spec = PolyKernelSpec(degree=degree, gamma=0.7, coef0=0.2)
+        for G, B in [(poly_gram(X, spec=spec), X), (poly_gram(X, Y, spec=spec), Y)]:
+            expected = (spec.gamma * (X @ B.T) + spec.coef0) ** spec.degree
+            assert np.array_equal(G, expected)
+
     def test_default_gamma(self):
         rng = np.random.default_rng(15)
         X = rng.normal(size=(50, 4))
