@@ -89,6 +89,10 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
                 raise ParseError(f"{args.config}: invalid JSON ({exc})") from exc
         if not isinstance(file_cfg, dict):
             raise ValidationError(f"{args.config}: config file must hold a JSON object")
+        # A key of another command is accepted: one file may serve several.
+        unknown = sorted(set(file_cfg).difference(*DEFAULTS.values()))
+        if unknown:
+            raise SchemaError(f"{args.config}: unknown key(s) {', '.join(map(repr, unknown))}")
     resolved = {}
     for key, default in DEFAULTS[command].items():
         cli_value = getattr(args, key, None)
@@ -221,18 +225,25 @@ def cmd_kernel(args) -> None:
 
 
 def _cached_gram(workdir, spec, mode, shots, seed, data_hash):
+    """The cached Gram, or None and why not: missing, damaged or stale.
+
+    The manifest is read and compared first, so a stale cache costs no read
+    of its values.
+    """
     try:
-        g, manifest = kernel_mod.load_gram(workdir)
-    except (OSError, ValidationError):
-        return None
-    if (
-        manifest.get("feature_map") == spec.to_dict()
-        and manifest.get("mode") == mode
-        and manifest.get("data_hash") == data_hash
-        and (mode == "exact" or (manifest.get("shots") == shots and manifest.get("seed") == seed))
-    ):
-        return g
-    return None
+        manifest = kernel_mod.load_gram_manifest(workdir)
+        expected = {"feature_map": spec.to_dict(), "mode": mode, "data_hash": data_hash}
+        if mode == "sampled":
+            expected.update(shots=shots, seed=seed)
+        stale = [key for key, value in expected.items() if manifest.get(key) != value]
+        if stale:
+            return None, f"stale (does not match: {', '.join(stale)})"
+        g, _ = kernel_mod.load_gram(workdir, manifest)
+    except OSError as exc:
+        return None, f"missing ({os.path.basename(exc.filename or str(exc))})"
+    except ValidationError as exc:
+        return None, f"damaged ({exc})"
+    return g, None
 
 
 def cmd_train(args) -> None:
@@ -260,10 +271,13 @@ def cmd_train(args) -> None:
             fm = FeatureMapSpec(cfg["feature_map"], X.shape[1], cfg["reps"])
             mode = "exact" if cfg["shots"] == 0 else "sampled"
             data_hash = _data_hash(ids, X)
-            g = _cached_gram(args.workdir, fm, mode, cfg["shots"], cfg["seed"], data_hash)
+            g, miss = _cached_gram(args.workdir, fm, mode, cfg["shots"], cfg["seed"], data_hash)
             if g is None:
                 g = kernel_mod.gram(fm, X, mode=mode, shots=cfg["shots"], seed=cfg["seed"])
                 kernel_mod.save_gram(args.workdir, g, data_hash, upstream)
+                print(f"gram cache: miss, {miss}; recomputed")
+            else:
+                print("gram cache: hit")
             if mode == "sampled":
                 g = kernel_mod.psd_project(g)
             G = g.values

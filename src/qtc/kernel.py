@@ -6,11 +6,14 @@ compose(map(x), adjoint(map(y))) circuit and estimates the kernel as the
 frequency of the all-zeros outcome.  Per-entry sampling seeds are derived
 deterministically from (master seed, i, j) so parallel assembly order can
 never change the result.
+
+save_gram persists a Gram twice next to its manifest: gram.npy, the exact
+binary cache that load_gram reads back, and gram.csv, a human-readable copy
+with 17 significant digits per value that the pipeline never reads.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -30,6 +33,7 @@ __all__ = [
     "gram",
     "psd_project",
     "save_gram",
+    "load_gram_manifest",
     "load_gram",
 ]
 
@@ -139,9 +143,11 @@ def psd_project(g: GramMatrix) -> GramMatrix:
 
 
 def save_gram(directory, g: GramMatrix, data_hash: str, upstream_hash: str | None = None) -> None:
-    """Write gram.csv (no header) and gram.manifest.json into ``directory``."""
+    """Write gram.npy, gram.csv (no header) and gram.manifest.json into ``directory``."""
     os.makedirs(directory, exist_ok=True)
-    values = np.asarray(g.values, dtype=float)
+    values = np.ascontiguousarray(g.values, dtype="<f8")
+    with open(os.path.join(directory, "gram.npy"), "wb") as fh:
+        np.lib.format.write_array(fh, values, version=(1, 0))
     # One %-format per row; converting the whole matrix to Python floats at
     # once would hold m*m float objects in memory.
     fmt = ",".join(["%.17g"] * values.shape[1]) + "\n"
@@ -162,9 +168,6 @@ def save_gram(directory, g: GramMatrix, data_hash: str, upstream_hash: str | Non
         fh.write("\n")
 
 
-# Values per block of lines that load_gram parses at once (512 KiB of floats).
-_READ_BLOCK_VALUES = 1 << 16
-
 # Manifest fields load_gram reads, with the JSON types each may hold.
 _MANIFEST_FIELDS = {
     "shape": list,
@@ -175,48 +178,46 @@ _MANIFEST_FIELDS = {
 }
 
 
-def _read_csv_matrix(path, rows: int, cols: int) -> np.ndarray:
-    """Parse a headerless numeric CSV of rows x cols values; blank lines are skipped.
+def _read_npy_matrix(path, rows: int, cols: int) -> np.ndarray:
+    """Read a version 1.0, C-order ``<f8`` .npy file of exactly rows x cols values.
 
-    The matrix is allocated once at its final shape and filled a block of
-    lines at a time.  Parsing the whole file in one call grows the result as
-    it reads, and the freed smaller copies can stay resident in the heap.
+    The header and the file size are checked against the expected shape
+    before the matrix is allocated, so a damaged file cannot ask for more
+    memory than it holds.  A missing file raises OSError.
     """
-    # Every value takes at least a digit and a separator.
-    if 2 * rows * cols > os.path.getsize(path) + 1:
-        raise ParseError(f"{path}: too short for the manifest shape {[rows, cols]}")
-    values = mapped_empty((rows, cols))
-    block = max(1, _READ_BLOCK_VALUES // max(cols, 1))
-    done = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            while lines := list(itertools.islice(fh, block)):
-                lines = [line for line in lines if not line.isspace()]
-                if not lines:
-                    continue
-                part = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
-                if part.shape[1] != cols:
-                    raise ParseError(f"{path}: {part.shape[1]} columns, manifest says {cols}")
-                if done + part.shape[0] > rows:
-                    raise ParseError(f"{path}: more than the manifest's {rows} rows")
-                values[done:done + part.shape[0]] = part
-                done += part.shape[0]
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if done != rows:
-        raise ParseError(f"{path}: {done} rows, manifest says {rows}")
+    with open(path, "rb") as fh:
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version != (1, 0):
+                raise ParseError(f"{path}: .npy format version {version}, expected (1, 0)")
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path}: not a .npy array ({exc})") from exc
+        if dtype != np.dtype("<f8") or fortran_order:
+            raise ParseError(f"{path}: holds {dtype.str} in {'F' if fortran_order else 'C'} "
+                             f"order, expected <f8 in C order")
+        nbytes = rows * cols * 8
+        stored = os.fstat(fh.fileno()).st_size - fh.tell()
+        if stored < nbytes:
+            raise ParseError(f"{path}: too short for the manifest shape {[rows, cols]}")
+        if stored > nbytes:
+            raise ParseError(f"{path}: bytes beyond the manifest shape {[rows, cols]}")
+        if shape != (rows, cols):
+            raise ParseError(f"{path}: shape {list(shape)}, manifest says {[rows, cols]}")
+        values = mapped_empty((rows, cols))
+        if fh.readinto(memoryview(values).cast("B")) != nbytes:
+            raise ParseError(f"{path}: changed while being read")
     return values
 
 
-def load_gram(directory) -> tuple[GramMatrix, dict]:
-    """Read a Gram cache written by save_gram; returns (matrix, manifest)."""
-    path = os.path.join(directory, "gram.csv")
+def load_gram_manifest(directory) -> dict:
+    """Read and check gram.manifest.json; a missing file raises OSError."""
     manifest_path = os.path.join(directory, "gram.manifest.json")
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
+    with open(manifest_path, encoding="utf-8") as fh:
+        try:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read gram manifest in {directory}: {exc}") from exc
+        except ValueError as exc:
+            raise ParseError(f"cannot read gram manifest in {directory}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ParseError(f"{manifest_path}: manifest must hold a JSON object")
     for key, kind in _MANIFEST_FIELDS.items():
@@ -227,15 +228,27 @@ def load_gram(directory) -> tuple[GramMatrix, dict]:
     shape = manifest["shape"]
     if len(shape) != 2 or not all(type(n) is int and n >= 0 for n in shape):
         raise ParseError(f"{manifest_path}: field 'shape' must hold two counts")
-    values = _read_csv_matrix(path, *shape)
     try:
-        spec = FeatureMapSpec.from_dict(manifest["feature_map"])
+        FeatureMapSpec.from_dict(manifest["feature_map"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{manifest_path}: malformed feature_map ({exc!r})") from exc
+    return manifest
+
+
+def load_gram(directory, manifest: dict | None = None) -> tuple[GramMatrix, dict]:
+    """Read a Gram cache written by save_gram; returns (matrix, manifest).
+
+    The values come from gram.npy; gram.csv is never read.  ``manifest`` is
+    one already returned by load_gram_manifest for this directory; without
+    it the manifest is read here.
+    """
+    if manifest is None:
+        manifest = load_gram_manifest(directory)
+    values = _read_npy_matrix(os.path.join(directory, "gram.npy"), *manifest["shape"])
     g = GramMatrix(
         values=values,
         mode=manifest["mode"],
-        feature_map=spec,
+        feature_map=FeatureMapSpec.from_dict(manifest["feature_map"]),
         shots=manifest["shots"],
         seed=manifest["seed"],
     )

@@ -169,6 +169,50 @@ class TestPipeline:
         assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
         assert json.loads(path.read_text())["shape"] == [96, 96]
 
+    def test_cache_hit_and_miss_reported(self, pipeline_dir, capsys):
+        assert run_cli("kernel", "--workdir", pipeline_dir) == 0
+        capsys.readouterr()
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
+        assert "gram cache: hit\n" in capsys.readouterr().out
+        hit_model = (pipeline_dir / "model.json").read_bytes()
+        npy = (pipeline_dir / "gram.npy").read_bytes()
+        # A workdir written before gram.npy existed recomputes once.
+        (pipeline_dir / "gram.npy").unlink()
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
+        assert "gram cache: miss, missing (gram.npy); recomputed\n" in capsys.readouterr().out
+        assert (pipeline_dir / "gram.npy").read_bytes() == npy
+        assert (pipeline_dir / "model.json").read_bytes() == hit_model
+
+    def test_stale_manifest_recomputed_without_reading_values(self, pipeline_dir, capsys,
+                                                              monkeypatch):
+        assert run_cli("kernel", "--workdir", pipeline_dir) == 0
+        path = pipeline_dir / "gram.manifest.json"
+        manifest = json.loads(path.read_text())
+        data_hash = manifest["data_hash"]
+        manifest["data_hash"] = "0" * 64
+        path.write_text(json.dumps(manifest))
+
+        def read_values(*args, **kwargs):
+            raise AssertionError("the values of a stale cache were read")
+
+        monkeypatch.setattr(kernel_mod, "load_gram", read_values)
+        capsys.readouterr()
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
+        assert "gram cache: miss, stale (does not match: data_hash); recomputed" in (
+            capsys.readouterr().out
+        )
+        assert json.loads(path.read_text())["data_hash"] == data_hash
+
+    def test_train_never_reads_gram_csv(self, pipeline_dir, capsys):
+        assert run_cli("kernel", "--workdir", pipeline_dir) == 0
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
+        intact = (pipeline_dir / "model.json").read_bytes()
+        (pipeline_dir / "gram.csv").write_text("not,a\ngram\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
+        assert "gram cache: hit\n" in capsys.readouterr().out
+        assert (pipeline_dir / "model.json").read_bytes() == intact
+
     @pytest.mark.parametrize("command", ["kernel", "train"])
     def test_negative_shots_rejected(self, pipeline_dir, capsys, command):
         capsys.readouterr()
@@ -211,6 +255,20 @@ class TestConfigPrecedence:
         assert run_cli("reduce", "--config", cfgfile, "--workdir", pipeline_dir) == code
         if code:
             assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "values, code",
+        [({"shot": 256}, 1), ({"per_class": 4, "colour": "red"}, 1),
+         ({"per_class": 4, "shots": 256, "components": 3}, 0)],
+    )
+    def test_config_keys_known_to_some_command(self, tmp_path, capsys, values, code):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(values))
+        capsys.readouterr()
+        assert run_cli("synth", "--config", cfgfile, "--out", tmp_path / "c.csv") == code
+        if code:
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "unknown key" in err
 
     def test_defaults_echoed(self, tmp_path, capsys):
         run_cli("synth", "--out", tmp_path / "c.csv")

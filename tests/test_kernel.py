@@ -1,10 +1,15 @@
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from qtc import kernel as kernel_mod
 from qtc.circuits import FeatureMapSpec
 from qtc.errors import ParseError, ValidationError
 from qtc.kernel import (
@@ -199,6 +204,12 @@ class TestPsdProject:
 MISSING = object()
 
 
+def npy_bytes(array, version=(1, 0)):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, array, version=version)
+    return buf.getvalue()
+
+
 class TestGramPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(41)
@@ -240,26 +251,38 @@ class TestGramPersistence:
         assert np.array_equal(back.values, values)
 
     @pytest.mark.parametrize(
-        "text",
-        ["1,0.5\n0.5\n", "1,0.5\n0.5,abc\n", ""],
-        ids=["ragged_row", "non_numeric_cell", "empty_file"],
+        "damage",
+        [
+            lambda good: b"",
+            lambda good: b"1,0.5\n0.5,1\n",
+            lambda good: good[:-1],
+            lambda good: good + bytes(8),
+            lambda good: npy_bytes(np.array([[1, 0], [0, 1]], dtype="<i8")),
+            lambda good: npy_bytes(np.eye(2, dtype=">f8")),
+            lambda good: npy_bytes(np.asfortranarray([[1.0, 0.25], [0.5, 1.0]])),
+            lambda good: npy_bytes(np.ones((4, 1))),
+            lambda good: npy_bytes(np.eye(2), version=(2, 0)),
+        ],
+        ids=["empty_file", "not_npy", "truncated", "extra_bytes", "int_dtype", "big_endian",
+             "fortran_order", "header_shape", "version_2_0"],
     )
-    def test_malformed_csv_raises_parse_error(self, tmp_path, text):
+    def test_damaged_npy_raises_parse_error(self, tmp_path, damage):
         save_gram(tmp_path, gram(ZZ2, np.zeros((2, 2))), data_hash="abc123")
-        (tmp_path / "gram.csv").write_text(text, encoding="utf-8")
-        with pytest.raises(ParseError, match="gram.csv"):
+        path = tmp_path / "gram.npy"
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ParseError, match="gram.npy"):
             load_gram(tmp_path)
 
-    @pytest.mark.parametrize(
-        "text",
-        ["1,0.5\n", "1,0.5\n0.5,1\n0.5,1\n", "1,0.5,0\n0.5,1,0\n", "1\n0.5\n"],
-        ids=["missing_row", "extra_row", "extra_column", "missing_column"],
-    )
-    def test_csv_not_of_manifest_shape_raises_parse_error(self, tmp_path, text):
+    def test_missing_npy_raises_os_error(self, tmp_path):
         save_gram(tmp_path, gram(ZZ2, np.zeros((2, 2))), data_hash="abc123")
-        (tmp_path / "gram.csv").write_text(text, encoding="utf-8")
-        with pytest.raises(ParseError, match="gram.csv"):
+        (tmp_path / "gram.npy").unlink()
+        with pytest.raises(FileNotFoundError):
             load_gram(tmp_path)
+
+    def test_npy_bytes_are_version_1_0_little_endian_c_order(self, tmp_path):
+        values = np.random.default_rng(47).uniform(0, 1, (3, 4))
+        save_gram(tmp_path, GramMatrix(values, "exact", ZZ2), data_hash="abc123")
+        assert (tmp_path / "gram.npy").read_bytes() == npy_bytes(values)
 
     @pytest.mark.parametrize("shape", [[2], [2, 2, 1], [2, -2], [2, 2.0], [2, True]])
     def test_manifest_shape_not_two_counts_raises_parse_error(self, tmp_path, shape):
@@ -280,16 +303,24 @@ class TestGramPersistence:
         with pytest.raises(ParseError, match="too short"):
             load_gram(tmp_path)
 
-    def test_read_in_blocks_with_blank_lines(self, tmp_path, monkeypatch):
-        # Two values a block: one row per parse, and a block of blank lines.
-        monkeypatch.setattr(kernel_mod, "_READ_BLOCK_VALUES", 2)
-        values = np.random.default_rng(45).uniform(0, 1, (5, 2))
-        save_gram(tmp_path, GramMatrix(values, "exact", ZZ2), data_hash="abc123")
-        lines = (tmp_path / "gram.csv").read_text(encoding="utf-8").splitlines(keepends=True)
-        lines[2:2] = ["\n", "  \n"]
-        (tmp_path / "gram.csv").write_text("".join(lines) + "\n", encoding="utf-8")
-        back, _ = load_gram(tmp_path)
-        assert np.array_equal(back.values, values)
+
+finite_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e-300, 5e-324, 2.2250738585072009e-308]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                  elements=finite_values))
+def test_property_save_load_round_trip_bitwise(values):
+    with tempfile.TemporaryDirectory() as directory:
+        save_gram(directory, GramMatrix(values, "exact", ZZ2), data_hash="abc123")
+        back, _ = load_gram(directory)
+        exported = np.loadtxt(os.path.join(directory, "gram.csv"), delimiter=",", ndmin=2)
+    assert back.values.tobytes() == values.tobytes()
+    assert exported.shape == values.shape
+    assert exported.tobytes() == values.tobytes()
 
 
 class TestBatchedEncoding:
