@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, json_field
 from .qsim import Circuit, Gate
 
 __all__ = [
@@ -62,7 +62,8 @@ class FeatureMapSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureMapSpec":
-        return cls(d["kind"], d["n_qubits"], d["reps"], d.get("entanglement", "linear"))
+        return cls(json_field(d, "kind", str), json_field(d, "n_qubits", int),
+                   json_field(d, "reps", int), json_field(d, "entanglement", str))
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class AnsatzSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnsatzSpec":
-        return cls(d["n_qubits"], d["reps"])
+        return cls(json_field(d, "n_qubits", int), json_field(d, "reps", int))
 
 
 def build_feature_map(spec: FeatureMapSpec, x) -> Circuit:

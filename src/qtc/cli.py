@@ -31,57 +31,63 @@ from . import synth as synth_mod
 from . import variational as var_mod
 from .circuits import AnsatzSpec, FeatureMapSpec
 from .corpus import load_stage, manifest_hash, save_stage, stratified_split
-from .errors import NumericalError, ParseError, SchemaError, ValidationError, VersioningError
+from .errors import (
+    NUMBER, NumericalError, ParseError, SchemaError, ValidationError, VersioningError, json_field,
+)
 from .optimizer import OptimizerConfig, write_trace_csv
 
-DEFAULTS = {
-    "synth": {"classes": 3, "per_class": 40, "vocab_size": 30, "seed": 13},
-    "preprocess": {
-        "max_features": 20,
-        "test_fraction": 0.2,
-        "seed": 7,
-        "id_col": "ID",
-        "text_col": "Resume_str",
-        "label_col": "Category",
+_FEATURE_MAPS = ("z", "zz")
+
+# OPTIONS[command][name] = (default, help, allowed values or None).  Each
+# option is the flag --name with "_" spelled "-"; --config keys use the name.
+OPTIONS = {
+    "synth": {
+        "classes": (3, "number of classes", None),
+        "per_class": (40, "documents per class", None),
+        "vocab_size": (30, "total generator vocabulary", None),
+        "seed": (13, "generator seed", None),
     },
-    "reduce": {"components": 2, "scale_lo": 0.0, "scale_hi": math.pi},
-    "kernel": {"feature_map": "zz", "reps": 2, "shots": 0, "seed": 5},
+    "preprocess": {
+        "max_features": (20, "TF-IDF vocabulary cap", None),
+        "test_fraction": (0.2, "held-out fraction per class", None),
+        "seed": (7, "split shuffle seed", None),
+        "id_col": ("ID", "id column name", None),
+        "text_col": ("Resume_str", "text column name", None),
+        "label_col": ("Category", "label column name", None),
+    },
+    "reduce": {
+        "components": (2, "principal components kept", None),
+        "scale_lo": (0.0, "scaled interval lower edge", None),
+        "scale_hi": (math.pi, "scaled interval upper edge", None),
+    },
+    "kernel": {
+        "feature_map": ("zz", "encoder kind", _FEATURE_MAPS),
+        "reps": (2, "encoder repetitions", None),
+        "shots": (0, "0 = exact, else samples per entry", None),
+        "seed": (5, "sampling master seed", None),
+    },
     "train": {
-        "model": "qsvc",
-        "C": 1.0,
-        "tol": 1e-3,
-        "shots": 0,
-        "seed": 5,
-        "iters": 30,
-        "init_seed": 42,
-        "feature_map": "zz",
-        "reps": 2,
-        "ansatz_reps": 1,
-        "rho_begin": 1.0,
-        "rho_end": 1e-4,
+        "model": ("qsvc", "classifier type", ("svc", "qsvc", "vqc", "qnnc")),
+        "C": (1.0, "SVM box constraint", None),
+        "tol": (1e-3, "SMO KKT tolerance", None),
+        "shots": (0, "0 = exact, else samples per estimate", None),
+        "seed": (5, "sampling master seed", None),
+        "iters": (30, "optimizer evaluation budget for vqc/qnnc", None),
+        "init_seed": (42, "ansatz angle init seed", None),
+        "feature_map": ("zz", "encoder kind", _FEATURE_MAPS),
+        "reps": (2, "encoder repetitions", None),
+        "ansatz_reps": (1, "ansatz repetitions", None),
+        "rho_begin": (1.0, "optimizer initial trust radius", None),
+        "rho_end": (1e-4, "optimizer final trust radius", None),
     },
     "evaluate": {},
 }
 
-MODEL_CHOICES = ("svc", "qsvc", "vqc", "qnnc")
 
-
-def _same_type(value, default) -> bool:
-    """Whether a config-file value may stand in for ``default``.
-
-    An int is accepted where a float is expected; a bool never counts as a number.
-    """
-    if isinstance(value, bool):
-        return isinstance(default, bool)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
-
-
-def _resolve(args: argparse.Namespace, command: str) -> dict:
-    """Merge CLI flags over config-file values over built-in defaults."""
+def _resolve(args: argparse.Namespace) -> dict:
+    """Merge CLI flags over config-file values over built-in defaults, and echo the result."""
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             try:
                 file_cfg = json.load(fh)
@@ -90,30 +96,28 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         if not isinstance(file_cfg, dict):
             raise ValidationError(f"{args.config}: config file must hold a JSON object")
         # A key of another command is accepted: one file may serve several.
-        unknown = sorted(set(file_cfg).difference(*DEFAULTS.values()))
+        unknown = sorted(set(file_cfg).difference(*OPTIONS.values()))
         if unknown:
             raise SchemaError(f"{args.config}: unknown key(s) {', '.join(map(repr, unknown))}")
     resolved = {}
-    for key, default in DEFAULTS[command].items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            resolved[key] = cli_value
-        elif key in file_cfg:
-            if not _same_type(file_cfg[key], default):
-                raise SchemaError(
-                    f"{args.config}: {key!r} must be of type {type(default).__name__}, "
-                    f"got {file_cfg[key]!r}"
-                )
-            resolved[key] = file_cfg[key]
-        else:
-            resolved[key] = default
+    for key, (default, _, allowed) in OPTIONS[args.command].items():
+        value = getattr(args, key)
+        if value is None and key in file_cfg:
+            # An int may stand in for a float; a bool never counts as a number.
+            kind = NUMBER if isinstance(default, float) else type(default)
+            try:
+                value = json_field(file_cfg, key, kind)
+            except ParseError as exc:
+                raise SchemaError(f"{args.config}: {exc}") from exc
+        elif value is None:
+            value = default
+        if allowed is not None and value not in allowed:
+            raise ValidationError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
+        resolved[key] = value
     if resolved.get("shots", 0) < 0:
         raise ValidationError(f"shots must be >= 0 (0 = exact), got {resolved['shots']}")
+    print(f"{args.command} config: {json.dumps(resolved, sort_keys=True)}")
     return resolved
-
-
-def _echo(command: str, cfg: dict) -> None:
-    print(f"{command} config: {json.dumps(cfg, sort_keys=True)}")
 
 
 def _data_hash(ids, values: np.ndarray) -> str:
@@ -132,9 +136,7 @@ def _write_json(path, payload: dict) -> None:
 # ----------------------------------------------------------------- commands
 
 
-def cmd_synth(args) -> None:
-    cfg = _resolve(args, "synth")
-    _echo("synth", cfg)
+def cmd_synth(args, cfg: dict) -> None:
     docs = synth_mod.synthesize_corpus(
         classes=cfg["classes"],
         per_class=cfg["per_class"],
@@ -145,9 +147,7 @@ def cmd_synth(args) -> None:
     print(f"wrote {len(docs)} documents to {args.out}")
 
 
-def cmd_preprocess(args) -> None:
-    cfg = _resolve(args, "preprocess")
-    _echo("preprocess", cfg)
+def cmd_preprocess(args, cfg: dict) -> None:
     docs = corpus_mod.load_corpus(
         args.corpus, id_col=cfg["id_col"], text_col=cfg["text_col"], label_col=cfg["label_col"]
     )
@@ -175,9 +175,7 @@ def cmd_preprocess(args) -> None:
     )
 
 
-def cmd_reduce(args) -> None:
-    cfg = _resolve(args, "reduce")
-    _echo("reduce", cfg)
+def cmd_reduce(args, cfg: dict) -> None:
     stage = load_stage(os.path.join(args.workdir, "tfidf"), expect_stage="tfidf")
     pca = reduce_mod.fit_pca(stage.features, cfg["components"])
     projected = reduce_mod.transform_pca(pca, stage.features)
@@ -202,21 +200,18 @@ def cmd_reduce(args) -> None:
     print(f"reduce stage: {scaled.values.shape[0]} x {scaled.values.shape[1]} scaled features")
 
 
-def _train_arrays(stage):
+def _split_arrays(stage, part: str):
+    """Ids, feature rows and labels of the stage's "train" or "test" split."""
     if stage.split is None:
         raise VersioningError("reduce stage has no split; rerun preprocess")
-    ids = stage.split.train_ids
-    X = stage.features.rows_for(ids)
+    ids = getattr(stage.split, f"{part}_ids")
     pos = {d: i for i, d in enumerate(stage.features.ids)}
-    y = stage.labels[[pos[d] for d in ids]]
-    return ids, X, y
+    return ids, stage.features.rows_for(ids), stage.labels[[pos[d] for d in ids]]
 
 
-def cmd_kernel(args) -> None:
-    cfg = _resolve(args, "kernel")
-    _echo("kernel", cfg)
+def cmd_kernel(args, cfg: dict) -> None:
     stage = load_stage(os.path.join(args.workdir, "reduce"), expect_stage="reduce")
-    ids, X, _ = _train_arrays(stage)
+    ids, X, _ = _split_arrays(stage, "train")
     spec = FeatureMapSpec(cfg["feature_map"], X.shape[1], cfg["reps"])
     mode = "exact" if cfg["shots"] == 0 else "sampled"
     g = kernel_mod.gram(spec, X, mode=mode, shots=cfg["shots"], seed=cfg["seed"])
@@ -246,13 +241,9 @@ def _cached_gram(workdir, spec, mode, shots, seed, data_hash):
     return g, None
 
 
-def cmd_train(args) -> None:
-    cfg = _resolve(args, "train")
-    _echo("train", cfg)
-    if cfg["model"] not in MODEL_CHOICES:
-        raise ValidationError(f"unknown model type {cfg['model']!r}")
+def cmd_train(args, cfg: dict) -> None:
     stage = load_stage(os.path.join(args.workdir, "reduce"), expect_stage="reduce")
-    ids, X, y = _train_arrays(stage)
+    ids, X, y = _split_arrays(stage, "train")
     upstream = manifest_hash(stage.manifest)
     model_path = args.model_out or os.path.join(args.workdir, "model.json")
     payload = {
@@ -283,23 +274,11 @@ def cmd_train(args) -> None:
             G = g.values
             payload["kernel"] = {"feature_map": fm.to_dict(), "mode": mode,
                                  "shots": cfg["shots"], "seed": cfg["seed"]}
-        clf = svm_mod.train_multiclass(G, y, C=cfg["C"], tol=cfg["tol"])
-        payload["per_class"] = [
-            {
-                "support_ids": [ids[i] for i in m.support],
-                "dual_coefs": m.dual_coef.tolist(),
-                "bias": m.bias,
-                "converged": m.converged,
-            }
-            for m in clf.models
-        ]
-        payload["C"] = cfg["C"]
-        payload["tol"] = cfg["tol"]
+        payload.update(svm_mod.train_multiclass(G, y, C=cfg["C"], tol=cfg["tol"]).to_dict(ids))
     else:
-        fm = FeatureMapSpec(cfg["feature_map"], X.shape[1], cfg["reps"])
         ansatz = AnsatzSpec(X.shape[1], cfg["ansatz_reps"])
         template = var_mod.VariationalModel(
-            feature_map=fm,
+            feature_map=FeatureMapSpec(cfg["feature_map"], X.shape[1], cfg["reps"]),
             ansatz=ansatz,
             theta=np.zeros(ansatz.n_parameters),
             n_classes=len(stage.encoding.classes),
@@ -313,19 +292,8 @@ def cmd_train(args) -> None:
         result = var_mod.train(X, y, template, opt, init_seed=cfg["init_seed"])
         curve_path = args.curve_out or os.path.join(args.workdir, "curve.csv")
         write_trace_csv(result.trace, curve_path)
-        payload.update(
-            {
-                "feature_map": fm.to_dict(),
-                "ansatz": ansatz.to_dict(),
-                "theta": result.model.theta.tolist(),
-                "n_classes": result.model.n_classes,
-                "interpret": "modulo",
-                "loss": result.model.loss_kind,
-                "mode": {"shots": cfg["shots"], "seed": cfg["seed"]},
-                "converged": result.converged,
-                "final_loss": result.trace.best_so_far[-1],
-            }
-        )
+        payload.update(result.model.to_dict(), converged=result.converged,
+                       final_loss=result.trace.best_so_far[-1])
         print(
             f"trained {cfg['model']} in {len(result.trace)} evaluations, "
             f"loss {result.trace.objectives[0]:.6f} -> {result.trace.best_so_far[-1]:.6f}"
@@ -334,90 +302,72 @@ def cmd_train(args) -> None:
     print(f"model written to {model_path}")
 
 
-def cmd_evaluate(args) -> None:
-    cfg = _resolve(args, "evaluate")
-    _echo("evaluate", cfg)
+def cmd_evaluate(args, cfg: dict) -> None:
     stage = load_stage(os.path.join(args.workdir, "reduce"), expect_stage="reduce")
     model_path = args.model or os.path.join(args.workdir, "model.json")
     with open(model_path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("upstream_hash") != manifest_hash(stage.manifest):
-        raise VersioningError(
-            f"{model_path} was trained against different stage artifacts; rerun train"
-        )
-    if stage.split is None:
-        raise VersioningError("reduce stage has no split; rerun preprocess")
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{model_path}: invalid JSON ({exc})") from exc
+    _, X_test, y_test = _split_arrays(stage, "test")
 
-    test_ids = stage.split.test_ids
-    X_test = stage.features.rows_for(test_ids)
-    pos = {d: i for i, d in enumerate(stage.features.ids)}
-    y_test = stage.labels[[pos[d] for d in test_ids]]
-    y_pred = _predict_payload(payload, stage, X_test)
+    try:
+        kind = json_field(payload, "type", str)
+        if json_field(payload, "upstream_hash", str) != manifest_hash(stage.manifest):
+            raise VersioningError(
+                f"{model_path} was trained against different stage artifacts; rerun train"
+            )
+        if kind in ("svc", "qsvc"):
+            # One test Gram against the union of all classes' support ids.
+            clf, support_ids = svm_mod.MulticlassSvm.from_dict(payload)
+            support = stage.features.rows_for(support_ids)
+            kernel = json_field(payload, "kernel", dict)
+            if kind == "svc":
+                spec = svm_mod.PolyKernelSpec.from_dict(json_field(kernel, "poly", dict))
+                K = svm_mod.poly_gram(X_test, support, spec=spec)
+            else:
+                K = kernel_mod.gram(
+                    FeatureMapSpec.from_dict(json_field(kernel, "feature_map", dict)),
+                    X_test,
+                    support,
+                    mode=json_field(kernel, "mode", str),
+                    shots=json_field(kernel, "shots", int),
+                    seed=json_field(kernel, "seed", int),
+                ).values
+            y_pred = svm_mod.predict_multiclass(clf, K)
+        elif kind in ("vqc", "qnnc"):
+            y_pred = var_mod.predict(var_mod.VariationalModel.from_dict(payload), X_test)
+        else:
+            raise ParseError(f"unknown model type {kind!r}")
+    except ParseError as exc:
+        raise ParseError(f"{model_path}: {exc}") from exc
 
     n_classes = len(stage.encoding.classes)
     matrix = metrics_mod.confusion(y_test, y_pred, n_classes)
     rep = metrics_mod.report(matrix, stage.encoding.classes)
     text = metrics_mod.render_report(rep)
     report_json = rep.to_dict()
-    report_json["model_type"] = payload["type"]
+    report_json["model_type"] = kind
     report_json["confusion"] = matrix.tolist()
-    report_json["upstream_hash"] = payload.get("upstream_hash")
+    report_json["upstream_hash"] = payload["upstream_hash"]
     _write_json(os.path.join(args.workdir, "report.json"), report_json)
     with open(os.path.join(args.workdir, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(text)
     print(text, end="")
 
 
-def _decision_scores(payload: dict, stage, X_test: np.ndarray) -> np.ndarray:
-    """One-vs-rest SVM scores, one column per class, from a single test Gram.
-
-    The Gram is taken against the union of the classes' support ids in
-    first-seen order, so test rows are encoded once and a support id shared
-    by several classes has one kernel entry (one estimate in sampled mode).
-    """
-    union: dict[str, int] = {}
-    for entry in payload["per_class"]:
-        for sid in entry["support_ids"]:
-            union.setdefault(sid, len(union))
-    support = stage.features.rows_for(list(union))
-    if payload["type"] == "svc":
-        spec = svm_mod.PolyKernelSpec.from_dict(payload["kernel"]["poly"])
-        K = svm_mod.poly_gram(X_test, support, spec=spec)
-    else:
-        K = kernel_mod.gram(
-            FeatureMapSpec.from_dict(payload["kernel"]["feature_map"]),
-            X_test,
-            support,
-            mode=payload["kernel"]["mode"],
-            shots=payload["kernel"]["shots"],
-            seed=payload["kernel"]["seed"],
-        ).values
-    scores = np.empty((X_test.shape[0], len(payload["per_class"])))
-    for k, entry in enumerate(payload["per_class"]):
-        columns = [union[sid] for sid in entry["support_ids"]]
-        scores[:, k] = K[:, columns] @ np.asarray(entry["dual_coefs"]) + entry["bias"]
-    return scores
-
-
-def _predict_payload(payload: dict, stage, X_test: np.ndarray) -> np.ndarray:
-    kind = payload["type"]
-    if kind in ("svc", "qsvc"):
-        return np.argmax(_decision_scores(payload, stage, X_test), axis=1).astype(np.int64)
-    if kind in ("vqc", "qnnc"):
-        model = var_mod.VariationalModel(
-            feature_map=FeatureMapSpec.from_dict(payload["feature_map"]),
-            ansatz=AnsatzSpec.from_dict(payload["ansatz"]),
-            theta=np.asarray(payload["theta"], dtype=float),
-            n_classes=payload["n_classes"],
-            loss_kind=payload["loss"],
-            shots=payload["mode"]["shots"],
-            seed=payload["mode"]["seed"],
-        )
-        return var_mod.predict(model, X_test)
-    raise ValidationError(f"unknown model type {kind!r} in {payload}")
-
-
 # ------------------------------------------------------------------- parser
+
+
+COMMANDS = {
+    "synth": ("generate a synthetic labeled corpus", cmd_synth),
+    "preprocess": ("tokenize, fit TF-IDF, encode labels, split", cmd_preprocess),
+    "reduce": ("PCA to the qubit budget plus range scaling", cmd_reduce),
+    "kernel": ("assemble the training Gram matrix", cmd_kernel),
+    "train": ("train a classifier on the reduced features", cmd_train),
+    "evaluate": ("score the held-out split and emit reports", cmd_evaluate),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,86 +376,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hybrid classical/quantum text classification pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    subparsers = {}
+    for command, (help_text, func) in COMMANDS.items():
+        p = subparsers[command] = sub.add_parser(command, help=help_text)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON file with option defaults")
-
-    p = sub.add_parser("synth", help="generate a synthetic labeled corpus")
-    add_common(p)
-    p.add_argument("--classes", type=int, help="number of classes (default: 3)")
-    p.add_argument("--per-class", dest="per_class", type=int,
-                   help="documents per class (default: 40)")
-    p.add_argument("--vocab-size", dest="vocab_size", type=int,
-                   help="total generator vocabulary (default: 30)")
-    p.add_argument("--seed", type=int, help="generator seed (default: 13)")
-    p.add_argument("--out", required=True, help="output corpus CSV path")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("preprocess", help="tokenize, fit TF-IDF, encode labels, split")
-    add_common(p)
-    p.add_argument("--corpus", required=True, help="input corpus CSV")
-    p.add_argument("--workdir", required=True, help="pipeline work directory")
-    p.add_argument("--max-features", dest="max_features", type=int,
-                   help="TF-IDF vocabulary cap (default: 20)")
-    p.add_argument("--test-fraction", dest="test_fraction", type=float,
-                   help="held-out fraction per class (default: 0.2)")
-    p.add_argument("--seed", type=int, help="split shuffle seed (default: 7)")
-    p.add_argument("--id-col", dest="id_col", help="id column name (default: ID)")
-    p.add_argument("--text-col", dest="text_col", help="text column name (default: Resume_str)")
-    p.add_argument("--label-col", dest="label_col", help="label column name (default: Category)")
-    p.set_defaults(func=cmd_preprocess)
-
-    p = sub.add_parser("reduce", help="PCA to the qubit budget plus range scaling")
-    add_common(p)
-    p.add_argument("--workdir", required=True, help="pipeline work directory")
-    p.add_argument("--components", type=int, help="principal components kept (default: 2)")
-    p.add_argument("--scale-lo", dest="scale_lo", type=float,
-                   help="scaled interval lower edge (default: 0)")
-    p.add_argument("--scale-hi", dest="scale_hi", type=float,
-                   help="scaled interval upper edge (default: pi)")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("kernel", help="assemble the training Gram matrix")
-    add_common(p)
-    p.add_argument("--workdir", required=True, help="pipeline work directory")
-    p.add_argument("--feature-map", dest="feature_map", choices=("z", "zz"),
-                   help="encoder kind (default: zz)")
-    p.add_argument("--reps", type=int, help="encoder repetitions (default: 2)")
-    p.add_argument("--shots", type=int, help="0 = exact, else samples per entry (default: 0)")
-    p.add_argument("--seed", type=int, help="sampling master seed (default: 5)")
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser("train", help="train a classifier on the reduced features")
-    add_common(p)
-    p.add_argument("--workdir", required=True, help="pipeline work directory")
-    p.add_argument("--model", choices=MODEL_CHOICES, help="classifier type (default: qsvc)")
-    p.add_argument("--C", type=float, help="SVM box constraint (default: 1.0)")
-    p.add_argument("--tol", type=float, help="SMO KKT tolerance (default: 1e-3)")
-    p.add_argument("--shots", type=int, help="0 = exact, else samples per estimate (default: 0)")
-    p.add_argument("--seed", type=int, help="sampling master seed (default: 5)")
-    p.add_argument("--iters", type=int,
-                   help="optimizer evaluation budget for vqc/qnnc (default: 30)")
-    p.add_argument("--init-seed", dest="init_seed", type=int,
-                   help="ansatz angle init seed (default: 42)")
-    p.add_argument("--feature-map", dest="feature_map", choices=("z", "zz"),
-                   help="encoder kind (default: zz)")
-    p.add_argument("--reps", type=int, help="encoder repetitions (default: 2)")
-    p.add_argument("--ansatz-reps", dest="ansatz_reps", type=int,
-                   help="ansatz repetitions (default: 1)")
-    p.add_argument("--rho-begin", dest="rho_begin", type=float,
-                   help="optimizer initial trust radius (default: 1.0)")
-    p.add_argument("--rho-end", dest="rho_end", type=float,
-                   help="optimizer final trust radius (default: 1e-4)")
-    p.add_argument("--model-out", dest="model_out", help="model JSON path (default: workdir/model.json)")
-    p.add_argument("--curve-out", dest="curve_out", help="curve CSV path (default: workdir/curve.csv)")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="score the held-out split and emit reports")
-    add_common(p)
-    p.add_argument("--workdir", required=True, help="pipeline work directory")
-    p.add_argument("--model", help="model JSON path (default: workdir/model.json)")
-    p.set_defaults(func=cmd_evaluate)
-
+        if command == "synth":
+            p.add_argument("--out", required=True, help="output corpus CSV path")
+        else:
+            p.add_argument("--workdir", required=True, help="pipeline work directory")
+        for name, (default, option_help, allowed) in OPTIONS[command].items():
+            if allowed is not None:
+                option_help += f", one of {', '.join(allowed)}"
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=type(default),
+                           help=f"{option_help} (default: {default})")
+    subparsers["preprocess"].add_argument("--corpus", required=True, help="input corpus CSV")
+    model_json = "model JSON path (default: workdir/model.json)"
+    subparsers["train"].add_argument("--model-out", help=model_json)
+    subparsers["train"].add_argument("--curve-out",
+                                     help="curve CSV path (default: workdir/curve.csv)")
+    subparsers["evaluate"].add_argument("--model", help=model_json)
     return parser
 
 
@@ -513,7 +403,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        args.func(args, _resolve(args))
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2

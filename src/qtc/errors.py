@@ -1,7 +1,8 @@
-"""Exception hierarchy shared across the pipeline.
+"""Exception hierarchy shared across the pipeline, and a typed JSON field reader.
 
 Validation-type failures map to process exit code 1, numerical aborts to
-exit code 2 (see qtc.cli).
+exit code 2 (see qtc.cli).  ``json_field`` turns a missing or mistyped field
+of a JSON artifact into a ParseError instead of a KeyError or TypeError.
 """
 
 
@@ -27,3 +28,27 @@ class VersioningError(ValidationError):
 
 class NumericalError(QtcError):
     """A numerical routine aborted (non-finite objective, failed decomposition)."""
+
+
+NUMBER = (int, float)
+
+
+def _holds(value, kind) -> bool:
+    """Whether a JSON value is of ``kind``; a bool never counts as a number."""
+    return isinstance(value, kind) and (not isinstance(value, bool) or kind is bool)
+
+
+def json_field(d, key: str, kind, items=None):
+    """``d[key]`` from a parsed JSON object, checked to be of ``kind``.
+
+    ``items``, when given, is the kind every element of the (list) value
+    must be.  A missing key or a value of another kind raises ParseError.
+    """
+    if not isinstance(d, dict):
+        raise ParseError(f"expected a JSON object holding {key!r}, got {type(d).__name__}")
+    if key not in d:
+        raise ParseError(f"missing field {key!r}")
+    value = d[key]
+    if not _holds(value, kind) or (items is not None and not all(_holds(v, items) for v in value)):
+        raise ParseError(f"field {key!r} has the wrong type")
+    return value

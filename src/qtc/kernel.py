@@ -22,7 +22,7 @@ import numpy as np
 
 from .arrays import mapped_empty
 from .circuits import FeatureMapSpec, build_feature_map, compose
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, json_field
 from .qsim import adjoint, run, sample
 
 __all__ = [
@@ -218,20 +218,18 @@ def load_gram_manifest(directory) -> dict:
             manifest = json.load(fh)
         except ValueError as exc:
             raise ParseError(f"cannot read gram manifest in {directory}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ParseError(f"{manifest_path}: manifest must hold a JSON object")
-    for key, kind in _MANIFEST_FIELDS.items():
-        if key not in manifest:
-            raise ParseError(f"{manifest_path}: missing field {key!r}")
-        if isinstance(manifest[key], bool) or not isinstance(manifest[key], kind):
-            raise ParseError(f"{manifest_path}: field {key!r} has the wrong type")
+    try:
+        for key, kind in _MANIFEST_FIELDS.items():
+            json_field(manifest, key, kind)
+    except ParseError as exc:
+        raise ParseError(f"{manifest_path}: {exc}") from exc
     shape = manifest["shape"]
     if len(shape) != 2 or not all(type(n) is int and n >= 0 for n in shape):
         raise ParseError(f"{manifest_path}: field 'shape' must hold two counts")
     try:
         FeatureMapSpec.from_dict(manifest["feature_map"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{manifest_path}: malformed feature_map ({exc!r})") from exc
+    except ParseError as exc:
+        raise ParseError(f"{manifest_path}: malformed feature_map ({exc})") from exc
     return manifest
 
 

@@ -32,7 +32,6 @@ class OptimizerConfig:
     rho_begin: float = 1.0
     rho_end: float = 1e-4
     max_evaluations: int = 100
-    seed: int = 0  # reserved for stochastic restarts; the base algorithm is deterministic
 
     def __post_init__(self):
         if not 0.0 < self.rho_end < self.rho_begin:

@@ -102,6 +102,8 @@ def transform_pca(model: PcaModel, X: FeatureMatrix) -> FeatureMatrix:
 
 def fit_scaler(X: FeatureMatrix, lo: float, hi: float) -> RangeScaler:
     """Per-column min/max from training data, mapping onto [lo, hi]."""
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValidationError(f"scaler bounds must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise ValidationError("scaler needs lo < hi")
     return RangeScaler(

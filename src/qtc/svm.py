@@ -10,7 +10,9 @@ violation gap drops below ``tol`` or after ``max_updates`` pair updates.
 
 Multiclass is one-vs-rest with decision-value argmax.  The classical
 baseline uses a polynomial kernel on the same solver, so the kernel is the
-only difference from the quantum-kernel classifier.
+only difference from the quantum-kernel classifier.  A trained classifier
+serializes to the ``model.json`` fields with ``MulticlassSvm.to_dict`` and
+reads back with ``from_dict``; scoring takes a block of kernel rows.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrays import mapped_empty
-from .errors import ValidationError
+from .errors import NUMBER, ParseError, ValidationError, json_field
 
 __all__ = [
     "SvmBinaryModel",
@@ -28,7 +30,6 @@ __all__ = [
     "PolyKernelSpec",
     "train_binary",
     "decision",
-    "predict_binary",
     "train_multiclass",
     "predict_multiclass",
     "poly_kernel",
@@ -65,6 +66,52 @@ class MulticlassSvm:
     models: list[SvmBinaryModel]
     n_classes: int
 
+    def to_dict(self, ids) -> dict:
+        """The ``model.json`` fields of this classifier; ``ids[i]`` names Gram row i."""
+        return {
+            "per_class": [
+                {
+                    "support_ids": [ids[i] for i in m.support],
+                    "dual_coefs": m.dual_coef.tolist(),
+                    "bias": m.bias,
+                    "converged": m.converged,
+                }
+                for m in self.models
+            ],
+            "C": self.models[0].C,
+            "tol": self.models[0].tol,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> tuple["MulticlassSvm", list[str]]:
+        """Inverse of ``to_dict``: the classifier and the ids of its kernel columns.
+
+        The columns are the union of the classes' support ids in first-seen
+        order, so a support id shared by several classes is one column (one
+        kernel estimate in sampled mode).  Each class sums its support in
+        file order.  Off its support a class has alpha 0 and y +1.
+        """
+        C, tol = json_field(d, "C", NUMBER), json_field(d, "tol", NUMBER)
+        entries = json_field(d, "per_class", list)
+        if len(entries) < 2:
+            raise ParseError(f"per_class needs at least 2 classes, has {len(entries)}")
+        columns: dict[str, int] = {}
+        for entry in entries:
+            ids = json_field(entry, "support_ids", list, str)
+            if len(json_field(entry, "dual_coefs", list, NUMBER)) != len(ids):
+                raise ParseError("dual_coefs and support_ids differ in length")
+            for sid in ids:
+                columns.setdefault(sid, len(columns))
+        models = []
+        for entry in entries:
+            support = np.array([columns[sid] for sid in entry["support_ids"]], dtype=np.intp)
+            dual_coef = np.asarray(entry["dual_coefs"], dtype=float)
+            alpha, y = np.zeros(len(columns)), np.ones(len(columns))
+            alpha[support], y[support] = np.abs(dual_coef), np.where(dual_coef < 0, -1.0, 1.0)
+            bias, converged = json_field(entry, "bias", NUMBER), json_field(entry, "converged", bool)
+            models.append(SvmBinaryModel(alpha, y, float(bias), C, tol, converged, support, dual_coef))
+        return cls(models=models, n_classes=len(models)), list(columns)
+
 
 @dataclass(frozen=True)
 class PolyKernelSpec:
@@ -83,7 +130,8 @@ class PolyKernelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PolyKernelSpec":
-        return cls(int(d["degree"]), float(d["gamma"]), float(d["coef0"]))
+        return cls(json_field(d, "degree", int), float(json_field(d, "gamma", NUMBER)),
+                   float(json_field(d, "coef0", NUMBER)))
 
 
 def train_binary(G, y, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_000) -> SvmBinaryModel:
@@ -97,8 +145,10 @@ def train_binary(G, y, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_
         raise ValidationError("labels must be -1 or +1")
     if np.all(y > 0) or np.all(y < 0):
         raise ValidationError("training set must contain both classes")
-    if C <= 0:
-        raise ValidationError("C must be positive")
+    if not 0 < C < np.inf:
+        raise ValidationError(f"C must be positive and finite, got {C}")
+    if not tol > 0:
+        raise ValidationError(f"tol must be positive, got {tol}")
 
     # Q is never formed: Q_ij = y_i y_j G_ij only flips signs, which is exact,
     # so every product with it is taken as the same product with G.
@@ -194,19 +244,18 @@ def _bias_of(alpha, y, grad, C) -> float:
     return float(0.5 * (hi + lo))
 
 
-def decision(model: SvmBinaryModel, k_row) -> float:
-    """f = sum over support of alpha_i y_i k(x_i, .) + bias."""
-    k_row = np.asarray(k_row, dtype=float)
-    if k_row.shape[0] != model.alpha.shape[0]:
+def decision(model: SvmBinaryModel, K):
+    """f = sum over support of alpha_i y_i k(x_i, .) + bias, per kernel row.
+
+    ``K`` is one kernel row or a 2-D block of them, with one column per
+    training point; the result is a float or one value per row.
+    """
+    K = np.asarray(K, dtype=float)
+    if K.shape[-1] != model.alpha.shape[0]:
         raise ValidationError(
-            f"kernel row length {k_row.shape[0]} does not match training size {model.alpha.shape[0]}"
+            f"kernel row length {K.shape[-1]} does not match training size {model.alpha.shape[0]}"
         )
-    return float(model.dual_coef @ k_row[model.support] + model.bias)
-
-
-def predict_binary(model: SvmBinaryModel, k_row) -> int:
-    """Sign of the decision value; f = 0 resolves to +1."""
-    return 1 if decision(model, k_row) >= 0.0 else -1
+    return K[..., model.support] @ model.dual_coef + model.bias
 
 
 def train_multiclass(G, labels, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_000) -> MulticlassSvm:
@@ -222,10 +271,10 @@ def train_multiclass(G, labels, C: float = 1.0, tol: float = 1e-3, max_updates: 
     return MulticlassSvm(models=models, n_classes=n_classes)
 
 
-def predict_multiclass(clf: MulticlassSvm, k_row) -> int:
-    """Argmax of per-class decision values; ties resolve to the lowest class."""
-    values = [decision(m, k_row) for m in clf.models]
-    return int(np.argmax(values))
+def predict_multiclass(clf: MulticlassSvm, K):
+    """Argmax of per-class decision values per kernel row; ties go to the lowest class."""
+    values = np.stack([decision(m, K) for m in clf.models], axis=-1)
+    return np.argmax(values, axis=-1).astype(np.int64)
 
 
 def poly_kernel(x, y, spec: PolyKernelSpec) -> float:

@@ -12,6 +12,8 @@ run, and the bound ansatz then runs over those states.  Exact mode uses
 statevector probabilities and is fully deterministic;
 sampled mode draws ``shots`` measurement outcomes with a seed derived from
 (master seed, sample bytes, parameter bytes) so repeated runs reproduce.
+A trained model serializes to the ``model.json`` fields with
+``VariationalModel.to_dict`` and reads back with ``from_dict``.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import AnsatzSpec, FeatureMapSpec, bind_ansatz, build_ansatz, build_feature_map
-from .errors import ValidationError
+from .errors import NUMBER, ParseError, ValidationError, json_field
 from .optimizer import OptimizerConfig, OptimizationTrace, minimize
 from .qsim import StateVector, probabilities, run, sample
 
 __all__ = [
     "VariationalModel",
     "TrainingResult",
-    "interpret",
     "encode",
     "class_probabilities",
     "cross_entropy",
@@ -78,19 +79,39 @@ class VariationalModel:
             self.n_classes, self.loss_kind, self.shots, self.seed,
         )
 
+    def to_dict(self) -> dict:
+        """The ``model.json`` fields of this model."""
+        return {
+            "feature_map": self.feature_map.to_dict(),
+            "ansatz": self.ansatz.to_dict(),
+            "theta": self.theta.tolist(),
+            "n_classes": self.n_classes,
+            "interpret": "modulo",
+            "loss": self.loss_kind,
+            "mode": {"shots": self.shots, "seed": self.seed},
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "VariationalModel":
+        if json_field(d, "interpret", str) != "modulo":
+            raise ParseError(f"unknown outcome decoding {d['interpret']!r}, expected 'modulo'")
+        mode = json_field(d, "mode", dict)
+        return cls(
+            feature_map=FeatureMapSpec.from_dict(json_field(d, "feature_map", dict)),
+            ansatz=AnsatzSpec.from_dict(json_field(d, "ansatz", dict)),
+            theta=np.asarray(json_field(d, "theta", list, NUMBER), dtype=float),
+            n_classes=json_field(d, "n_classes", int),
+            loss_kind=json_field(d, "loss", str),
+            shots=json_field(mode, "shots", int),
+            seed=json_field(mode, "seed", int),
+        )
+
 
 @dataclass
 class TrainingResult:
     model: VariationalModel
     trace: OptimizationTrace
     converged: bool
-
-
-def interpret(model: VariationalModel, outcome: int) -> int:
-    """Decode a basis index to a class label."""
-    if not 0 <= outcome < (1 << model.n_qubits):
-        raise ValidationError(f"outcome {outcome} out of range")
-    return outcome % model.n_classes
 
 
 def encode(model: VariationalModel, X) -> StateVector:
@@ -105,8 +126,13 @@ def encode(model: VariationalModel, X) -> StateVector:
     return run(build_feature_map(model.feature_map, X))
 
 
-def _probability_matrix(model: VariationalModel, X, states: StateVector | None = None) -> np.ndarray:
-    """Class probabilities per row of X; ``states`` are the rows' encodings, if known."""
+def class_probabilities(model: VariationalModel, X, states: StateVector | None = None) -> np.ndarray:
+    """Class probabilities, one row per row of X.
+
+    Outcome mass is folded onto classes by index mod n_classes.  ``states``,
+    when given, must be ``encode(model, X)``; the feature map is then not
+    run again.
+    """
     X = np.asarray(X, dtype=float)
     if states is None:
         states = encode(model, X)
@@ -128,14 +154,6 @@ def _probability_matrix(model: VariationalModel, X, states: StateVector | None =
     for c in range(min(model.n_classes, dist.shape[1])):
         folded[:, c] = np.cumsum(dist[:, c::model.n_classes], axis=1)[:, -1]
     return folded
-
-
-def class_probabilities(model: VariationalModel, x) -> np.ndarray:
-    """Probability per class: outcome mass folded by index mod n_classes."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != model.n_qubits:
-        raise ValidationError(f"expected {model.n_qubits} features, got {x.size}")
-    return _probability_matrix(model, x[None, :])[0]
 
 
 def cross_entropy(probs: np.ndarray, y) -> float:
@@ -163,7 +181,7 @@ def loss(model: VariationalModel, X, y, *, states: StateVector | None = None) ->
     y = np.asarray(y, dtype=np.int64)
     if y.size and (y.min() < 0 or y.max() >= model.n_classes):
         raise ValidationError("labels out of range")
-    probs = _probability_matrix(model, X, states)
+    probs = class_probabilities(model, X, states)
     if model.loss_kind == "cross_entropy":
         return cross_entropy(probs, y)
     return squared_error(probs, y)
@@ -171,7 +189,7 @@ def loss(model: VariationalModel, X, y, *, states: StateVector | None = None) ->
 
 def predict(model: VariationalModel, X) -> np.ndarray:
     """Argmax class per row; ties resolve to the lowest class index."""
-    probs = _probability_matrix(model, X)
+    probs = class_probabilities(model, X)
     return np.argmax(probs, axis=1).astype(np.int64)
 
 

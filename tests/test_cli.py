@@ -1,16 +1,24 @@
+import contextlib
 import csv
+import io
 import json
 import os
-from types import SimpleNamespace
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qtc
 
 from qtc import kernel as kernel_mod
 from qtc.circuits import FeatureMapSpec
-from qtc.cli import _decision_scores, _predict_payload, main
+from qtc.cli import OPTIONS, main
 from qtc.corpus import Document, FeatureMatrix, encode_labels, fit_tfidf, transform_tfidf
 from qtc.reduce import fit_pca, transform_pca
+from qtc.svm import MulticlassSvm, decision, predict_multiclass
 
 
 def run_cli(*args):
@@ -221,6 +229,36 @@ class TestPipeline:
         assert err.count("\n") == 1 and "shots" in err
         assert not (pipeline_dir / "gram.manifest.json").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--C", "nan"), ("--C", "inf"), ("--C", "0"),
+                                             ("--tol", "-1"), ("--tol", "nan"), ("--tol", "0")])
+    def test_bad_box_or_tolerance_rejected(self, pipeline_dir, capsys, flag, value):
+        capsys.readouterr()
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "svc", flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag.lstrip("-") in err
+        assert not (pipeline_dir / "model.json").exists()
+
+    def test_infinite_scale_bound_is_one_stderr_line(self, pipeline_dir):
+        # A subprocess, so that a NumPy RuntimeWarning would show on stderr.
+        src = os.path.dirname(os.path.dirname(qtc.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qtc.cli", "reduce", "--workdir", str(pipeline_dir),
+             "--scale-hi", "inf"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1 and "finite" in proc.stderr, proc.stderr
+
+    @pytest.mark.parametrize("argv", [("train", "--model", "knn"),
+                                      ("kernel", "--feature-map", "zzz")])
+    def test_value_outside_allowed_set_rejected(self, pipeline_dir, capsys, argv):
+        capsys.readouterr()
+        assert run_cli(argv[0], "--workdir", pipeline_dir, *argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be one of" in err
+
 
 class TestConfigPrecedence:
     def test_flag_beats_file_beats_default(self, tmp_path, capsys):
@@ -269,6 +307,24 @@ class TestConfigPrecedence:
         if code:
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "unknown key" in err
+
+    def test_config_value_outside_allowed_set_rejected(self, pipeline_dir, capsys):
+        cfgfile = pipeline_dir / "cfg.json"
+        cfgfile.write_text(json.dumps({"model": "svm"}))
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfgfile, "--workdir", pipeline_dir) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be one of" in err
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_help_lists_every_option_with_its_default(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        entries = {chunk.split()[0]: chunk for chunk in text.split(" --")[1:]}
+        for name, (default, _, _) in OPTIONS[command].items():
+            assert f"(default: {default})" in entries[name.replace("_", "-")], name
 
     def test_defaults_echoed(self, tmp_path, capsys):
         run_cli("synth", "--out", tmp_path / "c.csv")
@@ -322,41 +378,154 @@ class TestDeterminism:
 class TestQsvcScoring:
     """Scores of a saved QSVC model against one test Gram over all support ids."""
 
-    @staticmethod
-    def payload(mode):
+    PER_CLASS = [
         # Both classes weigh only support "b": at position 1 in class 0, at
         # position 0 in class 1.
-        return {
-            "type": "qsvc",
-            "kernel": {"feature_map": FeatureMapSpec("zz", 2).to_dict(), "mode": mode,
-                       "shots": 64, "seed": 3},
-            "per_class": [
-                {"support_ids": ["a", "b"], "dual_coefs": [0.0, 1.0], "bias": 0.0},
-                {"support_ids": ["b", "c"], "dual_coefs": [1.0, 0.0], "bias": 0.0},
-            ],
-        }
+        {"support_ids": ["a", "b"], "dual_coefs": [0.0, 1.0], "bias": 0.0, "converged": True},
+        {"support_ids": ["b", "c"], "dual_coefs": [1.0, 0.0], "bias": 0.0, "converged": True},
+    ]
 
     @staticmethod
-    def data():
+    def scores(mode):
+        """Per-class decision values, and predictions, as ``evaluate`` computes them."""
         rng = np.random.default_rng(8)
-        stage = SimpleNamespace(
-            features=FeatureMatrix(["a", "b", "c"], ["f0", "f1"], rng.uniform(0, 3, (3, 2)))
-        )
-        return stage, rng.uniform(0, 3, (25, 2))
+        features = FeatureMatrix(["a", "b", "c"], ["f0", "f1"], rng.uniform(0, 3, (3, 2)))
+        X_test = rng.uniform(0, 3, (25, 2))
+        clf, support_ids = MulticlassSvm.from_dict(
+            {"C": 1.0, "tol": 1e-3, "per_class": TestQsvcScoring.PER_CLASS})
+        K = kernel_mod.gram(FeatureMapSpec("zz", 2), X_test, features.rows_for(support_ids),
+                            mode=mode, shots=64, seed=3).values
+        scores = np.stack([decision(m, K) for m in clf.models], axis=1)
+        return scores, predict_multiclass(clf, K), features, X_test
 
     def test_shared_support_id_gets_one_sampled_estimate(self):
-        stage, X_test = self.data()
-        scores = _decision_scores(self.payload("sampled"), stage, X_test)
+        scores, predicted, _, X_test = self.scores("sampled")
         assert np.array_equal(scores[:, 0], scores[:, 1])
         # Equal scores tie, and ties go to the lowest class.
-        assert np.array_equal(_predict_payload(self.payload("sampled"), stage, X_test),
-                              np.zeros(len(X_test), dtype=np.int64))
+        assert np.array_equal(predicted, np.zeros(len(X_test), dtype=np.int64))
 
     def test_exact_scores_equal_per_class_grams(self):
-        stage, X_test = self.data()
-        payload = self.payload("exact")
-        scores = _decision_scores(payload, stage, X_test)
-        fm = FeatureMapSpec.from_dict(payload["kernel"]["feature_map"])
-        for k, entry in enumerate(payload["per_class"]):
-            K = kernel_mod.gram(fm, X_test, stage.features.rows_for(entry["support_ids"])).values
+        scores, _, features, X_test = self.scores("exact")
+        for k, entry in enumerate(self.PER_CLASS):
+            K = kernel_mod.gram(FeatureMapSpec("zz", 2), X_test,
+                                features.rows_for(entry["support_ids"])).values
             assert np.allclose(scores[:, k], K @ np.asarray(entry["dual_coefs"]), atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def trained_models(tmp_path_factory):
+    """A workdir with one model file per serialized format: svc, qsvc and vqc."""
+    base = tmp_path_factory.mktemp("models")
+    work = base / "work"
+    assert run_cli("synth", "--per-class", 10, "--out", base / "corpus.csv") == 0
+    assert run_cli("preprocess", "--corpus", base / "corpus.csv", "--workdir", work) == 0
+    assert run_cli("reduce", "--workdir", work) == 0
+    for model in ("svc", "qsvc", "vqc"):
+        assert run_cli("train", "--workdir", work, "--model", model, "--iters", 6,
+                       "--model-out", base / f"{model}.json") == 0
+        assert run_cli("evaluate", "--workdir", work, "--model", base / f"{model}.json") == 0
+    return work, {m: json.loads((base / f"{m}.json").read_text()) for m in ("svc", "qsvc", "vqc")}
+
+
+def evaluate_quietly(work, model_path):
+    """Exit code and stderr of ``evaluate``; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--workdir", str(work), "--model", str(model_path)])
+    return code, err.getvalue()
+
+
+def _drop(key):
+    return lambda d: d.pop(key)
+
+
+class TestDamagedModel:
+    @pytest.mark.parametrize("model, damage", [
+        ("svc", "{not json"),
+        ("svc", "[1, 2]"),
+        ("svc", _drop("per_class")),
+        ("qsvc", lambda d: d["kernel"].pop("mode")),
+        ("vqc", _drop("mode")),
+        ("svc", lambda d: d["per_class"][0]["dual_coefs"].pop()),
+    ], ids=["invalid_json", "json_array", "missing_per_class", "missing_kernel_mode",
+            "missing_mode", "short_dual_coefs"])
+    def test_exits_one_with_one_line(self, trained_models, tmp_path, model, damage):
+        work, payloads = trained_models
+        path = tmp_path / "model.json"
+        if isinstance(damage, str):
+            path.write_text(damage)
+        else:
+            payload = json.loads(json.dumps(payloads[model]))
+            damage(payload)
+            path.write_text(json.dumps(payload))
+        code, err = evaluate_quietly(work, path)
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_unknown_type_names_only_the_type(self, trained_models, tmp_path):
+        work, payloads = trained_models
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dict(payloads["svc"], type="knn")))
+        _, err = evaluate_quietly(work, path)
+        assert err == f"error: {path}: unknown model type 'knn'\n"
+
+
+# Top-level fields that evaluate does not read: it scores with the stage's
+# classes, never looks at the training config, and the variational training
+# summary is informational.
+UNREAD = {"classes", "config", "converged", "final_loss"}
+
+# One value of each JSON kind; a retyped value is one of another kind.
+KINDS = [None, True, 1.5, "x", [], {}]
+
+
+def _kind(value):
+    if isinstance(value, bool) or value is None:
+        return type(value)
+    return float if isinstance(value, (int, float)) else type(value)
+
+
+def _paths(node, prefix=()):
+    """(path, value) of every value nested in a parsed JSON value, but UNREAD."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        if prefix or key not in UNREAD:
+            yield prefix + (key,), value
+            yield from _paths(value, prefix + (key,))
+
+
+def _lookup(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["svc", "qsvc", "vqc"]), st.data())
+def test_property_damaged_model_exits_one(trained_models, tmp_path_factory, model, data):
+    """Dropping a key, retyping a value or truncating the bytes of a valid
+    model.json makes evaluate exit 1 with one stderr line, never a traceback."""
+    work, payloads = trained_models
+    payload = json.loads(json.dumps(payloads[model]))
+    text = json.dumps(payload, indent=2) + "\n"
+    how = data.draw(st.sampled_from(["drop", "retype", "truncate"]))
+    if how == "truncate":
+        text = text[:data.draw(st.integers(0, len(text) - 2))]
+    else:
+        paths = [(p, v) for p, v in _paths(payload)
+                 if how == "retype" or isinstance(_lookup(payload, p[:-1]), dict)]
+        path, value = data.draw(st.sampled_from(paths))
+        parent = _lookup(payload, path[:-1])
+        if how == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(
+                st.sampled_from([k for k in KINDS if _kind(k) is not _kind(value)]))
+        text = json.dumps(payload)
+    model_path = tmp_path_factory.mktemp("damaged") / "model.json"
+    model_path.write_text(text)
+    code, err = evaluate_quietly(work, model_path)
+    assert (code, err.count("\n")) == (1, 1), (how, text[:200], err)

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from qtc.errors import ValidationError
+from qtc.errors import ParseError, ValidationError
 from qtc.svm import (
     MulticlassSvm,
     PolyKernelSpec,
@@ -11,7 +13,6 @@ from qtc.svm import (
     dual_objective,
     poly_gram,
     poly_kernel,
-    predict_binary,
     predict_multiclass,
     train_binary,
     train_multiclass,
@@ -133,6 +134,12 @@ class TestTrainBinary:
         with pytest.raises(ValidationError):
             train_binary(np.eye(3), np.ones(3))
 
+    @pytest.mark.parametrize("C, tol", [(0.0, 1e-3), (-1.0, 1e-3), (np.nan, 1e-3),
+                                        (np.inf, 1e-3), (1.0, 0.0), (1.0, -1.0), (1.0, np.nan)])
+    def test_bad_box_or_tolerance_rejected(self, C, tol):
+        with pytest.raises(ValidationError):
+            train_binary(TWO_POINT_G, TWO_POINT_Y, C=C, tol=tol)
+
 
 class TestDecision:
     def _model(self):
@@ -156,12 +163,14 @@ class TestDecision:
         f2 = decision(model, 2 * k) - model.bias
         assert f2 == pytest.approx(2 * f1, abs=1e-12)
 
-    def test_sign_tie_goes_positive(self):
-        model = SvmBinaryModel(
-            alpha=np.zeros(2), y=np.array([1.0, -1.0]), bias=0.0,
-            C=1.0, tol=1e-3, converged=True,
-        )
-        assert predict_binary(model, [0.0, 0.0]) == 1
+    def test_block_of_rows_is_support_columns_times_dual_coefs(self):
+        rng = np.random.default_rng(3)
+        G, y = random_instance(rng, 20, separable=False)
+        model = train_binary(G, y)
+        K = rng.normal(size=(7, 20))
+        f = decision(model, K)
+        assert np.array_equal(f, K[:, model.support] @ model.dual_coef + model.bias)
+        assert np.allclose(f, [decision(model, row) for row in K], rtol=0, atol=1e-12)
 
 
 class TestMulticlass:
@@ -173,7 +182,8 @@ class TestMulticlass:
         binary = clf.models[1]
         for t in range(16):
             pred = predict_multiclass(clf, G[t])
-            assert pred == (1 if predict_binary(binary, G[t]) > 0 else 0)
+            assert pred == (1 if decision(binary, G[t]) >= 0.0 else 0)
+        assert np.array_equal(predict_multiclass(clf, G), [predict_multiclass(clf, g) for g in G])
 
     def test_all_ties_pick_class_zero(self):
         flat = SvmBinaryModel(
@@ -204,6 +214,73 @@ class TestMulticlass:
     def test_needs_two_classes(self):
         with pytest.raises(ValidationError):
             train_multiclass(np.eye(3), np.zeros(3, dtype=int))
+
+
+def three_class_problem(seed=21, per_class=8):
+    rng = np.random.default_rng(seed)
+    X = np.concatenate([rng.normal(c, 0.6, size=(per_class, 2)) for c in ([0, 3], [3, 0], [3, 3])])
+    labels = np.repeat([0, 1, 2], per_class)
+    ids = [f"doc{i:02d}" for i in range(len(labels))]
+    return X @ X.T, labels, ids
+
+
+class TestSerialization:
+    def test_round_trip_scores_bitwise(self):
+        G, labels, ids = three_class_problem()
+        clf = train_multiclass(G, labels, C=2.0)
+        loaded, support_ids = MulticlassSvm.from_dict(json.loads(json.dumps(clf.to_dict(ids))))
+        assert loaded.n_classes == 3 and len(support_ids) == len(set(support_ids))
+        K = G[:, [ids.index(s) for s in support_ids]]
+        for trained, back in zip(clf.models, loaded.models):
+            assert np.array_equal(decision(back, K), decision(trained, G))
+            assert (back.bias, back.C, back.tol, back.converged) == (
+                trained.bias, trained.C, trained.tol, trained.converged)
+        assert np.array_equal(predict_multiclass(loaded, K), predict_multiclass(clf, G))
+
+    def test_fields(self):
+        G, labels, ids = three_class_problem()
+        clf = train_multiclass(G, labels, C=2.0, tol=1e-4)
+        d = clf.to_dict(ids)
+        assert (d["C"], d["tol"], len(d["per_class"])) == (2.0, 1e-4, 3)
+        for entry, m in zip(d["per_class"], clf.models):
+            assert entry == {"support_ids": [ids[i] for i in m.support],
+                             "dual_coefs": m.dual_coef.tolist(), "bias": m.bias,
+                             "converged": m.converged}
+
+    def test_shared_support_id_is_one_column(self):
+        d = {"C": 1.0, "tol": 1e-3, "per_class": [
+            {"support_ids": ["a", "b"], "dual_coefs": [0.5, -1.0], "bias": 0.1, "converged": True},
+            {"support_ids": ["c", "b"], "dual_coefs": [1.0, 2.0], "bias": 0.2, "converged": True},
+        ]}
+        clf, support_ids = MulticlassSvm.from_dict(d)
+        assert support_ids == ["a", "b", "c"]
+        assert [m.support.tolist() for m in clf.models] == [[0, 1], [2, 1]]
+        K = np.array([[1.0, 10.0, 100.0]])
+        assert decision(clf.models[0], K)[0] == 0.5 - 10.0 + 0.1
+        assert decision(clf.models[1], K)[0] == 100.0 + 20.0 + 0.2
+
+    @pytest.mark.parametrize("damage", [
+        lambda d: d.pop("per_class"),
+        lambda d: d.pop("C"),
+        lambda d: d.update(tol="small"),
+        lambda d: d.update(per_class=d["per_class"][:1]),
+        lambda d: d["per_class"][0].pop("bias"),
+        lambda d: d["per_class"][0].update(bias=True),
+        lambda d: d["per_class"][0].update(converged=1),
+        lambda d: d["per_class"][1].update(support_ids=[7]),
+        lambda d: d["per_class"][2]["dual_coefs"].pop(),
+        lambda d: d["per_class"].__setitem__(0, "class zero"),
+    ])
+    def test_damaged_dict_raises_parse_error(self, damage):
+        G, labels, ids = three_class_problem()
+        d = train_multiclass(G, labels).to_dict(ids)
+        damage(d)
+        with pytest.raises(ParseError):
+            MulticlassSvm.from_dict(d)
+
+    def test_not_an_object_raises_parse_error(self):
+        with pytest.raises(ParseError):
+            MulticlassSvm.from_dict([1, 2])
 
 
 class TestPolyKernel:

@@ -1,3 +1,4 @@
+import json
 import math
 import zlib
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from qtc.circuits import AnsatzSpec, FeatureMapSpec, bind_ansatz, build_ansatz, build_feature_map, compose
-from qtc.errors import ValidationError
+from qtc.errors import ParseError, ValidationError
 from qtc.optimizer import OptimizerConfig, minimize
 from qtc.qsim import probabilities, run, sample
 from qtc.variational import (
@@ -13,7 +14,6 @@ from qtc.variational import (
     class_probabilities,
     cross_entropy,
     encode,
-    interpret,
     loss,
     predict,
     squared_error,
@@ -49,23 +49,22 @@ class TestClassProbabilities:
     def test_phase_cancellation_case(self):
         # x = (pi, pi) with theta = 0: both encoder reps cancel to |00>
         model = make_model()
-        probs = class_probabilities(model, [math.pi, math.pi])
-        assert np.allclose(probs, [1.0, 0.0, 0.0], atol=1e-12)
+        probs = class_probabilities(model, [[math.pi, math.pi]])
+        assert np.allclose(probs, [[1.0, 0.0, 0.0]], atol=1e-12)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             model = make_model(theta=rng.uniform(-math.pi, math.pi, 4))
-            probs = class_probabilities(model, rng.uniform(0, math.pi, 2))
-            assert probs.sum() == pytest.approx(1.0, abs=1e-10)
+            probs = class_probabilities(model, rng.uniform(0, math.pi, (3, 2)))
+            assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-10)
 
     def test_bijective_when_classes_match_outcomes(self):
         rng = np.random.default_rng(2)
         model = make_model(n_classes=4, theta=rng.uniform(-1, 1, 4))
         x = rng.uniform(0, math.pi, 2)
-        probs = class_probabilities(model, x)
-        from qtc.circuits import bind_ansatz, build_ansatz, build_feature_map, compose
-        from qtc.qsim import probabilities as state_probs, run
+        probs = class_probabilities(model, [x])[0]
+        from qtc.qsim import probabilities as state_probs
 
         circ = compose(
             build_feature_map(model.feature_map, x),
@@ -75,13 +74,13 @@ class TestClassProbabilities:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            class_probabilities(make_model(), [0.1, 0.2, 0.3])
+            class_probabilities(make_model(), [[0.1, 0.2, 0.3]])
 
     def test_lipschitz_in_theta(self):
         rng = np.random.default_rng(4)
         for _ in range(5):
             theta = rng.uniform(-math.pi, math.pi, 4)
-            x = rng.uniform(0, math.pi, 2)
+            x = rng.uniform(0, math.pi, (1, 2))
             base = class_probabilities(make_model(theta=theta), x)
             for j in range(4):
                 bumped = theta.copy()
@@ -92,10 +91,10 @@ class TestClassProbabilities:
     def test_sampled_converges_to_exact(self):
         rng = np.random.default_rng(5)
         theta = rng.uniform(-math.pi, math.pi, 4)
-        x = rng.uniform(0, math.pi, 2)
-        exact = class_probabilities(make_model(theta=theta), x)
+        x = rng.uniform(0, math.pi, (1, 2))
+        exact = class_probabilities(make_model(theta=theta), x)[0]
         shots = 10**5
-        sampled = class_probabilities(make_model(theta=theta, shots=shots, seed=6), x)
+        sampled = class_probabilities(make_model(theta=theta, shots=shots, seed=6), x)[0]
         for c in range(3):
             p = exact[c]
             bound = 5 * math.sqrt(max(p * (1 - p), 1e-12) / shots)
@@ -103,23 +102,44 @@ class TestClassProbabilities:
 
     def test_sampled_mode_reproducible(self):
         model = make_model(theta=np.array([0.4, -0.2, 0.9, 1.3]), shots=512, seed=7)
-        x = [0.5, 1.5]
+        x = [[0.5, 1.5]]
         assert np.array_equal(class_probabilities(model, x), class_probabilities(model, x))
 
 
+def outcome_probabilities(model, X):
+    """Outcome distribution per row, one composed circuit per point."""
+    ansatz = bind_ansatz(build_ansatz(model.ansatz), model.theta)
+    return np.array([probabilities(run(compose(build_feature_map(model.feature_map, x), ansatz)))
+                     for x in np.asarray(X, dtype=float)])
+
+
 class TestInterpret:
+    """The "modulo" rule: outcome i counts for class i mod n_classes."""
+
     def test_modulo_rule(self):
-        model = make_model(n_classes=3)
-        assert [interpret(model, i) for i in range(4)] == [0, 1, 2, 0]
+        rng = np.random.default_rng(31)
+        model = make_model(n_classes=3, theta=rng.uniform(-math.pi, math.pi, 4))
+        X = rng.uniform(0, math.pi, (6, 2))
+        p = outcome_probabilities(model, X)
+        expected = np.stack([p[:, 0] + p[:, 3], p[:, 1], p[:, 2]], axis=1)
+        assert np.array_equal(class_probabilities(model, X), expected)
 
     def test_total_and_surjective(self):
-        model = make_model(n_classes=3)
-        classes = {interpret(model, i) for i in range(4)}
-        assert classes == {0, 1, 2}
+        # Every outcome's mass lands in some class, and every class gets some.
+        rng = np.random.default_rng(32)
+        model = make_model(n_classes=3, theta=rng.uniform(-math.pi, math.pi, 4))
+        X = rng.uniform(0, math.pi, (6, 2))
+        probs = class_probabilities(model, X)
+        assert np.allclose(probs.sum(axis=1), outcome_probabilities(model, X).sum(axis=1),
+                           rtol=0, atol=1e-12)
+        assert np.all(probs > 0)
 
     def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            interpret(make_model(), 4)
+        # With more classes than outcomes, the classes past 2**n get no mass.
+        model = make_model(n_classes=6, theta=np.array([0.4, -0.2, 0.9, 1.3]))
+        probs = class_probabilities(model, [[0.5, 1.5], [2.0, 0.1]])
+        assert np.array_equal(probs[:, 4:], np.zeros((2, 2)))
+        assert np.array_equal(probs[:, :4], outcome_probabilities(model, [[0.5, 1.5], [2.0, 0.1]]))
 
 
 class TestLoss:
@@ -271,8 +291,9 @@ class TestCachedEncoding:
         X = rng.uniform(0, math.pi, (9, n_qubits))
         expected = per_point_probabilities(model, X)
         assert np.array_equal(predict(model, X), np.argmax(expected, axis=1))
-        for r, x in enumerate(X):
-            assert np.array_equal(class_probabilities(model, x), expected[r])
+        assert np.array_equal(class_probabilities(model, X), expected)
+        states = encode(model, X)
+        assert np.array_equal(class_probabilities(model, X, states), expected)
 
     def test_loss_with_cached_states_equals_loss_without(self):
         X, y = blob_dataset(per_class=4)
@@ -282,3 +303,32 @@ class TestCachedEncoding:
     def test_encode_rejects_wrong_width(self):
         with pytest.raises(ValidationError):
             encode(make_model(), np.zeros((3, 3)))
+
+
+class TestSerialization:
+    @pytest.mark.parametrize("shots", [0, 64])
+    def test_round_trip(self, shots):
+        model = make_model(theta=np.array([0.4, -0.2, 0.9, 1.3]), loss_kind="squared_error",
+                           shots=shots, seed=9)
+        d = model.to_dict()
+        assert d["interpret"] == "modulo" and d["mode"] == {"shots": shots, "seed": 9}
+        back = VariationalModel.from_dict(json.loads(json.dumps(d)))
+        assert back.to_dict() == d
+        X, _ = blob_dataset(per_class=3)
+        assert np.array_equal(class_probabilities(back, X), class_probabilities(model, X))
+
+    @pytest.mark.parametrize("damage", [
+        lambda d: d.pop("mode"),
+        lambda d: d["mode"].pop("seed"),
+        lambda d: d.update(interpret="parity"),
+        lambda d: d.update(theta=[0.1, "0.2", 0.3, 0.4]),
+        lambda d: d.update(n_classes=3.0),
+        lambda d: d["feature_map"].update(reps=True),
+        lambda d: d["ansatz"].pop("reps"),
+        lambda d: d.update(feature_map="zz"),
+    ])
+    def test_damaged_dict_raises_parse_error(self, damage):
+        d = make_model().to_dict()
+        damage(d)
+        with pytest.raises(ParseError):
+            VariationalModel.from_dict(d)
