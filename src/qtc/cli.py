@@ -242,6 +242,8 @@ def _cached_gram(workdir, spec, mode, shots, seed, data_hash):
 
 
 def cmd_train(args, cfg: dict) -> None:
+    if cfg["model"] in ("svc", "qsvc"):
+        svm_mod.check_params(cfg["C"], cfg["tol"])  # before any Gram is built or written
     stage = load_stage(os.path.join(args.workdir, "reduce"), expect_stage="reduce")
     ids, X, y = _split_arrays(stage, "train")
     upstream = manifest_hash(stage.manifest)

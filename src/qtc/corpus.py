@@ -293,6 +293,20 @@ def manifest_hash(manifest: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer quotes it, except that a bare "\r" is quoted too.
+
+    csv.writer quotes only for the characters of its own line terminator,
+    "\n" here, but csv.reader also ends a row at an unquoted "\r".
+    """
+    if _CSV_SPECIAL.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def save_stage(
     directory,
     features: FeatureMatrix,
@@ -314,16 +328,14 @@ def save_stage(
     os.makedirs(directory, exist_ok=True)
 
     with open(os.path.join(directory, "features.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + features.feature_names)
+        fh.write(",".join(map(_csv_field, ["id"] + features.feature_names)) + "\n")
         for doc_id, row in zip(features.ids, features.values.tolist()):
-            writer.writerow([doc_id] + [f"{v:.17g}" for v in row])
+            fh.write(",".join([_csv_field(doc_id)] + [f"{v:.17g}" for v in row]) + "\n")
 
     with open(os.path.join(directory, "labels.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "label_index"])
-        for doc_id, lab in zip(features.ids, labels):
-            writer.writerow([doc_id, int(lab)])
+        fh.write("id,label_index\n")
+        for doc_id, lab in zip(features.ids, labels.tolist()):
+            fh.write(f"{_csv_field(doc_id)},{lab}\n")
 
     manifest = {
         "stage": stage,

@@ -9,7 +9,11 @@ never change the result.
 
 save_gram persists a Gram twice next to its manifest: gram.npy, the exact
 binary cache that load_gram reads back, and gram.csv, a human-readable copy
-with 17 significant digits per value that the pipeline never reads.
+that the pipeline never reads.  gram.csv holds each value as "%.17g"
+formats it, "," between the values of a row, "\n" after each row and no
+header: the bytes of numpy.savetxt(path, K, fmt="%.17g", delimiter=",").  A
+block encoder writes those bytes with array arithmetic, one block of rows at
+a time; values outside its exact fast path are formatted one by one.
 """
 
 from __future__ import annotations
@@ -142,18 +146,142 @@ def psd_project(g: GramMatrix) -> GramMatrix:
     return GramMatrix(out, g.mode, g.feature_map, g.shots, g.seed)
 
 
+# gram.csv encoder.  "%.17g" prints a value v in [1e-4, 1) as "0.", then
+# -E - 1 zeros, then the 17 correctly rounded significant digits
+# N = round(v * 10**(16 - E)) with trailing zeros dropped, E = floor(log10 v).
+# 10**17 to 10**20 are exact doubles, so Dekker's TwoProduct gives the scaled
+# value as an exact sum p + err, and N is rounded from that sum exactly.  Any
+# other value and a value within _TIE_GUARD of a rounding tie are formatted
+# by "%.17g" itself; so, as a safeguard, is a value whose N falls outside
+# [10**16, 10**17), which no double in [1e-4, 1) gives.
+#
+# Each value gets a slot of seven uint32 words, and a keep-mask picks its
+# bytes: "0.00" | "0", pad, pad, leading digit | four 4-digit groups |
+# separator, pad.  The longest "%.17g" string has 24 bytes, so a fallback
+# string and its separator fit in a slot too.
+
+_CSV_BLOCK_VALUES = 1 << 12  # values per block: temporaries under 1 MB leave peak memory as it was
+_SLOT_BYTES = 28
+_TIE_GUARD = 1e-6
+_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split into 26- and 27-bit halves
+
+
+def _split(a):
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _word(text: bytes) -> np.uint32:
+    return np.frombuffer(text, np.uint32)[0]
+
+
+# 10**(16 - E) for E = -4 .. -1, indexed by E + 4, with its split halves.
+_SCALE = np.array([1e20, 1e19, 1e18, 1e17])
+_SCALE_HI, _SCALE_LO = _split(_SCALE)
+_HEAD = _word(b"0.00")
+_COMMA = _word(b",\0\0\0")
+_NEWLINE = _word(b"\n\0\0\0")
+_LEAD = np.frombuffer(b"".join(b"0\0\0" + b"%d" % d for d in range(10)), np.uint32)
+
+
+def _group_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Per 4-digit group 0000 .. 9999: its ASCII digits as one uint32 word, and
+    its count of trailing zero digits (4 for 0000).  Narrow dtypes keep these
+    process-lifetime tables, and the temporaries that build them, small."""
+    group = np.arange(10_000, dtype=np.uint16)
+    digits = np.stack([group // 1000, group // 100 % 10, group // 10 % 10, group % 10],
+                      axis=1).astype(np.uint8)
+    text = (digits + ord("0")).view(np.uint32).reshape(-1)
+    trailing = (digits[:, ::-1] == 0).cumprod(axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
+    return text, trailing
+
+
+_GROUP, _GROUP_TRAILING = _group_tables()
+
+
+def _keep_masks() -> np.ndarray:
+    """Slot bytes to keep, as uint32 words: row 17 * (E + 4) + trailing zeros
+    for the fast path, row 68 + length for a fallback string."""
+    pos = np.arange(_SLOT_BYTES)
+    rows = [(pos < 2) | ((pos >= 2 + e4) & (pos < 5)) | ((pos >= 7) & (pos < 24 - tz)) | (pos == 24)
+            for e4 in range(4) for tz in range(17)]
+    rows += [pos <= length for length in range(_SLOT_BYTES)]
+    return np.array(rows).view(np.uint32)
+
+
+_KEEP = _keep_masks()
+
+
+def _round17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fast, E + 4, N) per value; N is 10**16 wherever fast is False."""
+    fast = (v >= 1e-4) & (v < 1.0)
+    x = np.where(fast, v, 0.5)  # keeps the arithmetic below finite
+    e4 = (x >= 1e-3).astype(np.intp)
+    e4 += x >= 1e-2
+    e4 += x >= 1e-1
+    p = x * _SCALE.take(e4)
+    xh, xl = _split(x)
+    sh, sl = _SCALE_HI.take(e4), _SCALE_LO.take(e4)
+    err = xl * sl - (((p - xh * sh) - xl * sh) - xh * sl)  # x * scale - p, exactly
+    up = np.rint(err)
+    fast &= np.abs(np.abs(err - up) - 0.5) > _TIE_GUARD
+    # p is an integer wherever N lands in range, since 10**16 > 2**53.
+    n = p.astype(np.int64)
+    n += up.astype(np.int64)
+    fast &= (n >= 10**16) & (n < 10**17)
+    n[~fast] = 10**16
+    return fast, e4, n
+
+
+def _csv_bytes(block: np.ndarray) -> np.ndarray:
+    """The gram.csv bytes of a C-contiguous float64 block of whole rows, as uint8."""
+    rows, cols = block.shape
+    if cols == 0:
+        return np.frombuffer(b"\n" * rows, np.uint8)
+    v = block.reshape(-1)
+    fast, e4, n = _round17(v)
+    lead, rest = np.divmod(n, 10**16)
+    high, low = np.divmod(rest, 10**8)
+    g1, g2 = np.divmod(high, 10**4)
+    g3, g4 = np.divmod(low, 10**4)
+    t = _GROUP_TRAILING.take
+    trailing = t(g4) + (g4 == 0) * (t(g3) + (g3 == 0) * (t(g2) + (g2 == 0) * t(g1)))
+
+    slots = np.empty((v.size, _SLOT_BYTES // 4), np.uint32)
+    slots[:, 0] = _HEAD
+    slots[:, 1] = _LEAD.take(lead)
+    for k, group in enumerate((g1, g2, g3, g4), start=2):
+        slots[:, k] = _GROUP.take(group)
+    ends = slots.reshape(rows, cols, -1)[:, :, 6]
+    ends[:, :-1] = _COMMA
+    ends[:, -1] = _NEWLINE
+    code = 17 * e4 + trailing
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = ["%.17g" % f for f in v[slow].tolist()]
+        length = np.fromiter(map(len, text), np.intp, len(text))
+        padded = "".join(s.ljust(_SLOT_BYTES, "\0") for s in text).encode("ascii")
+        raw = slots.view(np.uint8)
+        raw[slow] = np.frombuffer(padded, np.uint8).reshape(-1, _SLOT_BYTES)
+        raw[slow, length] = np.where(slow % cols == cols - 1, ord("\n"), ord(","))
+        code[slow] = 68 + length
+    keep = _KEEP.take(code, axis=0).view(np.bool_).reshape(-1)
+    return slots.view(np.uint8).reshape(-1)[keep]
+
+
 def save_gram(directory, g: GramMatrix, data_hash: str, upstream_hash: str | None = None) -> None:
     """Write gram.npy, gram.csv (no header) and gram.manifest.json into ``directory``."""
     os.makedirs(directory, exist_ok=True)
     values = np.ascontiguousarray(g.values, dtype="<f8")
     with open(os.path.join(directory, "gram.npy"), "wb") as fh:
         np.lib.format.write_array(fh, values, version=(1, 0))
-    # One %-format per row; converting the whole matrix to Python floats at
-    # once would hold m*m float objects in memory.
-    fmt = ",".join(["%.17g"] * values.shape[1]) + "\n"
-    with open(os.path.join(directory, "gram.csv"), "w", encoding="utf-8", newline="") as fh:
-        for row in values:
-            fh.write(fmt % tuple(row.tolist()))
+    rows, cols = values.shape
+    step = max(1, _CSV_BLOCK_VALUES // max(cols, 1))
+    with open(os.path.join(directory, "gram.csv"), "wb") as fh:
+        for start in range(0, rows, step):
+            fh.write(_csv_bytes(values[start:start + step]))
     manifest = {
         "feature_map": g.feature_map.to_dict(),
         "mode": g.mode,

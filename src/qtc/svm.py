@@ -28,6 +28,7 @@ __all__ = [
     "SvmBinaryModel",
     "MulticlassSvm",
     "PolyKernelSpec",
+    "check_params",
     "train_binary",
     "decision",
     "train_multiclass",
@@ -134,6 +135,14 @@ class PolyKernelSpec:
                    float(json_field(d, "coef0", NUMBER)))
 
 
+def check_params(C: float, tol: float) -> None:
+    """Reject a box constraint C outside (0, inf) or a tolerance that is not > 0."""
+    if not 0 < C < np.inf:
+        raise ValidationError(f"C must be positive and finite, got {C}")
+    if not tol > 0:
+        raise ValidationError(f"tol must be positive, got {tol}")
+
+
 def train_binary(G, y, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_000) -> SvmBinaryModel:
     """Solve the binary soft-margin dual on Gram matrix G with labels y in {-1,+1}."""
     G = np.asarray(G, dtype=float)
@@ -145,15 +154,15 @@ def train_binary(G, y, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_
         raise ValidationError("labels must be -1 or +1")
     if np.all(y > 0) or np.all(y < 0):
         raise ValidationError("training set must contain both classes")
-    if not 0 < C < np.inf:
-        raise ValidationError(f"C must be positive and finite, got {C}")
-    if not tol > 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    check_params(C, tol)
 
     # Q is never formed: Q_ij = y_i y_j G_ij only flips signs, which is exact,
     # so every product with it is taken as the same product with G.
     alpha = np.zeros(m)
     grad = -np.ones(m)  # gradient of the dual objective: Q a - 1
+    # Floor on the pair's curvature.  A pair is updated only when its gradient
+    # gap is at least tol, so below tau the step exceeds tol / tau and, for any
+    # C under that, the box clips it; the floor keeps the step finite.
     tau = 1e-12
 
     converged = False
@@ -175,7 +184,7 @@ def train_binary(G, y, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_
         old_i, old_j = alpha[i], alpha[j]
         if y[i] != y[j]:
             quad = G[i, i] + G[j, j] + 2.0 * (y[i] * y[j] * G[i, j])
-            if quad <= 0:
+            if quad < tau:
                 quad = tau
             delta = (-grad[i] - grad[j]) / quad
             diff = alpha[i] - alpha[j]
@@ -199,7 +208,7 @@ def train_binary(G, y, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_
                     alpha[i] = C + diff
         else:
             quad = G[i, i] + G[j, j] - 2.0 * (y[i] * y[j] * G[i, j])
-            if quad <= 0:
+            if quad < tau:
                 quad = tau
             delta = (grad[i] - grad[j]) / quad
             total = alpha[i] + alpha[j]

@@ -238,6 +238,32 @@ class TestPipeline:
         assert err.count("\n") == 1 and flag.lstrip("-") in err
         assert not (pipeline_dir / "model.json").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--C", "nan"), ("--tol", "0")])
+    def test_bad_box_or_tolerance_writes_no_gram(self, pipeline_dir, capsys, flag, value):
+        before = _file_bytes(pipeline_dir)
+        capsys.readouterr()
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc", flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag.lstrip("-") in err
+        assert _file_bytes(pipeline_dir) == before
+
+    def test_carriage_return_in_corpus_id(self, tmp_path):
+        corpus = tmp_path / "corpus.csv"
+        work = tmp_path / "work"
+        assert run_cli("synth", "--out", corpus) == 0
+        rows = read_rows(corpus)
+        rows[0]["ID"] = "x\r1"
+        with open(corpus, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))  # "\r\n" rows, as by default
+            writer.writeheader()
+            writer.writerows(rows)
+        assert run_cli("preprocess", "--corpus", corpus, "--workdir", work) == 0
+        assert run_cli("reduce", "--workdir", work) == 0
+        assert run_cli("train", "--workdir", work, "--model", "qsvc") == 0
+        assert run_cli("evaluate", "--workdir", work) == 0
+        ids = [row["id"] for row in read_rows(work / "reduce" / "features.csv")]
+        assert "x\r1" in ids
+
     def test_infinite_scale_bound_is_one_stderr_line(self, pipeline_dir):
         # A subprocess, so that a NumPy RuntimeWarning would show on stderr.
         src = os.path.dirname(os.path.dirname(qtc.__file__))
@@ -331,6 +357,12 @@ class TestConfigPrecedence:
         echo = capsys.readouterr().out.splitlines()[0]
         resolved = json.loads(echo.split("config: ", 1)[1])
         assert resolved == {"classes": 3, "per_class": 40, "vocab_size": 30, "seed": 13}
+
+
+def _file_bytes(workdir):
+    """Every file under ``workdir``, relative path to bytes."""
+    return {path.relative_to(workdir): path.read_bytes()
+            for path in sorted(workdir.rglob("*")) if path.is_file()}
 
 
 def _snapshot(workdir):

@@ -1,7 +1,12 @@
+import csv
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qtc.corpus import (
     Document,
@@ -243,6 +248,30 @@ class TestStageRoundTrip:
         assert back.features.ids == fm.ids
         assert np.array_equal(back.labels, labels)
 
+    def test_ids_with_carriage_returns_round_trip(self, tmp_path):
+        fm, labels, enc = self._stage(n=4)
+        fm = FeatureMatrix(["x\r1", "\r", "a\r\nb", 'q"\r'], fm.feature_names, fm.values)
+        save_stage(tmp_path, fm, labels, enc, stage="tfidf")
+        back = load_stage(tmp_path)
+        assert back.features.ids == fm.ids
+        assert np.array_equal(back.labels, labels)
+
+    def test_bytes_are_csv_writer_bytes_for_ids_without_carriage_return(self, tmp_path):
+        fm, labels, enc = self._stage(n=5)
+        ids = ['a,"b"', "plain", "x\ny", " pad ", "é"]
+        fm = FeatureMatrix(ids, fm.feature_names, fm.values)
+        save_stage(tmp_path, fm, labels, enc, stage="tfidf")
+        with open(tmp_path / "expected.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["id"] + fm.feature_names)
+            for doc_id, row in zip(ids, fm.values.tolist()):
+                writer.writerow([doc_id] + [f"{v:.17g}" for v in row])
+            writer.writerow(["id", "label_index"])
+            for doc_id, lab in zip(ids, labels):
+                writer.writerow([doc_id, int(lab)])
+        written = (tmp_path / "features.csv").read_bytes() + (tmp_path / "labels.csv").read_bytes()
+        assert written == (tmp_path / "expected.csv").read_bytes()
+
     def test_stage_mismatch(self, tmp_path):
         fm, labels, enc = self._stage()
         save_stage(tmp_path, fm, labels, enc, stage="tfidf")
@@ -265,3 +294,24 @@ class TestStageRoundTrip:
         feat.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="row 3"):
             load_stage(tmp_path)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.text(min_size=1), min_size=1, max_size=8, unique=True),
+    st.lists(st.text(min_size=1), min_size=2, max_size=4, unique=True),
+    st.data(),
+)
+def test_property_stage_round_trip_any_ids_and_labels(ids, classes, data):
+    values = data.draw(hnp.arrays(np.float64, (len(ids), 2),
+                                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    labels = data.draw(st.lists(st.integers(0, len(classes) - 1),
+                                min_size=len(ids), max_size=len(ids)))
+    fm = FeatureMatrix(ids, ["f0", "f1"], values)
+    with tempfile.TemporaryDirectory() as directory:
+        save_stage(directory, fm, labels, LabelEncoding(classes), stage="tfidf")
+        back = load_stage(directory, expect_stage="tfidf")
+    assert back.features.ids == ids
+    assert back.features.values.tobytes() == values.tobytes()
+    assert back.labels.tolist() == labels
+    assert back.encoding.classes == classes

@@ -13,7 +13,9 @@ from hypothesis.extra import numpy as hnp
 from qtc.circuits import FeatureMapSpec
 from qtc.errors import ParseError, ValidationError
 from qtc.kernel import (
+    _CSV_BLOCK_VALUES,
     GramMatrix,
+    _csv_bytes,
     encoded_state,
     exact_kernel,
     gram,
@@ -321,6 +323,100 @@ def test_property_save_load_round_trip_bitwise(values):
     assert back.values.tobytes() == values.tobytes()
     assert exported.shape == values.shape
     assert exported.tobytes() == values.tobytes()
+
+
+def per_value_csv(values) -> bytes:
+    """The reference gram.csv bytes: one "%.17g" per value."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n"
+                   for row in np.asarray(values).tolist()).encode("ascii")
+
+
+def written_csv(values) -> bytes:
+    with tempfile.TemporaryDirectory() as directory:
+        save_gram(directory, GramMatrix(values, "exact", ZZ2), data_hash="abc123")
+        with open(os.path.join(directory, "gram.csv"), "rb") as fh:
+            return fh.read()
+
+
+def rounding_ties(count=30):
+    """Doubles exactly halfway between two 17-digit decimals: odd / 2**s in
+    [10**(17 - s), 10**(18 - s)) has s decimals, 18 significant digits and a
+    last digit 5."""
+    ties = []
+    for s in (18, 19, 20, 21):
+        first = math.ceil(10.0 ** (17 - s) * 2**s) | 1
+        ties += [(first + 2 * k) / 2.0**s for k in range(count)]
+    return ties
+
+
+def neighbours(x, steps=40):
+    """x and its ``steps`` nearest doubles on each side."""
+    out = [x]
+    for toward in (0.0, np.inf):
+        y = x
+        for _ in range(steps):
+            y = np.nextafter(y, toward)
+            out.append(y)
+    return out
+
+
+class TestCsvEncoder:
+    """The block encoder against per-value "%.17g"."""
+
+    @pytest.mark.parametrize("values", [
+        [10.0**-k for k in range(6)] + [1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0],
+        [2.0**-k for k in range(1075)],
+        neighbours(1e-4) + neighbours(1.0),
+        neighbours(1e-3) + neighbours(1e-2) + neighbours(0.1),
+        rounding_ties(),
+        [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, math.nan, math.inf, -math.inf, 5e-324,
+         2.2250738585072009e-308, -2.2250738585072014e-308, 1.7976931348623157e308,
+         0.099999999999999992, 0.99999999999999989, 0.12345678901234567, 1e-16, 123.25],
+    ], ids=["powers_of_ten", "powers_of_two", "fast_range_ends", "decade_ends", "ties",
+         "specials"])
+    def test_fixed_values(self, values):
+        column = np.array(values, dtype=float).reshape(-1, 1)
+        assert _csv_bytes(column).tobytes() == per_value_csv(column)
+        assert _csv_bytes(column.T).tobytes() == per_value_csv(column.T)
+
+    def test_exact_zz_gram_300(self):
+        X = np.random.default_rng(48).uniform(0, 2 * math.pi, (300, 2))
+        K = gram(ZZ2, X).values
+        text = written_csv(K)
+        assert text == per_value_csv(K)
+        # The format is numpy.savetxt's with fmt="%.17g" and delimiter=",".
+        buffer = io.BytesIO()
+        np.savetxt(buffer, K, fmt="%.17g", delimiter=",")
+        assert text == buffer.getvalue()
+
+    @pytest.mark.parametrize("shape", [
+        (1, 1), (1, _CSV_BLOCK_VALUES + 3), (2 * _CSV_BLOCK_VALUES + 5, 1),
+        (3 * (_CSV_BLOCK_VALUES // 1000) + 1, 1000), (0, 0), (0, 4), (3, 0),
+    ])
+    def test_shapes_across_block_boundaries(self, shape):
+        values = np.random.default_rng(49).uniform(0, 1, shape)
+        values[values < 0.01] = 0.0  # fallback values scattered through the blocks
+        assert written_csv(values) == per_value_csv(values)
+
+    def test_leaves_no_numpy_warning(self):
+        values = np.array([[math.nan, math.inf, -math.inf, 0.0, 5e-324, 1.7976931348623157e308]])
+        with np.errstate(all="raise"):
+            assert _csv_bytes(values).tobytes() == per_value_csv(values)
+
+
+any_double = st.one_of(
+    st.floats(),
+    st.floats(min_value=1e-4, max_value=1.0),
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072009e-308, math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                  elements=any_double))
+def test_property_csv_encoder_matches_per_value_format(values):
+    assert _csv_bytes(values).tobytes() == per_value_csv(values)
 
 
 class TestBatchedEncoding:

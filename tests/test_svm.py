@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qtc.errors import ParseError, ValidationError
 from qtc.svm import (
@@ -50,6 +53,31 @@ def random_instance(rng, m, separable):
     if np.all(y > 0) or np.all(y < 0):
         y[0] *= -1
     return X @ X.T, y
+
+
+@st.composite
+def psd_problems(draw):
+    """G = A A^T for a drawn A of any rank, labels with both classes, C and tol."""
+    m = draw(st.integers(2, 30))
+    rank = draw(st.integers(0, m))
+    A = draw(hnp.arrays(np.float64, (m, rank), elements=st.floats(-3, 3)))
+    y = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m)))
+    if np.all(y == y[0]):
+        y[draw(st.integers(0, m - 1))] *= -1
+    C = draw(st.floats(1e-3, 1e3))
+    tol = draw(st.sampled_from([1e-4, 1e-3, 1e-2]))
+    return A @ A.T, y, C, tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(psd_problems())
+def test_property_smo_kkt_on_random_psd_grams(problem):
+    G, y, C, tol = problem
+    model = train_binary(G, y, C=C, tol=tol)
+    assert np.all(model.alpha >= 0.0) and np.all(model.alpha <= C)
+    assert abs(float(model.alpha @ y)) <= 1e-9 * C * len(y)
+    if model.converged:
+        assert kkt_ok(G, y, model, tol)
 
 
 def random_feasible(rng, y, C):
@@ -121,6 +149,13 @@ class TestTrainBinary:
             for _ in range(1000):
                 alpha = random_feasible(rng, y, 1.0)
                 assert best >= dual_objective(G, y, alpha) - 1e-9
+
+    def test_near_singular_gram_takes_finite_steps(self):
+        # A subnormal pair curvature used to overflow the SMO step to inf.
+        G = np.array([[0.0, 0.0], [0.0, 1e-320]])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            model = train_binary(G, np.array([1.0, -1.0]), C=1.0, tol=1e-4)
+        assert np.array_equal(model.alpha, [1.0, 1.0])
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
