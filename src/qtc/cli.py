@@ -116,6 +116,9 @@ def _resolve(args: argparse.Namespace) -> dict:
         resolved[key] = value
     if resolved.get("shots", 0) < 0:
         raise ValidationError(f"shots must be >= 0 (0 = exact), got {resolved['shots']}")
+    for key in ("seed", "init_seed"):
+        if resolved.get(key, 0) < 0:
+            raise ValidationError(f"{key} must be >= 0, got {resolved[key]}")
     print(f"{args.command} config: {json.dumps(resolved, sort_keys=True)}")
     return resolved
 

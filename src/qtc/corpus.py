@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, ValidationError, VersioningError
+from .errors import NUMBER, ParseError, SchemaError, ValidationError, VersioningError, json_field
 
 __all__ = [
     "Document",
@@ -370,10 +370,23 @@ def load_stage(directory, expect_stage: str | None = None) -> StageData:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{manifest_path}: invalid JSON ({exc})") from exc
 
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{manifest_path}: expected a JSON object, got {type(manifest).__name__}")
     if expect_stage is not None and manifest.get("stage") != expect_stage:
         raise VersioningError(
             f"{directory}: expected stage {expect_stage!r}, found {manifest.get('stage')!r}"
         )
+    try:
+        encoding = LabelEncoding(json_field(manifest, "classes", list, items=str))
+        s = json_field(manifest, "split", (dict, type(None)))
+        split = None if s is None else DatasetSplit(
+            train_ids=json_field(s, "train_ids", list, items=str),
+            test_ids=json_field(s, "test_ids", list, items=str),
+            test_fraction=float(json_field(s, "test_fraction", NUMBER)),
+            seed=json_field(s, "seed", int),
+        )
+    except ParseError as exc:
+        raise ParseError(f"{manifest_path}: {exc}") from exc
 
     feat_path = os.path.join(directory, "features.csv")
     ids: list[str] = []
@@ -413,14 +426,4 @@ def load_stage(directory, expect_stage: str | None = None) -> StageData:
     except KeyError as exc:
         raise ParseError(f"{lab_path}: missing label for id {exc.args[0]!r}") from exc
 
-    encoding = LabelEncoding(list(manifest["classes"]))
-    split = None
-    if manifest.get("split") is not None:
-        s = manifest["split"]
-        split = DatasetSplit(
-            train_ids=list(s["train_ids"]),
-            test_ids=list(s["test_ids"]),
-            test_fraction=float(s["test_fraction"]),
-            seed=int(s["seed"]),
-        )
     return StageData(features, labels, encoding, split, manifest)

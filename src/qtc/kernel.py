@@ -1,10 +1,12 @@
 """Fidelity kernel K(x, y) = |<phi(y)|phi(x)>|^2 and Gram-matrix assembly.
 
-Exact mode encodes all points with one batched simulator run and takes inner
-products directly.  Sampled mode mirrors hardware execution: it runs the
-compose(map(x), adjoint(map(y))) circuit and estimates the kernel as the
-frequency of the all-zeros outcome.  Per-entry sampling seeds are derived
-deterministically from (master seed, i, j) so parallel assembly order can
+Both modes encode each side's points with one batched simulator run and take
+inner products directly.  Sampled mode models hardware execution: there the
+kernel is the frequency of the all-zeros outcome of map(x) map(y)^dag over
+``shots`` runs, a count distributed as Binomial(shots, K(x, y)) (Havlicek et
+al., Nature 567, 209 (2019)).  So the sampled Gram is the exact Gram with
+each row i replaced by binomial draws from a generator seeded by
+(master seed, i); the seed depends on the row alone, so assembly order can
 never change the result.
 
 save_gram persists a Gram twice next to its manifest: gram.npy, the exact
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import mapped_empty
-from .circuits import FeatureMapSpec, build_feature_map, compose
+from .circuits import FeatureMapSpec, build_feature_map
 from .errors import ParseError, ValidationError, json_field
-from .qsim import adjoint, run, sample
+from .qsim import run
 
 __all__ = [
     "GramMatrix",
@@ -59,19 +61,23 @@ def encoded_state(spec: FeatureMapSpec, x) -> np.ndarray:
 
 
 def exact_kernel(spec: FeatureMapSpec, x, y) -> float:
-    """Squared overlap of the two encoded states, in [0, 1]."""
+    """Squared overlap of the two encoded states.
+
+    It lies in [0, 1] only up to rounding: a point's overlap with itself can
+    come out as 1.0000000000000004.
+    """
     sx = encoded_state(spec, x)
     sy = encoded_state(spec, y)
     return float(abs(np.vdot(sy, sx)) ** 2)
 
 
 def sampled_kernel(spec: FeatureMapSpec, x, y, shots: int, seed) -> float:
-    """Shot-based estimate: frequency of the all-zeros outcome of map(x) map(y)^dag."""
+    """Shot-based estimate: the all-zeros count of map(x) map(y)^dag over
+    ``shots`` runs, drawn from its law Binomial(shots, K(x, y)), over shots."""
     if shots < 1:
         raise ValidationError("shots must be >= 1")
-    circ = compose(build_feature_map(spec, x), adjoint(build_feature_map(spec, y)))
-    counts = sample(run(circ), shots, seed)
-    return counts.get(0, 0) / shots
+    p = min(exact_kernel(spec, x, y), 1.0)
+    return float(np.random.default_rng(seed).binomial(shots, p) / shots)
 
 
 def gram(
@@ -85,12 +91,18 @@ def gram(
 ) -> GramMatrix:
     """Kernel matrix over rows of X (square) or X versus Y (rectangular).
 
-    The square case fills the upper triangle and mirrors it; in exact mode
-    the diagonal is set to 1 outright.
+    The square case sets the diagonal to 1 outright and mirrors the upper
+    triangle.  Sampled mode then redraws row i from column j0 on (j0 = i when
+    square, else 0) as Binomial(shots, K[i, j0:]) / shots, seeded by
+    (seed, i), and mirrors again.
     """
     X = np.asarray(X, dtype=float)
     if mode not in ("exact", "sampled"):
         raise ValidationError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    if mode == "sampled" and shots < 1:
+        raise ValidationError("shots must be >= 1")
+    if mode == "sampled" and seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     square = Y is None
     Ym = X if square else np.asarray(Y, dtype=float)
     if X.ndim != 2 or Ym.ndim != 2 or X.shape[1] != Ym.shape[1]:
@@ -98,27 +110,25 @@ def gram(
 
     m, mp = X.shape[0], Ym.shape[0]
     K = mapped_empty((m, mp))
-
-    if mode == "exact":
-        SX = encoded_state(spec, X)
-        SY = SX if square else encoded_state(spec, Ym)
-        # In place in K: the only other m x mp array is the complex overlap.
-        overlap = mapped_empty((m, mp), dtype=np.complex128)
-        np.matmul(SX.conj(), SY.T, out=overlap)
-        np.abs(overlap, out=K)
-        del overlap
-        np.square(K, out=K)
-        if square:
-            for i in range(1, m):
-                K[i, :i] = K[:i, i]
-            np.fill_diagonal(K, 1.0)
-    else:
+    SX = encoded_state(spec, X)
+    SY = SX if square else encoded_state(spec, Ym)
+    # In place in K: the only other m x mp array is the complex overlap.
+    overlap = mapped_empty((m, mp), dtype=np.complex128)
+    np.matmul(SX.conj(), SY.T, out=overlap)
+    np.abs(overlap, out=K)
+    del overlap
+    np.square(K, out=K)
+    if square:
+        _mirror_upper(K)
+        np.fill_diagonal(K, 1.0)
+    if mode == "sampled":
         for i in range(m):
             j0 = i if square else 0
-            for j in range(j0, mp):
-                K[i, j] = sampled_kernel(spec, X[i], Ym[j], shots, (seed, i, j))
-                if square and j > i:
-                    K[j, i] = K[i, j]
+            # Rounding can put an overlap just above 1, where binomial raises.
+            p = np.minimum(K[i, j0:], 1.0)
+            K[i, j0:] = np.random.default_rng((seed, i)).binomial(shots, p) / shots
+        if square:
+            _mirror_upper(K)
 
     return GramMatrix(
         values=K,
@@ -127,6 +137,12 @@ def gram(
         shots=shots if mode == "sampled" else None,
         seed=seed if mode == "sampled" else None,
     )
+
+
+def _mirror_upper(K: np.ndarray) -> None:
+    """Copy the strict upper triangle of square K onto the lower one, in place."""
+    for i in range(1, K.shape[0]):
+        K[i, :i] = K[:i, i]
 
 
 def psd_project(g: GramMatrix) -> GramMatrix:

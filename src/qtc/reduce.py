@@ -35,14 +35,6 @@ class PcaModel:
             "explained_variance": self.explained_variance.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PcaModel":
-        return cls(
-            np.asarray(d["mean"], dtype=float),
-            np.asarray(d["components"], dtype=float),
-            np.asarray(d["explained_variance"], dtype=float),
-        )
-
 
 @dataclass
 class RangeScaler:
@@ -58,15 +50,6 @@ class RangeScaler:
             "lo": self.lo,
             "hi": self.hi,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RangeScaler":
-        return cls(
-            np.asarray(d["col_min"], dtype=float),
-            np.asarray(d["col_max"], dtype=float),
-            float(d["lo"]),
-            float(d["hi"]),
-        )
 
 
 def fit_pca(X: FeatureMatrix, k: int) -> PcaModel:

@@ -247,6 +247,25 @@ class TestPipeline:
         assert err.count("\n") == 1 and flag.lstrip("-") in err
         assert _file_bytes(pipeline_dir) == before
 
+    @pytest.mark.parametrize("args, key", [
+        (("synth", "--out", "{base}/new.csv", "--seed", -1), "seed"),
+        (("preprocess", "--corpus", "{base}/corpus.csv", "--workdir", "{base}/fresh",
+          "--seed", -3), "seed"),
+        (("kernel", "--workdir", "{base}/work", "--shots", 16, "--seed", -1), "seed"),
+        (("train", "--workdir", "{base}/work", "--model", "vqc", "--shots", 16, "--seed", -1),
+         "seed"),
+        (("train", "--workdir", "{base}/work", "--init-seed", -1), "init_seed"),
+    ])
+    def test_negative_seed_rejected(self, pipeline_dir, capsys, args, key):
+        base = pipeline_dir.parent
+        before = _file_bytes(base)
+        capsys.readouterr()
+        assert run_cli(*[str(a).format(base=base) for a in args]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {key} must be >= 0, got {args[-1]}\n"
+        assert _file_bytes(base) == before
+        assert not (base / "fresh").exists()
+
     def test_carriage_return_in_corpus_id(self, tmp_path):
         corpus = tmp_path / "corpus.csv"
         work = tmp_path / "work"
@@ -494,6 +513,14 @@ class TestDamagedModel:
         assert code == 1
         assert err.count("\n") == 1 and err.startswith("error: ")
 
+    def test_negative_sampling_seed_is_one_line(self, trained_models, tmp_path):
+        work, payloads = trained_models
+        payload = json.loads(json.dumps(payloads["qsvc"]))
+        payload["kernel"].update(mode="sampled", shots=16, seed=-1)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        assert evaluate_quietly(work, path) == (1, "error: seed must be >= 0, got -1\n")
+
     def test_unknown_type_names_only_the_type(self, trained_models, tmp_path):
         work, payloads = trained_models
         path = tmp_path / "model.json"
@@ -561,3 +588,55 @@ def test_property_damaged_model_exits_one(trained_models, tmp_path_factory, mode
     model_path.write_text(text)
     code, err = evaluate_quietly(work, model_path)
     assert (code, err.count("\n")) == (1, 1), (how, text[:200], err)
+
+
+# The fields load_stage reads from a stage manifest; every value nested under
+# them is read too.
+STAGE_READ = ("stage", "classes", "split")
+
+
+@pytest.fixture(scope="module")
+def reduced_stage(tmp_path_factory):
+    """A reduce stage directory and its parsed manifest."""
+    base = tmp_path_factory.mktemp("stage")
+    assert run_cli("synth", "--per-class", 10, "--out", base / "corpus.csv") == 0
+    assert run_cli("preprocess", "--corpus", base / "corpus.csv", "--workdir", base / "work") == 0
+    assert run_cli("reduce", "--workdir", base / "work") == 0
+    stage = base / "work" / "reduce"
+    return stage, json.loads((stage / "manifest.json").read_text())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_property_damaged_stage_manifest_exits_one(reduced_stage, tmp_path_factory, data):
+    """Dropping a key, retyping a value or truncating the bytes of the fields
+    load_stage reads from reduce/manifest.json makes kernel exit 1 with one
+    stderr line, never a traceback."""
+    stage, manifest = reduced_stage
+    manifest = json.loads(json.dumps(manifest))
+    text = json.dumps(manifest, indent=2) + "\n"
+    how = data.draw(st.sampled_from(["drop", "retype", "truncate"]))
+    if how == "truncate":
+        text = text[:data.draw(st.integers(0, len(text) - 2))]
+    else:
+        paths = [((key,) + p, v) for key in STAGE_READ
+                 for p, v in [((), manifest[key])] + list(_paths(manifest[key]))]
+        paths = [(p, v) for p, v in paths
+                 if how == "retype" or isinstance(_lookup(manifest, p[:-1]), dict)]
+        path, value = data.draw(st.sampled_from(paths))
+        parent = _lookup(manifest, path[:-1])
+        if how == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(
+                st.sampled_from([k for k in KINDS if _kind(k) is not _kind(value)]))
+        text = json.dumps(manifest)
+    work = tmp_path_factory.mktemp("damaged")
+    (work / "reduce").mkdir()
+    for name in ("features.csv", "labels.csv"):
+        (work / "reduce" / name).write_bytes((stage / name).read_bytes())
+    (work / "reduce" / "manifest.json").write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["kernel", "--workdir", str(work)])
+    assert (code, err.getvalue().count("\n")) == (1, 1), (how, text[:200], err.getvalue())

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qtc.circuits import FeatureMapSpec
+from qtc import kernel as kernel_mod
+from qtc.circuits import FeatureMapSpec, build_feature_map, compose
 from qtc.errors import ParseError, ValidationError
 from qtc.kernel import (
     _CSV_BLOCK_VALUES,
@@ -24,6 +25,7 @@ from qtc.kernel import (
     sampled_kernel,
     save_gram,
 )
+from qtc.qsim import adjoint, probabilities, run
 
 Z1 = FeatureMapSpec("z", 1, reps=1)
 ZZ2 = FeatureMapSpec("zz", 2, reps=2)
@@ -441,3 +443,79 @@ class TestBatchedEncoding:
         expected[(iu[1], iu[0])] = expected[iu]
         np.fill_diagonal(expected, 1.0)
         assert np.array_equal(gram(ZZ2, X).values, expected)
+
+
+# exact_kernel(x, x) rounds to 1.0000000000000004 on this map at this point.
+CLIPPED = (FeatureMapSpec("z", 1, 2), np.array([1.581502655850656]))
+
+
+class TestSampledGram:
+    """Sampled mode draws each kernel entry from Binomial(shots, K) / shots."""
+
+    @pytest.mark.parametrize("kind", ["z", "zz"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_all_zeros_probability_of_compute_uncompute_is_the_kernel(self, kind, n):
+        spec = FeatureMapSpec(kind, n, reps=2)
+        rng = np.random.default_rng(50 + n)
+        for x, y in rng.uniform(-1, 4, (5, 2, n)):
+            circ = compose(build_feature_map(spec, x), adjoint(build_feature_map(spec, y)))
+            p0 = probabilities(run(circ))[0]
+            assert abs(p0 - exact_kernel(spec, x, y)) <= 1e-12
+
+    def test_overlap_rounded_above_one_is_clipped(self):
+        spec, x = CLIPPED
+        assert exact_kernel(spec, x, x) > 1.0
+        assert sampled_kernel(spec, x, x, shots=16, seed=3) == 1.0
+        g = gram(spec, np.array([[0.2], x]), x[None], mode="sampled", shots=16, seed=3)
+        assert g.values[1, 0] == 1.0
+
+    def test_square_diagonal_one_and_entries_on_the_shot_grid(self):
+        X = np.random.default_rng(51).uniform(0, math.pi, (12, 2))
+        shots = 64
+        K = gram(ZZ2, X, mode="sampled", shots=shots, seed=4).values
+        assert np.all(np.diag(K) == 1.0)
+        assert np.array_equal(K, K.T)
+        assert np.all((K >= 0) & (K <= 1))
+        assert np.array_equal(K * shots, np.round(K * shots))
+
+    def test_rows_are_binomial_draws_seeded_by_row(self):
+        rng = np.random.default_rng(52)
+        X, Y = rng.uniform(0, math.pi, (5, 2)), rng.uniform(0, math.pi, (7, 2))
+        exact = gram(ZZ2, X, Y).values
+        sampled = gram(ZZ2, X, Y, mode="sampled", shots=100, seed=6).values
+        for i in range(len(X)):
+            draw = np.random.default_rng((6, i)).binomial(100, np.minimum(exact[i], 1.0)) / 100
+            assert np.array_equal(sampled[i], draw)
+
+    def test_entries_within_five_sigma_of_exact(self):
+        rng = np.random.default_rng(53)
+        X, Y = rng.uniform(0, math.pi, (8, 2)), rng.uniform(0, math.pi, (6, 2))
+        shots = 10**5
+        for exact, sampled in ((gram(ZZ2, X), gram(ZZ2, X, mode="sampled", shots=shots, seed=7)),
+                               (gram(ZZ2, X, Y), gram(ZZ2, X, Y, mode="sampled", shots=shots,
+                                                      seed=7))):
+            p = exact.values
+            bound = 5 * np.sqrt(np.maximum(p * (1 - p), 1e-12) / shots)
+            assert np.all(np.abs(sampled.values - p) <= bound)
+
+    @pytest.mark.parametrize("rectangular, runs", [(False, 1), (True, 2)])
+    def test_as_many_simulator_runs_as_exact_mode(self, monkeypatch, rectangular, runs):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(kernel_mod, "run", counted)
+        rng = np.random.default_rng(54)
+        X = rng.uniform(0, math.pi, (6, 2))
+        Y = rng.uniform(0, math.pi, (4, 2)) if rectangular else None
+        for mode in ("exact", "sampled"):
+            calls.clear()
+            gram(ZZ2, X, Y, mode=mode, shots=32, seed=1)
+            assert len(calls) == runs, mode
+
+    @pytest.mark.parametrize("shots, seed", [(0, 1), (-3, 1), (16, -1)])
+    def test_shots_below_one_or_negative_seed_rejected(self, shots, seed):
+        with pytest.raises(ValidationError):
+            gram(ZZ2, np.zeros((2, 2)), mode="sampled", shots=shots, seed=seed)
