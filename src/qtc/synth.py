@@ -4,11 +4,20 @@ Documents are keyword mixtures: each class owns a disjoint set of
 high-frequency keywords and all classes share a pool of filler words, so the
 generated corpus has the statistical shape of a balanced multi-class text
 dataset without imitating any real text.  Everything is driven by one seed
-and reproduces byte-for-byte.
+and reproduces byte-for-byte; ``tests/test_synth.py`` pins the bytes.
+
+A keyword token is drawn by bisecting the normalized cumulative keyword
+weights on one ``rng.random()``.  That is the draw
+``Generator.choice(k, p=w)`` makes, on the same stream, without its
+per-call validation of ``p``.
+
+Words are two or three onset-vowel syllables, so at most
+``MAX_VOCAB_SIZE`` distinct non-stopwords exist.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import os
 
@@ -17,7 +26,7 @@ import numpy as np
 from .corpus import STOPWORDS, Document
 from .errors import ValidationError
 
-__all__ = ["synthesize_corpus", "write_corpus_csv", "CLASS_NAMES"]
+__all__ = ["synthesize_corpus", "write_corpus_csv", "CLASS_NAMES", "MAX_VOCAB_SIZE"]
 
 CLASS_NAMES = [
     "ALFA", "BRAVO", "CHARLIE", "DELTA", "ECHO", "FOXTROT", "GOLF", "HOTEL",
@@ -28,6 +37,19 @@ CLASS_NAMES = [
 
 _ONSETS = ["b", "d", "f", "g", "k", "l", "m", "n", "p", "r", "s", "t", "v", "z"]
 _VOWELS = ["a", "e", "i", "o", "u"]
+
+
+def _is_word(token: str) -> bool:
+    """Whether ``_make_words`` can produce ``token`` (stopwords aside)."""
+    return (
+        len(token) in (4, 6)
+        and all(ch in _ONSETS for ch in token[::2])
+        and all(ch in _VOWELS for ch in token[1::2])
+    )
+
+
+_N_SYLLABLES = len(_ONSETS) * len(_VOWELS)
+MAX_VOCAB_SIZE = _N_SYLLABLES**2 + _N_SYLLABLES**3 - sum(map(_is_word, STOPWORDS))
 
 KEYWORD_SHARE = 0.6  # fraction of tokens drawn from the class keyword set
 DOC_LEN_RANGE = (25, 40)
@@ -50,6 +72,17 @@ def _make_words(rng: np.random.Generator, count: int) -> list[str]:
     return words
 
 
+def _choice_cdf(p: np.ndarray) -> list[float]:
+    """The table ``Generator.choice(len(p), p=p)`` searches.
+
+    ``bisect.bisect_right(cdf, rng.random())`` returns the index that
+    ``rng.choice(len(p), p=p)`` would, and consumes the same stream.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def synthesize_corpus(
     classes: int = 3,
     per_class: int = 40,
@@ -65,6 +98,11 @@ def synthesize_corpus(
         raise ValidationError(f"at most {len(CLASS_NAMES)} classes supported")
     if vocab_size < 2 * classes + 2:
         raise ValidationError("vocab_size too small for disjoint keyword sets")
+    if vocab_size > MAX_VOCAB_SIZE:
+        raise ValidationError(
+            f"vocab_size must be <= {MAX_VOCAB_SIZE} (distinct two- and three-syllable"
+            f" words), got {vocab_size}"
+        )
 
     rng = np.random.default_rng(seed)
     keywords_per_class = max(2, vocab_size // (classes + 1))
@@ -82,18 +120,21 @@ def synthesize_corpus(
     # Mildly skewed keyword weights so each class has a few dominant terms.
     kw_weights = 1.0 / np.arange(1, keywords_per_class + 1)
     kw_weights /= kw_weights.sum()
+    kw_cdf = _choice_cdf(kw_weights)
 
+    random, integers, bisect_right = rng.random, rng.integers, bisect.bisect_right
     docs: list[Document] = []
     serial = 10_000_000
     for c in range(classes):
+        keywords = class_words[c]
         for _ in range(per_class):
-            length = int(rng.integers(*DOC_LEN_RANGE))
+            length = int(integers(*DOC_LEN_RANGE))
             tokens = []
             for _ in range(length):
-                if rng.random() < KEYWORD_SHARE:
-                    tokens.append(class_words[c][rng.choice(keywords_per_class, p=kw_weights)])
+                if random() < KEYWORD_SHARE:
+                    tokens.append(keywords[bisect_right(kw_cdf, random())])
                 else:
-                    tokens.append(filler[rng.integers(len(filler))])
+                    tokens.append(filler[integers(n_filler)])
             serial += 1
             docs.append(Document(str(serial), " ".join(tokens), CLASS_NAMES[c]))
     return docs

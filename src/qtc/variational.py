@@ -68,6 +68,8 @@ class VariationalModel:
             raise ValidationError(f"loss_kind must be one of {LOSS_KINDS}")
         if self.shots < 0:
             raise ValidationError("shots must be >= 0 (0 selects exact mode)")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n_qubits(self) -> int:

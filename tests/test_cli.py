@@ -521,6 +521,14 @@ class TestDamagedModel:
         path.write_text(json.dumps(payload))
         assert evaluate_quietly(work, path) == (1, "error: seed must be >= 0, got -1\n")
 
+    def test_negative_vqc_sampling_seed_is_one_line(self, trained_models, tmp_path):
+        work, payloads = trained_models
+        payload = json.loads(json.dumps(payloads["vqc"]))
+        payload["mode"].update(shots=16, seed=-1)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        assert evaluate_quietly(work, path) == (1, "error: seed must be >= 0, got -1\n")
+
     def test_unknown_type_names_only_the_type(self, trained_models, tmp_path):
         work, payloads = trained_models
         path = tmp_path / "model.json"
