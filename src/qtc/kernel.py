@@ -14,15 +14,23 @@ binary cache that load_gram reads back, and gram.csv, a human-readable copy
 that the pipeline never reads.  gram.csv holds each value as "%.17g"
 formats it, "," between the values of a row, "\n" after each row and no
 header: the bytes of numpy.savetxt(path, K, fmt="%.17g", delimiter=",").  A
-block encoder writes those bytes with array arithmetic, one block of rows at
-a time; values outside its exact fast path are formatted one by one.
+block encoder produces those bytes with array arithmetic, one block of whole
+rows at a time; values outside its exact fast path are formatted one by one.
+Blocks are encoded on up to _MAX_CSV_WORKERS threads, one per CPU the process
+may use, and written in order, so the bytes do not depend on the thread count.
+save_gram removes the old manifest first and writes the new one last: an
+interrupted save leaves a cache that reads as missing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import queue
+import threading
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -175,17 +183,53 @@ def psd_project(g: GramMatrix) -> GramMatrix:
 # bytes: "0.00" | "0", pad, pad, leading digit | four 4-digit groups |
 # separator, pad.  The longest "%.17g" string has 24 bytes, so a fallback
 # string and its separator fit in a slot too.
+#
+# Every temporary of a block, and the block's bytes, are views of one scratch
+# buffer, filled through out= and compacted into it a piece at a time.  So a
+# thread that encodes a block allocates only small objects: glibc gives each
+# thread its own malloc arena, and freed block-sized temporaries would stay
+# resident there after save_gram returns.
 
-_CSV_BLOCK_VALUES = 1 << 12  # values per block: temporaries under 1 MB leave peak memory as it was
+_CSV_BLOCK_VALUES = 1 << 14  # values per block: large enough that NumPy, not Python, holds the time
 _SLOT_BYTES = 28
 _TIE_GUARD = 1e-6
+_COMPACT_BYTES = _SLOT_BYTES << 10  # slot bytes compacted at a time, so each piece stays small
 _SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split into 26- and 27-bit halves
 
+# The scratch of one block, per value: (name, dtype, items); "out" receives the bytes.
+_SCRATCH = (
+    ("x", np.float64, 1), ("p", np.float64, 1), ("hi", np.float64, 1), ("lo", np.float64, 1),
+    ("scale_hi", np.float64, 1), ("scale_lo", np.float64, 1), ("err", np.float64, 1),
+    ("up", np.float64, 1), ("diff", np.float64, 1),
+    ("e4", np.intp, 1), ("n", np.int64, 1), ("as_int", np.int64, 1), ("rest", np.int64, 1),
+    ("lead", np.int64, 1), ("high", np.int64, 1), ("low", np.int64, 1), ("g1", np.int64, 1),
+    ("g2", np.int64, 1), ("g3", np.int64, 1), ("g4", np.int64, 1), ("code", np.intp, 1),
+    ("slots", np.uint32, _SLOT_BYTES // 4), ("keep", np.uint32, _SLOT_BYTES // 4),
+    ("word", np.uint32, 1), ("trailing", np.uint8, 1), ("group_trailing", np.uint8, 1),
+    ("fast", np.bool_, 1), ("mask", np.bool_, 1), ("out", np.uint8, _SLOT_BYTES),
+)
+_SCRATCH_BYTES_PER_VALUE = sum(np.dtype(dtype).itemsize * items for _, dtype, items in _SCRATCH)
 
-def _split(a):
-    t = _SPLITTER * a
-    hi = t - (t - a)
-    return hi, a - hi
+
+def _carve(buffer: np.ndarray, size: int) -> SimpleNamespace:
+    """The _SCRATCH temporaries for ``size`` values, as consecutive views of a
+    uint8 buffer, widest dtype first, so each is aligned when the buffer is."""
+    views, offset = {}, 0
+    for name, dtype, items in _SCRATCH:
+        end = offset + size * items * np.dtype(dtype).itemsize
+        view = buffer[offset:end].view(dtype)
+        views[name] = view.reshape(size, items) if items > 1 else view
+        offset = end
+    return SimpleNamespace(**views)
+
+
+def _split(a, hi, lo):
+    """Veltkamp's split a = hi + lo, written into hi and lo."""
+    np.multiply(a, _SPLITTER, out=hi)
+    np.subtract(hi, a, out=lo)
+    np.subtract(hi, lo, out=hi)  # t - (t - a)
+    np.subtract(a, hi, out=lo)
+    return hi, lo
 
 
 def _word(text: bytes) -> np.uint32:
@@ -194,7 +238,7 @@ def _word(text: bytes) -> np.uint32:
 
 # 10**(16 - E) for E = -4 .. -1, indexed by E + 4, with its split halves.
 _SCALE = np.array([1e20, 1e19, 1e18, 1e17])
-_SCALE_HI, _SCALE_LO = _split(_SCALE)
+_SCALE_HI, _SCALE_LO = _split(_SCALE, np.empty(4), np.empty(4))
 _HEAD = _word(b"0.00")
 _COMMA = _word(b",\0\0\0")
 _NEWLINE = _word(b"\n\0\0\0")
@@ -229,75 +273,181 @@ def _keep_masks() -> np.ndarray:
 _KEEP = _keep_masks()
 
 
-def _round17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(fast, E + 4, N) per value; N is 10**16 wherever fast is False."""
-    fast = (v >= 1e-4) & (v < 1.0)
-    x = np.where(fast, v, 0.5)  # keeps the arithmetic below finite
-    e4 = (x >= 1e-3).astype(np.intp)
-    e4 += x >= 1e-2
-    e4 += x >= 1e-1
-    p = x * _SCALE.take(e4)
-    xh, xl = _split(x)
-    sh, sl = _SCALE_HI.take(e4), _SCALE_LO.take(e4)
-    err = xl * sl - (((p - xh * sh) - xl * sh) - xh * sl)  # x * scale - p, exactly
-    up = np.rint(err)
-    fast &= np.abs(np.abs(err - up) - 0.5) > _TIE_GUARD
+def _round17(v: np.ndarray, s: SimpleNamespace) -> None:
+    """Fill s.fast, s.e4 (E + 4) and s.n (N); N is 10**16 wherever fast is False."""
+    fast, mask, x, e4, n = s.fast, s.mask, s.x, s.e4, s.n
+    np.greater_equal(v, 1e-4, out=fast)
+    fast &= np.less(v, 1.0, out=mask)
+    x.fill(0.5)  # keeps the arithmetic below finite
+    np.copyto(x, v, where=fast)
+    e4.fill(0)
+    for k, decade in enumerate((1e-3, 1e-2, 1e-1), start=1):
+        np.copyto(e4, k, where=np.greater_equal(x, decade, out=mask))
+    p = np.multiply(x, _SCALE.take(e4, out=s.p, mode="clip"), out=s.p)
+    xh, xl = _split(x, s.hi, s.lo)
+    sh = _SCALE_HI.take(e4, out=s.scale_hi, mode="clip")
+    sl = _SCALE_LO.take(e4, out=s.scale_lo, mode="clip")
+    # err = xl * sl - (((p - xh * sh) - xl * sh) - xh * sl) = x * scale - p, exactly
+    d, err = s.diff, s.err
+    np.subtract(p, np.multiply(xh, sh, out=d), out=d)
+    d -= np.multiply(xl, sh, out=err)
+    d -= np.multiply(xh, sl, out=err)
+    np.multiply(xl, sl, out=err)
+    err -= d
+    up = np.rint(err, out=s.up)
+    np.subtract(err, up, out=d)
+    np.abs(d, out=d)
+    d -= 0.5
+    np.abs(d, out=d)
+    fast &= np.greater(d, _TIE_GUARD, out=mask)
     # p is an integer wherever N lands in range, since 10**16 > 2**53.
-    n = p.astype(np.int64)
-    n += up.astype(np.int64)
-    fast &= (n >= 10**16) & (n < 10**17)
-    n[~fast] = 10**16
-    return fast, e4, n
+    np.copyto(n, p, casting="unsafe")
+    np.copyto(s.as_int, up, casting="unsafe")
+    n += s.as_int
+    fast &= np.greater_equal(n, 10**16, out=mask)
+    fast &= np.less(n, 10**17, out=mask)
+    np.copyto(n, 10**16, where=np.logical_not(fast, out=mask))
 
 
-def _csv_bytes(block: np.ndarray) -> np.ndarray:
-    """The gram.csv bytes of a C-contiguous float64 block of whole rows, as uint8."""
+def _csv_bytes(block: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """The gram.csv bytes of a C-contiguous float64 block of whole rows, as uint8.
+
+    The bytes and every temporary are views of ``scratch``, a uint8 buffer of
+    at least _SCRATCH_BYTES_PER_VALUE bytes per value; without one, one is
+    allocated.  The bytes stay valid until the scratch is used again.
+    """
     rows, cols = block.shape
     if cols == 0:
         return np.frombuffer(b"\n" * rows, np.uint8)
     v = block.reshape(-1)
-    fast, e4, n = _round17(v)
-    lead, rest = np.divmod(n, 10**16)
-    high, low = np.divmod(rest, 10**8)
-    g1, g2 = np.divmod(high, 10**4)
-    g3, g4 = np.divmod(low, 10**4)
-    t = _GROUP_TRAILING.take
-    trailing = t(g4) + (g4 == 0) * (t(g3) + (g3 == 0) * (t(g2) + (g2 == 0) * t(g1)))
+    if scratch is None:
+        scratch = np.empty(v.size * _SCRATCH_BYTES_PER_VALUE, np.uint8)
+    s = _carve(scratch, v.size)
+    _round17(v, s)
+    lead, g1, g2, g3, g4 = s.lead, s.g1, s.g2, s.g3, s.g4
+    np.divmod(s.n, 10**16, out=(lead, s.rest))
+    np.divmod(s.rest, 10**8, out=(s.high, s.low))
+    np.divmod(s.high, 10**4, out=(g1, g2))
+    np.divmod(s.low, 10**4, out=(g3, g4))
+    # Trailing zero digits of N: a group's count counts only while every later group is 0000.
+    trailing = _GROUP_TRAILING.take(g1, out=s.trailing, mode="clip")
+    for group in (g2, g3, g4):
+        np.copyto(trailing, 0, where=np.not_equal(group, 0, out=s.mask))
+        trailing += _GROUP_TRAILING.take(group, out=s.group_trailing, mode="clip")
 
-    slots = np.empty((v.size, _SLOT_BYTES // 4), np.uint32)
+    slots = s.slots
     slots[:, 0] = _HEAD
-    slots[:, 1] = _LEAD.take(lead)
-    for k, group in enumerate((g1, g2, g3, g4), start=2):
-        slots[:, k] = _GROUP.take(group)
+    for k, (table, index) in enumerate(((_LEAD, lead), (_GROUP, g1), (_GROUP, g2),
+                                        (_GROUP, g3), (_GROUP, g4)), start=1):
+        slots[:, k] = table.take(index, out=s.word, mode="clip")
     ends = slots.reshape(rows, cols, -1)[:, :, 6]
     ends[:, :-1] = _COMMA
     ends[:, -1] = _NEWLINE
-    code = 17 * e4 + trailing
+    code = np.multiply(s.e4, 17, out=s.code)
+    np.copyto(s.as_int, trailing)
+    code += s.as_int
 
-    slow = np.flatnonzero(~fast)
+    slow = np.flatnonzero(np.logical_not(s.fast, out=s.mask))
     if slow.size:
         text = ["%.17g" % f for f in v[slow].tolist()]
         length = np.fromiter(map(len, text), np.intp, len(text))
-        padded = "".join(s.ljust(_SLOT_BYTES, "\0") for s in text).encode("ascii")
+        padded = "".join(t.ljust(_SLOT_BYTES, "\0") for t in text).encode("ascii")
         raw = slots.view(np.uint8)
         raw[slow] = np.frombuffer(padded, np.uint8).reshape(-1, _SLOT_BYTES)
         raw[slow, length] = np.where(slow % cols == cols - 1, ord("\n"), ord(","))
         code[slow] = 68 + length
-    keep = _KEEP.take(code, axis=0).view(np.bool_).reshape(-1)
-    return slots.view(np.uint8).reshape(-1)[keep]
+    keep = _KEEP.take(code, axis=0, out=s.keep, mode="clip").view(np.bool_).reshape(-1)
+    raw, out, size = slots.view(np.uint8).reshape(-1), s.out.reshape(-1), 0
+    for start in range(0, raw.size, _COMPACT_BYTES):
+        piece = raw[start:start + _COMPACT_BYTES][keep[start:start + _COMPACT_BYTES]]
+        out[size:size + piece.size] = piece
+        size += piece.size
+    return out[:size]
+
+
+# Threads that encode gram.csv blocks, at most.  NumPy releases the GIL inside
+# most of the encoder's array operations, so blocks encode in parallel.  Only
+# 2 CPUs were measured: on 2 threads, a 2,001 x 2,001 Gram's gram.csv took
+# about 0.7 of the time it took on 1 (medians of 10 interleaved writes,
+# x86_64, NumPy 2.4).  The cap keeps wider hosts near what was measured.
+_MAX_CSV_WORKERS = 4
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _write_csv(path, values: np.ndarray) -> None:
+    """Write gram.csv: blocks of whole rows are encoded on ``workers`` threads
+    and written in order, with at most two blocks per thread in flight."""
+    rows, cols = values.shape
+    step = max(1, _CSV_BLOCK_VALUES // max(cols, 1))
+    starts = range(0, rows, step)
+    workers = max(1, min(_cpu_count(), len(starts), _MAX_CSV_WORKERS))
+    window = 2 * workers
+    # One private mapping, unmapped once the call's last view of it goes.
+    # Block k encodes into row k % window, and block k + window is submitted
+    # only after block k is written, so no row is reused while in flight.
+    scratch = mapped_empty((min(window, len(starts)), min(step, rows) * cols * _SCRATCH_BYTES_PER_VALUE),
+                           np.uint8)
+
+    todo = queue.SimpleQueue()  # block indices; None stops a thread
+    done = [queue.SimpleQueue() for _ in range(window)]  # block k's bytes or error, at k % window
+    stop = threading.Event()
+
+    def encode() -> None:
+        for k in iter(todo.get, None):
+            if stop.is_set():
+                continue  # cancelled: a block failed or the writer stopped
+            try:
+                result = _csv_bytes(values[starts[k]:starts[k] + step], scratch[k % window])
+            except BaseException as exc:  # handed to the writing thread, which raises it
+                result = exc
+            done[k % window].put(result)
+
+    threads = []
+    try:
+        for i in range(workers):
+            thread = threading.Thread(target=encode, name=f"gram-csv-{i}")
+            thread.start()
+            threads.append(thread)
+        for k in range(min(window, len(starts))):
+            todo.put(k)
+        with open(path, "wb") as fh:
+            for k in range(len(starts)):
+                result = done[k % window].get()
+                if isinstance(result, BaseException):
+                    raise result
+                fh.write(result)
+                if k + window < len(starts):
+                    todo.put(k + window)
+    finally:
+        stop.set()
+        for thread in threads:
+            todo.put(None)
+        for thread in threads:
+            thread.join()
 
 
 def save_gram(directory, g: GramMatrix, data_hash: str, upstream_hash: str | None = None) -> None:
-    """Write gram.npy, gram.csv (no header) and gram.manifest.json into ``directory``."""
+    """Write gram.npy, gram.csv (no header) and gram.manifest.json into ``directory``.
+
+    The old manifest is removed first and the new one written last, so a save
+    that fails or is interrupted leaves a cache that reads as missing, never
+    an old manifest over new values.
+    """
     os.makedirs(directory, exist_ok=True)
+    manifest_path = os.path.join(directory, "gram.manifest.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(manifest_path)
     values = np.ascontiguousarray(g.values, dtype="<f8")
     with open(os.path.join(directory, "gram.npy"), "wb") as fh:
         np.lib.format.write_array(fh, values, version=(1, 0))
-    rows, cols = values.shape
-    step = max(1, _CSV_BLOCK_VALUES // max(cols, 1))
-    with open(os.path.join(directory, "gram.csv"), "wb") as fh:
-        for start in range(0, rows, step):
-            fh.write(_csv_bytes(values[start:start + step]))
+    _write_csv(os.path.join(directory, "gram.csv"), values)
     manifest = {
         "feature_map": g.feature_map.to_dict(),
         "mode": g.mode,
@@ -307,7 +457,7 @@ def save_gram(directory, g: GramMatrix, data_hash: str, upstream_hash: str | Non
         "upstream_hash": upstream_hash,
         "shape": list(g.values.shape),
     }
-    with open(os.path.join(directory, "gram.manifest.json"), "w", encoding="utf-8") as fh:
+    with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -211,6 +211,36 @@ class TestPipeline:
         )
         assert json.loads(path.read_text())["data_hash"] == data_hash
 
+    @pytest.mark.parametrize("interruption", [OSError("No space left on device"),
+                                              KeyboardInterrupt()], ids=["oserror", "interrupt"])
+    def test_interrupted_save_reads_as_missing(self, pipeline_dir, tmp_path, capsys, monkeypatch,
+                                               interruption):
+        assert run_cli("kernel", "--workdir", pipeline_dir, "--reps", 2) == 0
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc", "--reps", 2) == 0
+        reps2_model = (pipeline_dir / "model.json").read_bytes()
+        reps2_npy = (pipeline_dir / "gram.npy").read_bytes()
+
+        def fail(block, scratch=None):
+            raise interruption
+
+        # The reps-3 save fails after gram.npy and during gram.csv.
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel_mod, "_csv_bytes", fail)
+            if isinstance(interruption, OSError):
+                assert run_cli("kernel", "--workdir", pipeline_dir, "--reps", 3) == 1
+            else:
+                with pytest.raises(KeyboardInterrupt):
+                    run_cli("kernel", "--workdir", pipeline_dir, "--reps", 3)
+        assert (pipeline_dir / "gram.npy").read_bytes() != reps2_npy
+        assert not (pipeline_dir / "gram.manifest.json").exists()
+        capsys.readouterr()
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc", "--reps", 2) == 0
+        assert "gram cache: miss, missing (gram.manifest.json); recomputed\n" in (
+            capsys.readouterr().out
+        )
+        assert (pipeline_dir / "gram.npy").read_bytes() == reps2_npy
+        assert (pipeline_dir / "model.json").read_bytes() == reps2_model
+
     def test_train_never_reads_gram_csv(self, pipeline_dir, capsys):
         assert run_cli("kernel", "--workdir", pipeline_dir) == 0
         assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0

@@ -1,8 +1,12 @@
 import io
+import itertools
 import json
 import math
 import os
+import sys
 import tempfile
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -419,6 +423,71 @@ any_double = st.one_of(
                   elements=any_double))
 def test_property_csv_encoder_matches_per_value_format(values):
     assert _csv_bytes(values).tobytes() == per_value_csv(values)
+
+
+def savetxt_csv(values) -> bytes:
+    buffer = io.BytesIO()
+    np.savetxt(buffer, values, fmt="%.17g", delimiter=",")
+    return buffer.getvalue()
+
+
+class TestCsvWorkers:
+    """gram.csv written by 1, 2 and 3 encoding threads."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [
+        (2 * _CSV_BLOCK_VALUES + 5, 1),  # 3 blocks, the last one partial
+        (16 * 9 + 5, 1000),  # 10 blocks of 16 rows, more than 2 x 3 in flight
+        (7, _CSV_BLOCK_VALUES + 3),  # 7 one-row blocks
+    ], ids=["column", "many_blocks", "wide_rows"])
+    def test_bytes_equal_savetxt(self, monkeypatch, workers, shape):
+        monkeypatch.setattr(kernel_mod, "_cpu_count", lambda: workers)
+        threads = set()
+
+        def encode(block, scratch=None):
+            threads.add(threading.current_thread().name)
+            return _csv_bytes(block, scratch)
+
+        monkeypatch.setattr(kernel_mod, "_csv_bytes", encode)
+        values = np.random.default_rng(50).uniform(-0.01, 1, shape)
+        values[values < 0] = 0.0  # fallback values scattered through the blocks
+        values[0, 0] = 1.0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # frequent thread switches, to expose a row reused in flight
+        try:
+            written = written_csv(values)
+        finally:
+            sys.setswitchinterval(interval)
+        assert written == savetxt_csv(values)
+        assert len(threads) <= workers
+        assert all(name.startswith("gram-csv") for name in threads)
+
+    def test_failing_block_stops_the_pool(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(kernel_mod, "_cpu_count", lambda: 2)
+        failure = RuntimeError("block 3 failed")
+        numbers, calls = itertools.count(1), []
+
+        def encode(block, scratch=None):
+            call = next(numbers)  # one C call: atomic across threads
+            calls.append(call)
+            if call == 3:
+                raise failure
+            if call > 3:
+                time.sleep(1.0)  # both threads stay busy while the failure reaches the caller
+            return _csv_bytes(block, scratch)
+
+        monkeypatch.setattr(kernel_mod, "_csv_bytes", encode)
+        values = np.random.default_rng(51).uniform(0, 1, (20 * 16, 1000))  # 20 blocks
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            save_gram(tmp_path, GramMatrix(values, "exact", ZZ2), data_hash="abc123")
+        assert raised.value is failure
+        # Six blocks were submitted: 2 x 2 in flight, plus one for each of the
+        # two blocks written.  No thread was free for the sixth before the
+        # failure reached the caller, so it was cancelled and never ran.
+        assert len(calls) <= 5
+        assert threading.active_count() == before
+        assert not (tmp_path / "gram.manifest.json").exists()
 
 
 class TestBatchedEncoding:
