@@ -5,8 +5,10 @@ The solver works on the standard soft-margin dual
 with Q_ij = y_i y_j K_ij.  Each step picks the maximal-KKT-violating pair
 (most violating index from the "up" set against the "low" set, ties broken
 by lowest index, so training is fully deterministic), solves the 2-variable
-subproblem analytically, and updates the gradient.  It stops when the
-violation gap drops below ``tol`` or after ``max_updates`` pair updates.
+subproblem analytically, and updates the gradient from two rows of the
+symmetric Gram.  It stops when the violation gap drops below ``tol``, when
+one of the sets is empty, or after ``max_updates`` pair updates; each model
+records which (``stop``), its ``updates`` and the last gap (``kkt_gap``).
 
 Multiclass is one-vs-rest with decision-value argmax.  The classical
 baseline uses a polynomial kernel on the same solver, so the kernel is the
@@ -40,6 +42,7 @@ __all__ = [
 ]
 
 SUPPORT_EPS = 1e-12
+STOPS = ("tolerance", "budget", "no_pair")  # why an SMO solve stopped
 
 
 @dataclass
@@ -54,6 +57,9 @@ class SvmBinaryModel:
     converged: bool
     support: np.ndarray = field(default=None)  # indices with alpha > SUPPORT_EPS
     dual_coef: np.ndarray = field(default=None)  # alpha_i y_i over support
+    updates: int = 0  # pair updates made
+    stop: str = "no_pair"  # one of STOPS
+    kkt_gap: float | None = None  # last m_up - m_low selected; None when no pair is left
 
     def __post_init__(self):
         if self.support is None:
@@ -76,6 +82,9 @@ class MulticlassSvm:
                     "dual_coefs": m.dual_coef.tolist(),
                     "bias": m.bias,
                     "converged": m.converged,
+                    "updates": m.updates,
+                    "stop": m.stop,
+                    "kkt_gap": m.kkt_gap,
                 }
                 for m in self.models
             ],
@@ -110,7 +119,17 @@ class MulticlassSvm:
             alpha, y = np.zeros(len(columns)), np.ones(len(columns))
             alpha[support], y[support] = np.abs(dual_coef), np.where(dual_coef < 0, -1.0, 1.0)
             bias, converged = json_field(entry, "bias", NUMBER), json_field(entry, "converged", bool)
-            models.append(SvmBinaryModel(alpha, y, float(bias), C, tol, converged, support, dual_coef))
+            stop = json_field(entry, "stop", str)
+            if stop not in STOPS:
+                raise ParseError(f"field 'stop' must be one of {', '.join(STOPS)}, got {stop!r}")
+            kkt_gap = json_field(entry, "kkt_gap", NUMBER + (type(None),))
+            # A no_pair stop selected no pair last; a tolerance stop compared one's gap.
+            if (stop == "no_pair" and kkt_gap is not None) or (stop == "tolerance" and kkt_gap is None):
+                raise ParseError(f"kkt_gap {kkt_gap!r} contradicts a {stop} stop")
+            if converged != (stop != "budget"):
+                raise ParseError(f"converged {converged} contradicts a {stop} stop")
+            models.append(SvmBinaryModel(alpha, y, float(bias), C, tol, converged, support, dual_coef,
+                                         json_field(entry, "updates", int), stop, kkt_gap))
         return cls(models=models, n_classes=len(models)), list(columns)
 
 
@@ -144,7 +163,12 @@ def check_params(C: float, tol: float) -> None:
 
 
 def train_binary(G, y, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_000) -> SvmBinaryModel:
-    """Solve the binary soft-margin dual on Gram matrix G with labels y in {-1,+1}."""
+    """Solve the binary soft-margin dual on Gram matrix G with labels y in {-1,+1}.
+
+    G must be symmetric: the gradient update reads rows G[i] where the dual
+    needs columns, because a row is contiguous.  Every Gram qtc builds is
+    bitwise symmetric, and load_gram rejects a cached one that is not.
+    """
     G = np.asarray(G, dtype=float)
     y = np.asarray(y, dtype=float)
     m = y.shape[0]
@@ -155,89 +179,98 @@ def train_binary(G, y, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_
     if np.all(y > 0) or np.all(y < 0):
         raise ValidationError("training set must contain both classes")
     check_params(C, tol)
+    if max_updates < 0:
+        raise ValidationError(f"max_updates must be >= 0, got {max_updates}")
 
     # Q is never formed: Q_ij = y_i y_j G_ij only flips signs, which is exact,
     # so every product with it is taken as the same product with G.
-    alpha = np.zeros(m)
     grad = -np.ones(m)  # gradient of the dual objective: Q a - 1
     # Floor on the pair's curvature.  A pair is updated only when its gradient
     # gap is at least tol, so below tau the step exceeds tol / tau and, for any
     # C under that, the box clips it; the floor keeps the step finite.
     tau = 1e-12
+    # The 2-variable step runs on Python floats (the same IEEE doubles as
+    # NumPy scalars, with less overhead); only the O(m) work touches arrays.
+    # The up and low sets change only at the pair, so only the pair is redone.
+    box = float(C)
+    top = box - SUPPORT_EPS
+    alpha, labels, diag = [0.0] * m, y.tolist(), G.diagonal().tolist()
+    # At alpha = 0, +1 labels are in up and -1 labels in low, unless C is so
+    # small that 0 is not below the top of the box.
+    up, low = (y > 0) & (0.0 < top), (y < 0) & (0.0 < top)
+    neg_y, viol, step_i, step_j = -y, np.empty(m), np.empty(m), np.empty(m)
 
-    converged = False
-    for _ in range(max_updates):
-        viol = -y * grad
-        up = ((y > 0) & (alpha < C - SUPPORT_EPS)) | ((y < 0) & (alpha > SUPPORT_EPS))
-        low = ((y > 0) & (alpha > SUPPORT_EPS)) | ((y < 0) & (alpha < C - SUPPORT_EPS))
-        if not up.any() or not low.any():
-            converged = True
-            break
+    kkt_gap = None
+    for updates in range(max_updates):
+        np.multiply(neg_y, grad, out=viol)
         m_up = np.where(up, viol, -np.inf)
         m_low = np.where(low, viol, np.inf)
-        i = int(np.argmax(m_up))
-        j = int(np.argmin(m_low))
-        if m_up[i] - m_low[j] < tol:
-            converged = True
+        i = int(m_up.argmax())
+        j = int(m_low.argmin())
+        if m_up[i] == -np.inf or m_low[j] == np.inf:  # the up or the low set is empty
+            stop, kkt_gap = "no_pair", None
+            break
+        kkt_gap = float(m_up[i] - m_low[j])
+        if kkt_gap < tol:
+            stop = "tolerance"
             break
 
-        old_i, old_j = alpha[i], alpha[j]
-        if y[i] != y[j]:
-            quad = G[i, i] + G[j, j] + 2.0 * (y[i] * y[j] * G[i, j])
+        old_i, old_j, y_i, y_j = alpha[i], alpha[j], labels[i], labels[j]
+        row_i, row_j = G[i], G[j]
+        if y_i != y_j:
+            quad = diag[i] + diag[j] + 2.0 * (y_i * y_j * row_i.item(j))
             if quad < tau:
                 quad = tau
-            delta = (-grad[i] - grad[j]) / quad
-            diff = alpha[i] - alpha[j]
-            alpha[i] += delta
-            alpha[j] += delta
+            delta = (-grad.item(i) - grad.item(j)) / quad
+            diff = old_i - old_j
+            a_i, a_j = old_i + delta, old_j + delta
             if diff > 0:
-                if alpha[j] < 0:
-                    alpha[j] = 0.0
-                    alpha[i] = diff
+                if a_j < 0:
+                    a_j, a_i = 0.0, diff
+                if a_i > box:
+                    a_i, a_j = box, box - diff
             else:
-                if alpha[i] < 0:
-                    alpha[i] = 0.0
-                    alpha[j] = -diff
-            if diff > 0:
-                if alpha[i] > C:
-                    alpha[i] = C
-                    alpha[j] = C - diff
-            else:
-                if alpha[j] > C:
-                    alpha[j] = C
-                    alpha[i] = C + diff
+                if a_i < 0:
+                    a_i, a_j = 0.0, -diff
+                if a_j > box:
+                    a_j, a_i = box, box + diff
         else:
-            quad = G[i, i] + G[j, j] - 2.0 * (y[i] * y[j] * G[i, j])
+            quad = diag[i] + diag[j] - 2.0 * (y_i * y_j * row_i.item(j))
             if quad < tau:
                 quad = tau
-            delta = (grad[i] - grad[j]) / quad
-            total = alpha[i] + alpha[j]
-            alpha[i] -= delta
-            alpha[j] += delta
-            if total > C:
-                if alpha[i] > C:
-                    alpha[i] = C
-                    alpha[j] = total - C
+            delta = (grad.item(i) - grad.item(j)) / quad
+            total = old_i + old_j
+            a_i, a_j = old_i - delta, old_j + delta
+            if total > box:
+                if a_i > box:
+                    a_i, a_j = box, total - box
+                if a_j > box:
+                    a_j, a_i = box, total - box
             else:
-                if alpha[j] < 0:
-                    alpha[j] = 0.0
-                    alpha[i] = total
-            if total > C:
-                if alpha[j] > C:
-                    alpha[j] = C
-                    alpha[i] = total - C
+                if a_j < 0:
+                    a_j, a_i = 0.0, total
+                if a_i < 0:
+                    a_i, a_j = 0.0, total
+        alpha[i], alpha[j] = a_i, a_j
+
+        np.multiply(y, y_i * (a_i - old_i), out=step_i)
+        np.multiply(row_i, step_i, out=step_i)
+        np.multiply(y, y_j * (a_j - old_j), out=step_j)
+        np.multiply(row_j, step_j, out=step_j)
+        np.add(step_i, step_j, out=step_i)
+        grad += step_i
+        for k, a in ((i, a_i), (j, a_j)):
+            if labels[k] > 0:
+                up[k], low[k] = a < top, a > SUPPORT_EPS
             else:
-                if alpha[i] < 0:
-                    alpha[i] = 0.0
-                    alpha[j] = total
+                up[k], low[k] = a > SUPPORT_EPS, a < top
+    else:
+        updates, stop = max_updates, "budget"
 
-        grad += (
-            G[:, i] * (y * (y[i] * (alpha[i] - old_i)))
-            + G[:, j] * (y * (y[j] * (alpha[j] - old_j)))
-        )
-
+    alpha = np.array(alpha)
     bias = _bias_of(alpha, y, grad, C)
-    return SvmBinaryModel(alpha=alpha, y=y, bias=bias, C=C, tol=tol, converged=converged)
+    return SvmBinaryModel(alpha=alpha, y=y, bias=bias, C=C, tol=tol, converged=stop != "budget",
+                          updates=updates, stop=stop, kkt_gap=kkt_gap)
 
 
 def _bias_of(alpha, y, grad, C) -> float:

@@ -177,6 +177,23 @@ class TestPipeline:
         assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
         assert json.loads(path.read_text())["shape"] == [96, 96]
 
+    def test_asymmetric_gram_cache_recomputed_by_train(self, pipeline_dir, capsys):
+        assert run_cli("kernel", "--workdir", pipeline_dir) == 0
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
+        model = (pipeline_dir / "model.json").read_bytes()
+        path = pipeline_dir / "gram.npy"
+        npy = path.read_bytes()
+        values = np.load(path)
+        values[5, 17] += 0.25
+        with open(path, "wb") as fh:
+            np.lib.format.write_array(fh, values, version=(1, 0))
+        capsys.readouterr()
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
+        assert (f"gram cache: miss, damaged ({path}: square but not symmetric); recomputed\n"
+                in capsys.readouterr().out)
+        assert path.read_bytes() == npy
+        assert (pipeline_dir / "model.json").read_bytes() == model
+
     def test_cache_hit_and_miss_reported(self, pipeline_dir, capsys):
         assert run_cli("kernel", "--workdir", pipeline_dir) == 0
         capsys.readouterr()
@@ -462,8 +479,10 @@ class TestQsvcScoring:
     PER_CLASS = [
         # Both classes weigh only support "b": at position 1 in class 0, at
         # position 0 in class 1.
-        {"support_ids": ["a", "b"], "dual_coefs": [0.0, 1.0], "bias": 0.0, "converged": True},
-        {"support_ids": ["b", "c"], "dual_coefs": [1.0, 0.0], "bias": 0.0, "converged": True},
+        {"support_ids": ["a", "b"], "dual_coefs": [0.0, 1.0], "bias": 0.0, "converged": True,
+         "updates": 1, "stop": "tolerance", "kkt_gap": 0.0},
+        {"support_ids": ["b", "c"], "dual_coefs": [1.0, 0.0], "bias": 0.0, "converged": True,
+         "updates": 1, "stop": "tolerance", "kkt_gap": 0.0},
     ]
 
     @staticmethod

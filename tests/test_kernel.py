@@ -30,6 +30,7 @@ from qtc.kernel import (
     save_gram,
 )
 from qtc.qsim import adjoint, probabilities, run
+from qtc.svm import PolyKernelSpec, poly_gram
 
 Z1 = FeatureMapSpec("z", 1, reps=1)
 ZZ2 = FeatureMapSpec("zz", 2, reps=2)
@@ -183,6 +184,27 @@ class TestGram:
             gram(ZZ2, np.zeros((2, 2)), mode="noisy")
 
 
+def bitwise_symmetric(K) -> bool:
+    return K.ndim == 2 and K.shape[0] == K.shape[1] and np.array_equal(
+        K.view(np.uint64), K.T.view(np.uint64))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 65, 300])
+@pytest.mark.parametrize("build", ["poly", "exact", "sampled", "psd_project"])
+def test_square_grams_are_bitwise_symmetric(build, rows):
+    """The SVM solver reads Gram rows as columns, so every square Gram qtc
+    builds must equal its transpose bit for bit."""
+    X = np.random.default_rng(rows).uniform(0, math.pi, (rows, 2))
+    if build == "poly":
+        K = poly_gram(X, spec=PolyKernelSpec(degree=3, gamma=0.7, coef0=0.3))
+    elif build == "psd_project":
+        sampled = gram(ZZ2, X, mode="sampled", shots=16, seed=3)
+        K = psd_project(sampled).values
+    else:
+        K = gram(ZZ2, X, mode=build, shots=16, seed=3).values
+    assert bitwise_symmetric(K)
+
+
 class TestPsdProject:
     def test_psd_input_unchanged(self):
         rng = np.random.default_rng(31)
@@ -281,6 +303,24 @@ class TestGramPersistence:
         with pytest.raises(ParseError, match="gram.npy"):
             load_gram(tmp_path)
 
+    @pytest.mark.parametrize("entry", [(0, 1), (3, 1), (4, 0)])
+    def test_asymmetric_square_npy_raises_parse_error(self, tmp_path, entry):
+        save_gram(tmp_path, gram(ZZ2, np.random.default_rng(43).uniform(0, 1, (5, 2))),
+                  data_hash="abc123")
+        path = tmp_path / "gram.npy"
+        values = np.load(path)
+        values[entry] = np.nextafter(values[entry], 2.0)
+        path.write_bytes(npy_bytes(values))
+        with pytest.raises(ParseError, match="gram.npy: square but not symmetric"):
+            load_gram(tmp_path)
+
+    def test_signed_zero_breaks_bitwise_symmetry(self, tmp_path):
+        values = np.zeros((3, 3))
+        values[2, 0] = -0.0
+        save_gram(tmp_path, GramMatrix(values, "exact", ZZ2), data_hash="abc123")
+        with pytest.raises(ParseError, match="not symmetric"):
+            load_gram(tmp_path)
+
     def test_missing_npy_raises_os_error(self, tmp_path):
         save_gram(tmp_path, gram(ZZ2, np.zeros((2, 2))), data_hash="abc123")
         (tmp_path / "gram.npy").unlink()
@@ -322,7 +362,23 @@ finite_values = st.one_of(
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
                   elements=finite_values))
 def test_property_save_load_round_trip_bitwise(values):
+    """A Gram reads back bit for bit.  A square one must be bitwise symmetric,
+    so a square draw is mirrored from its upper triangle first, and the draw
+    as it was is rejected unless it was symmetric already."""
+    rows, cols = values.shape
+    drawn = values
+    if rows == cols:
+        values = drawn.copy()
+        lower = np.tril_indices(rows, -1)
+        values[lower] = drawn.T[lower]
     with tempfile.TemporaryDirectory() as directory:
+        if rows == cols:
+            save_gram(directory, GramMatrix(drawn, "exact", ZZ2), data_hash="abc123")
+            if drawn.tobytes() == values.tobytes():
+                load_gram(directory)
+            else:
+                with pytest.raises(ParseError, match="not symmetric"):
+                    load_gram(directory)
         save_gram(directory, GramMatrix(values, "exact", ZZ2), data_hash="abc123")
         back, _ = load_gram(directory)
         exported = np.loadtxt(os.path.join(directory, "gram.csv"), delimiter=",", ndmin=2)

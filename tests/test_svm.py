@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from qtc.circuits import FeatureMapSpec
 from qtc.errors import ParseError, ValidationError
+from qtc.kernel import gram
 from qtc.svm import (
+    SUPPORT_EPS,
     MulticlassSvm,
     PolyKernelSpec,
     SvmBinaryModel,
@@ -17,6 +20,7 @@ from qtc.svm import (
     poly_gram,
     poly_kernel,
     predict_multiclass,
+    _bias_of,
     train_binary,
     train_multiclass,
 )
@@ -55,9 +59,119 @@ def random_instance(rng, m, separable):
     return X @ X.T, y
 
 
+def _reference_train_binary(G, y, C, tol, max_updates=10_000):
+    """The oracle: the column-reading SMO loop as it stood before train_binary
+    read rows, kept verbatim; returns (alpha, bias, converged)."""
+    G = np.asarray(G, dtype=float)
+    y = np.asarray(y, dtype=float)
+    m = y.shape[0]
+
+    # Q is never formed: Q_ij = y_i y_j G_ij only flips signs, which is exact,
+    # so every product with it is taken as the same product with G.
+    alpha = np.zeros(m)
+    grad = -np.ones(m)  # gradient of the dual objective: Q a - 1
+    # Floor on the pair's curvature.  A pair is updated only when its gradient
+    # gap is at least tol, so below tau the step exceeds tol / tau and, for any
+    # C under that, the box clips it; the floor keeps the step finite.
+    tau = 1e-12
+
+    converged = False
+    for _ in range(max_updates):
+        viol = -y * grad
+        up = ((y > 0) & (alpha < C - SUPPORT_EPS)) | ((y < 0) & (alpha > SUPPORT_EPS))
+        low = ((y > 0) & (alpha > SUPPORT_EPS)) | ((y < 0) & (alpha < C - SUPPORT_EPS))
+        if not up.any() or not low.any():
+            converged = True
+            break
+        m_up = np.where(up, viol, -np.inf)
+        m_low = np.where(low, viol, np.inf)
+        i = int(np.argmax(m_up))
+        j = int(np.argmin(m_low))
+        if m_up[i] - m_low[j] < tol:
+            converged = True
+            break
+
+        old_i, old_j = alpha[i], alpha[j]
+        if y[i] != y[j]:
+            quad = G[i, i] + G[j, j] + 2.0 * (y[i] * y[j] * G[i, j])
+            if quad < tau:
+                quad = tau
+            delta = (-grad[i] - grad[j]) / quad
+            diff = alpha[i] - alpha[j]
+            alpha[i] += delta
+            alpha[j] += delta
+            if diff > 0:
+                if alpha[j] < 0:
+                    alpha[j] = 0.0
+                    alpha[i] = diff
+            else:
+                if alpha[i] < 0:
+                    alpha[i] = 0.0
+                    alpha[j] = -diff
+            if diff > 0:
+                if alpha[i] > C:
+                    alpha[i] = C
+                    alpha[j] = C - diff
+            else:
+                if alpha[j] > C:
+                    alpha[j] = C
+                    alpha[i] = C + diff
+        else:
+            quad = G[i, i] + G[j, j] - 2.0 * (y[i] * y[j] * G[i, j])
+            if quad < tau:
+                quad = tau
+            delta = (grad[i] - grad[j]) / quad
+            total = alpha[i] + alpha[j]
+            alpha[i] -= delta
+            alpha[j] += delta
+            if total > C:
+                if alpha[i] > C:
+                    alpha[i] = C
+                    alpha[j] = total - C
+            else:
+                if alpha[j] < 0:
+                    alpha[j] = 0.0
+                    alpha[i] = total
+            if total > C:
+                if alpha[j] > C:
+                    alpha[j] = C
+                    alpha[i] = total - C
+            else:
+                if alpha[i] < 0:
+                    alpha[i] = 0.0
+                    alpha[j] = total
+
+        grad += (
+            G[:, i] * (y * (y[i] * (alpha[i] - old_i)))
+            + G[:, j] * (y * (y[j] * (alpha[j] - old_j)))
+        )
+
+    return alpha, _bias_of(alpha, y, grad, C), converged
+
+
+def assert_matches_reference(G, y, C, tol, max_updates=10_000):
+    """train_binary's model is the oracle's bit for bit; returns the model."""
+    model = train_binary(G, y, C=C, tol=tol, max_updates=max_updates)
+    alpha, bias, converged = _reference_train_binary(G, y, C, tol, max_updates)
+    assert np.array_equal(model.alpha.view(np.uint64), alpha.view(np.uint64))
+    assert np.float64(model.bias).view(np.uint64) == np.float64(bias).view(np.uint64)
+    assert model.converged is converged
+    assert np.array_equal(model.support, np.flatnonzero(alpha > SUPPORT_EPS))
+    assert model.converged == (model.stop != "budget")
+    assert 0 <= model.updates <= max_updates
+    if model.stop == "tolerance":
+        assert model.kkt_gap < tol
+    elif model.stop == "no_pair":
+        assert model.kkt_gap is None
+    else:
+        assert model.updates == max_updates
+    return model
+
+
 @st.composite
 def psd_problems(draw):
-    """G = A A^T for a drawn A of any rank, labels with both classes, C and tol."""
+    """G = A A^T for a drawn A of any rank, mirrored from its upper triangle so
+    that it is bitwise symmetric; labels with both classes, C and tol."""
     m = draw(st.integers(2, 30))
     rank = draw(st.integers(0, m))
     A = draw(hnp.arrays(np.float64, (m, rank), elements=st.floats(-3, 3)))
@@ -66,7 +180,10 @@ def psd_problems(draw):
         y[draw(st.integers(0, m - 1))] *= -1
     C = draw(st.floats(1e-3, 1e3))
     tol = draw(st.sampled_from([1e-4, 1e-3, 1e-2]))
-    return A @ A.T, y, C, tol
+    G = A @ A.T
+    lower = np.tril_indices(m, -1)
+    G[lower] = G.T[lower]
+    return G, y, C, tol
 
 
 @settings(max_examples=150, deadline=None)
@@ -78,6 +195,70 @@ def test_property_smo_kkt_on_random_psd_grams(problem):
     assert abs(float(model.alpha @ y)) <= 1e-9 * C * len(y)
     if model.converged:
         assert kkt_ok(G, y, model, tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(psd_problems())
+def test_property_rows_match_the_column_reference(problem):
+    G, y, C, tol = problem
+    assert_matches_reference(G, y, C, tol)
+
+
+class TestMatchesReference:
+    """Cases the property rarely draws, each bitwise against the oracle."""
+
+    @pytest.mark.parametrize("C", [5e-13, 1e-12, 2e-12, 1e-9, 1e-6])
+    def test_every_step_clips(self, C):
+        G, y = random_instance(np.random.default_rng(13), 30, separable=False)
+        model = assert_matches_reference(G, y, C, 1e-3)
+        if C <= 1e-12:  # alpha = 0 is in neither set: no pair from the start
+            assert (model.stop, model.updates, model.kkt_gap) == ("no_pair", 0, None)
+        else:
+            assert model.updates > 0
+            assert np.all((model.alpha == 0.0) | (model.alpha == C))
+
+    @pytest.mark.parametrize("max_updates", [0, 1, 2, 7, 40])
+    def test_budget_runs_out(self, max_updates):
+        G, y = random_instance(np.random.default_rng(14), 40, separable=False)
+        model = assert_matches_reference(G, y, 10.0, 1e-6, max_updates=max_updates)
+        assert (model.stop, model.updates, model.converged) == ("budget", max_updates, False)
+        if max_updates:  # the gap of the last pair updated
+            assert model.kkt_gap >= 1e-6
+        else:
+            assert model.kkt_gap is None
+
+    @pytest.mark.parametrize("max_updates", [-1, -5])
+    def test_negative_budget_rejected(self, max_updates):
+        G, y = random_instance(np.random.default_rng(14), 10, separable=False)
+        with pytest.raises(ValidationError, match="max_updates"):
+            train_binary(G, y, max_updates=max_updates)
+
+    def test_budget_stop_outranks_no_pair(self):
+        # The oracle reports a spent budget as not converged, with or without a pair.
+        G, y = random_instance(np.random.default_rng(14), 10, separable=False)
+        model = assert_matches_reference(G, y, 1e-12, 1e-3, max_updates=0)
+        assert (model.stop, model.updates, model.kkt_gap) == ("budget", 0, None)
+
+    @pytest.mark.parametrize("scale", [1e-320, 1e-300, 1e-14, 1.0])
+    def test_near_singular_gram(self, scale):
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(25, 1))
+        G = scale * (x @ x.T)  # rank one; its pair curvatures are 0 up to rounding
+        G[np.tril_indices(25, -1)] = G.T[np.tril_indices(25, -1)]
+        y = np.where(rng.random(25) < 0.5, 1.0, -1.0)
+        y[:2] = [1.0, -1.0]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert_matches_reference(G, y, 1.0, 1e-4)
+
+    def test_benchmark_shape(self):
+        """One seeded solve at m = 2,001 on a fidelity Gram, the size of the
+        benchmark's large workload."""
+        rng = np.random.default_rng(16)
+        X = rng.uniform(0, np.pi, (2001, 2))
+        G = gram(FeatureMapSpec("zz", 2), X).values
+        y = np.where(X[:, 0] + 0.4 * rng.normal(size=2001) > np.pi / 2, 1.0, -1.0)
+        model = assert_matches_reference(G, y, 1.0, 1e-3)
+        assert model.stop == "tolerance" and model.updates > 100
 
 
 def random_feasible(rng, y, C):
@@ -280,12 +461,16 @@ class TestSerialization:
         for entry, m in zip(d["per_class"], clf.models):
             assert entry == {"support_ids": [ids[i] for i in m.support],
                              "dual_coefs": m.dual_coef.tolist(), "bias": m.bias,
-                             "converged": m.converged}
+                             "converged": m.converged, "updates": m.updates, "stop": m.stop,
+                             "kkt_gap": m.kkt_gap}
+            assert m.stop == "tolerance" and m.updates > 0 and m.kkt_gap < 1e-4
 
     def test_shared_support_id_is_one_column(self):
         d = {"C": 1.0, "tol": 1e-3, "per_class": [
-            {"support_ids": ["a", "b"], "dual_coefs": [0.5, -1.0], "bias": 0.1, "converged": True},
-            {"support_ids": ["c", "b"], "dual_coefs": [1.0, 2.0], "bias": 0.2, "converged": True},
+            {"support_ids": ["a", "b"], "dual_coefs": [0.5, -1.0], "bias": 0.1, "converged": True,
+             "updates": 2, "stop": "tolerance", "kkt_gap": 1e-4},
+            {"support_ids": ["c", "b"], "dual_coefs": [1.0, 2.0], "bias": 0.2, "converged": True,
+             "updates": 3, "stop": "no_pair", "kkt_gap": None},
         ]}
         clf, support_ids = MulticlassSvm.from_dict(d)
         assert support_ids == ["a", "b", "c"]
@@ -302,6 +487,15 @@ class TestSerialization:
         lambda d: d["per_class"][0].pop("bias"),
         lambda d: d["per_class"][0].update(bias=True),
         lambda d: d["per_class"][0].update(converged=1),
+        lambda d: d["per_class"][0].pop("updates"),
+        lambda d: d["per_class"][0].update(updates=3.0),
+        lambda d: d["per_class"][1].update(stop="done"),
+        lambda d: d["per_class"][1].update(stop=None),
+        lambda d: d["per_class"][2].update(kkt_gap=None),
+        lambda d: d["per_class"][2].update(kkt_gap="0.001"),
+        lambda d: d["per_class"][0].update(stop="budget"),
+        lambda d: d["per_class"][0].update(converged=False),
+        lambda d: d["per_class"][1].update(stop="no_pair"),
         lambda d: d["per_class"][1].update(support_ids=[7]),
         lambda d: d["per_class"][2]["dual_coefs"].pop(),
         lambda d: d["per_class"].__setitem__(0, "class zero"),
