@@ -37,6 +37,8 @@ from .errors import (
 from .optimizer import OptimizerConfig, write_trace_csv
 
 _FEATURE_MAPS = ("z", "zz")
+# The largest count NumPy's binomial and multinomial draws accept (a C long).
+MAX_SHOTS = 2**63 - 1
 
 # OPTIONS[command][name] = (default, help, allowed values or None).  Each
 # option is the flag --name with "_" spelled "-"; --config keys use the name.
@@ -116,6 +118,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         resolved[key] = value
     if resolved.get("shots", 0) < 0:
         raise ValidationError(f"shots must be >= 0 (0 = exact), got {resolved['shots']}")
+    if resolved.get("shots", 0) > MAX_SHOTS:
+        raise ValidationError(f"shots must be <= {MAX_SHOTS}, got {resolved['shots']}")
     for key in ("seed", "init_seed"):
         if resolved.get(key, 0) < 0:
             raise ValidationError(f"{key} must be >= 0, got {resolved[key]}")
@@ -274,8 +278,6 @@ def cmd_train(args, cfg: dict) -> None:
                 print(f"gram cache: miss, {miss}; recomputed")
             else:
                 print("gram cache: hit")
-            if mode == "sampled":
-                g = kernel_mod.psd_project(g)
             G = g.values
             payload["kernel"] = {"feature_map": fm.to_dict(), "mode": mode,
                                  "shots": cfg["shots"], "seed": cfg["seed"]}

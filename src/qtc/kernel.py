@@ -153,6 +153,7 @@ def _mirror_upper(K: np.ndarray) -> None:
         K[i, :i] = K[:i, i]
 
 
+# No pipeline stage calls this; perfbench/tracing.py wraps it by name, so it stays until that goes.
 def psd_project(g: GramMatrix) -> GramMatrix:
     """Clip negative eigenvalues to zero and re-symmetrize.
 

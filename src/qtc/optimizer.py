@@ -18,6 +18,7 @@ scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,19 +35,24 @@ class OptimizerConfig:
     max_evaluations: int = 100
 
     def __post_init__(self):
-        if not 0.0 < self.rho_end < self.rho_begin:
-            raise ValidationError("need 0 < rho_end < rho_begin")
+        if not 0.0 < self.rho_end < self.rho_begin < math.inf:
+            raise ValidationError("need 0 < rho_end < rho_begin < inf")
         if self.max_evaluations < 1:
             raise ValidationError("max_evaluations must be positive")
 
 
 @dataclass
 class OptimizationTrace:
-    """Per-evaluation history: parameters, objective, and running best."""
+    """Per-evaluation history: parameters, objective, and running best.
+
+    ``stop`` says why the run ended: "rho_end" when the trust radius reached
+    rho_end, "budget" when the evaluation budget ran out first.
+    """
 
     parameters: list[np.ndarray] = field(default_factory=list)
     objectives: list[float] = field(default_factory=list)
     best_so_far: list[float] = field(default_factory=list)
+    stop: str | None = None
 
     def record(self, x: np.ndarray, f: float) -> None:
         self.parameters.append(x.copy())
@@ -80,8 +86,8 @@ class _BudgetExhausted(Exception):
 def minimize(objective, x0, config: OptimizerConfig):
     """Minimize a black-box function of R^d.
 
-    Returns (x_best, f_best, trace).  Raises NumericalError if the objective
-    ever returns a non-finite value.
+    Returns (x_best, f_best, trace); trace.stop says why the run ended.
+    Raises NumericalError if the objective ever returns a non-finite value.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     d = x0.size
@@ -126,6 +132,7 @@ def minimize(objective, x0, config: OptimizerConfig):
             w = int(np.argmax(vals))
             rho = max(float(np.linalg.norm(pts[i] - pts[b])) for i in range(d + 1))
             if rho <= config.rho_end:
+                trace.stop = "rho_end"
                 break
             others = [i for i in range(d + 1) if i != w]
             centroid = pts[others].mean(axis=0)
@@ -154,7 +161,7 @@ def minimize(objective, x0, config: OptimizerConfig):
                 else:
                     _shrink(pts, vals, b, evaluate)
     except _BudgetExhausted:
-        pass
+        trace.stop = "budget"
 
     k = int(np.argmin(trace.objectives))
     return trace.parameters[k].copy(), trace.objectives[k], trace

@@ -222,5 +222,5 @@ def train(
     return TrainingResult(
         model=template.with_theta(theta_best),
         trace=trace,
-        converged=len(trace) < config.max_evaluations,
+        converged=trace.stop == "rho_end",
     )

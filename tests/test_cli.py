@@ -16,9 +16,11 @@ import qtc
 from qtc import kernel as kernel_mod
 from qtc.circuits import FeatureMapSpec
 from qtc.cli import OPTIONS, main
-from qtc.corpus import Document, FeatureMatrix, encode_labels, fit_tfidf, transform_tfidf
+from qtc.corpus import (
+    Document, FeatureMatrix, encode_labels, fit_tfidf, load_stage, transform_tfidf,
+)
 from qtc.reduce import fit_pca, transform_pca
-from qtc.svm import MulticlassSvm, decision, predict_multiclass
+from qtc.svm import MulticlassSvm, decision, predict_multiclass, train_multiclass
 
 
 def run_cli(*args):
@@ -162,6 +164,30 @@ class TestPipeline:
                        "--shots", 64, "--iters", 12) == 0
         assert run_cli("evaluate", "--workdir", work) == 0
 
+    def test_sampled_qsvc_trains_on_the_gram_it_measured(self, pipeline_dir, capsys):
+        stage = load_stage(pipeline_dir / "reduce", expect_stage="reduce")
+        ids = stage.split.train_ids
+        pos = {d: i for i, d in enumerate(stage.features.ids)}
+        y = stage.labels[[pos[d] for d in ids]]
+        assert run_cli("kernel", "--workdir", pipeline_dir, "--shots", 64) == 0
+        G = kernel_mod.load_gram(pipeline_dir)[0].values
+        assert np.linalg.eigvalsh(G).min() < -1e-3  # 64 shots leave the Gram indefinite
+        expected = train_multiclass(G, y, C=1.0, tol=1e-3).to_dict(ids)
+        capsys.readouterr()
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc", "--shots", 64) == 0
+        assert "gram cache: hit\n" in capsys.readouterr().out
+        model = json.loads((pipeline_dir / "model.json").read_text())
+        assert len(model["per_class"]) == len(expected["per_class"])
+        for got, want in zip(model["per_class"], expected["per_class"]):
+            for key in ("support_ids", "dual_coefs", "bias"):
+                assert got[key] == want[key]
+        # A cache miss trains on the Gram it rebuilds, which is the same Gram.
+        hit = (pipeline_dir / "model.json").read_bytes()
+        (pipeline_dir / "gram.manifest.json").unlink()
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc", "--shots", 64) == 0
+        assert "gram cache: miss" in capsys.readouterr().out
+        assert (pipeline_dir / "model.json").read_bytes() == hit
+
     def test_gram_cache_reused_by_train(self, pipeline_dir):
         assert run_cli("kernel", "--workdir", pipeline_dir) == 0
         before = (pipeline_dir / "gram.csv").stat().st_mtime_ns
@@ -268,13 +294,35 @@ class TestPipeline:
         assert "gram cache: hit\n" in capsys.readouterr().out
         assert (pipeline_dir / "model.json").read_bytes() == intact
 
-    @pytest.mark.parametrize("command", ["kernel", "train"])
-    def test_negative_shots_rejected(self, pipeline_dir, capsys, command):
+    # 2**63 is one more than the largest count NumPy's binomial and multinomial accept.
+    @pytest.mark.parametrize("command, shots", [
+        pytest.param(("kernel",), -5, id="kernel"),
+        pytest.param(("train",), -5, id="train"),
+        pytest.param(("kernel",), 2**63, id="kernel-2**63"),
+        pytest.param(("train", "--model", "qsvc"), 2**63, id="train-qsvc-2**63"),
+        pytest.param(("train", "--model", "vqc"), 10**20, id="train-vqc-10**20"),
+    ])
+    def test_negative_shots_rejected(self, pipeline_dir, capsys, command, shots):
+        before = _file_bytes(pipeline_dir)
         capsys.readouterr()
-        assert run_cli(command, "--workdir", pipeline_dir, "--shots", -5) == 1
+        assert run_cli(*command, "--workdir", pipeline_dir, "--shots", shots) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "shots" in err
-        assert not (pipeline_dir / "gram.manifest.json").exists()
+        assert _file_bytes(pipeline_dir) == before
+
+    def test_largest_shot_count_accepted(self, pipeline_dir):
+        assert run_cli("kernel", "--workdir", pipeline_dir, "--shots", 2**63 - 1) == 0
+        assert json.loads((pipeline_dir / "gram.manifest.json").read_text())["shots"] == 2**63 - 1
+
+    @pytest.mark.parametrize("flag, value", [("--rho-begin", "inf"), ("--rho-begin", "nan"),
+                                             ("--rho-end", "inf")])
+    def test_bad_trust_radius_rejected(self, pipeline_dir, capsys, flag, value):
+        capsys.readouterr()
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "vqc", flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "rho_begin" in err
+        assert not (pipeline_dir / "model.json").exists()
+        assert not (pipeline_dir / "curve.csv").exists()
 
     @pytest.mark.parametrize("flag, value", [("--C", "nan"), ("--C", "inf"), ("--C", "0"),
                                              ("--tol", "-1"), ("--tol", "nan"), ("--tol", "0")])

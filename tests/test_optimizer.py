@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,7 @@ class TestMinimize:
         cfg = OptimizerConfig(max_evaluations=4)
         _, _, trace = minimize(counted, [0.0, 0.0], cfg)
         assert len(calls) == 4
-        assert len(trace) == 4
+        assert len(trace) == 4 and trace.stop == "budget"
         assert trace.best_so_far[-1] == min(trace.objectives)
 
     def test_non_finite_objective_aborts_with_location(self):
@@ -101,10 +103,28 @@ class TestGeometryContracts:
             assert dist <= cap + 1e-9
 
 
+class TestStopReason:
+    @pytest.mark.parametrize("budget, stop", [(31, "rho_end"), (30, "budget")])
+    def test_converging_on_the_last_budgeted_evaluation_is_rho_end(self, budget, stop):
+        # this run reaches rho_end on exactly its 31st evaluation
+        def quadratic(v):
+            return float(np.sum((v - 0.3) ** 2))
+
+        cfg = OptimizerConfig(1.0, 1e-2, max_evaluations=budget)
+        _, _, trace = minimize(quadratic, np.zeros(2), cfg)
+        assert len(trace) == budget and trace.stop == stop
+
+
 class TestConfigValidation:
     def test_rho_ordering(self):
         with pytest.raises(ValidationError):
             OptimizerConfig(rho_begin=1e-4, rho_end=1.0)
+
+    @pytest.mark.parametrize("rho_begin, rho_end", [(math.inf, 1e-4), (math.nan, 1e-4),
+                                                    (1.0, math.nan), (math.inf, math.inf)])
+    def test_non_finite_radius_rejected(self, rho_begin, rho_end):
+        with pytest.raises(ValidationError, match="inf"):
+            OptimizerConfig(rho_begin=rho_begin, rho_end=rho_end)
 
     def test_budget_floor(self):
         cfg = OptimizerConfig(max_evaluations=3)

@@ -168,6 +168,13 @@ def assert_matches_reference(G, y, C, tol, max_updates=10_000):
     return model
 
 
+def _labels_with_both_classes(draw, m):
+    y = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m)))
+    if np.all(y == y[0]):
+        y[draw(st.integers(0, m - 1))] *= -1
+    return y
+
+
 @st.composite
 def psd_problems(draw):
     """G = A A^T for a drawn A of any rank, mirrored from its upper triangle so
@@ -175,9 +182,7 @@ def psd_problems(draw):
     m = draw(st.integers(2, 30))
     rank = draw(st.integers(0, m))
     A = draw(hnp.arrays(np.float64, (m, rank), elements=st.floats(-3, 3)))
-    y = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m)))
-    if np.all(y == y[0]):
-        y[draw(st.integers(0, m - 1))] *= -1
+    y = _labels_with_both_classes(draw, m)
     C = draw(st.floats(1e-3, 1e3))
     tol = draw(st.sampled_from([1e-4, 1e-3, 1e-2]))
     G = A @ A.T
@@ -195,6 +200,49 @@ def test_property_smo_kkt_on_random_psd_grams(problem):
     assert abs(float(model.alpha @ y)) <= 1e-9 * C * len(y)
     if model.converged:
         assert kkt_ok(G, y, model, tol)
+
+
+@st.composite
+def indefinite_problems(draw):
+    """A symmetric Gram a PSD kernel cannot produce: either a low-shot sampled
+    fidelity Gram, or a unit-diagonal matrix with entries in [0, 1] in which
+    row i is 1 against rows j and k but j and k are 0 against each other,
+    which leaves a negative eigenvalue.  Labels, C and tol as in psd_problems."""
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 30))
+        X = draw(hnp.arrays(np.float64, (m, 2), elements=st.floats(0.0, np.pi)))
+        G = gram(FeatureMapSpec("zz", 2, reps=2), X, mode="sampled",
+                 shots=draw(st.integers(1, 64)), seed=draw(st.integers(0, 2**32 - 1))).values
+    else:
+        m = draw(st.integers(3, 30))
+        G = draw(hnp.arrays(np.float64, (m, m), elements=st.floats(0.0, 1.0)))
+        i, j, k = draw(st.permutations(range(m)))[:3]
+        G[i, j] = G[j, i] = G[i, k] = G[k, i] = 1.0
+        G[j, k] = G[k, j] = 0.0
+        np.fill_diagonal(G, 1.0)
+        lower = np.tril_indices(m, -1)
+        G[lower] = G.T[lower]
+        assert np.linalg.eigvalsh(G).min() < 0.0
+    C = draw(st.floats(1e-3, 1e3))
+    tol = draw(st.sampled_from([1e-4, 1e-3, 1e-2]))
+    return G, _labels_with_both_classes(draw, m), C, tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(indefinite_problems())
+def test_property_smo_stops_cleanly_on_indefinite_grams(problem):
+    # The curvature floor tau is what lets the SMO train on a non-PSD Gram
+    # (Lin & Lin 2003): each step stays finite and the box clips it.
+    G, y, C, tol = problem
+    model = train_binary(G, y, C=C, tol=tol)
+    assert model.stop == "tolerance" or (
+        model.stop == "budget" and model.kkt_gap is not None and np.isfinite(model.kkt_gap)
+    )
+    assert np.all(np.isfinite(model.alpha))
+    assert np.all(model.alpha >= 0.0) and np.all(model.alpha <= C)
+    assert np.isfinite(model.bias)
+    # Every floored step raises the dual objective, which is 0 at alpha = 0.
+    assert dual_objective(G, y, model.alpha) >= 0.0
 
 
 @settings(max_examples=150, deadline=None)

@@ -223,6 +223,20 @@ class TestTrain:
         result = train(X, y, make_model(loss_kind="squared_error"), cfg, init_seed=42)
         assert result.trace.best_so_far[-1] < result.trace.objectives[0]
 
+    def test_converged_when_rho_end_is_reached_on_the_last_evaluation(self):
+        X, y = blob_dataset()
+
+        def fit(budget):
+            return train(X, y, make_model(), OptimizerConfig(rho_end=0.1, max_evaluations=budget),
+                         init_seed=42)
+
+        used = len(fit(500).trace)
+        assert used < 500
+        exact = fit(used)
+        assert len(exact.trace) == used and exact.trace.stop == "rho_end" and exact.converged
+        short = fit(used - 1)
+        assert short.trace.stop == "budget" and not short.converged
+
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValidationError):
             train(np.zeros((0, 2)), [], make_model(), OptimizerConfig(max_evaluations=10))
