@@ -299,8 +299,7 @@ def cmd_train(args, cfg: dict) -> None:
         result = var_mod.train(X, y, template, opt, init_seed=cfg["init_seed"])
         curve_path = args.curve_out or os.path.join(args.workdir, "curve.csv")
         write_trace_csv(result.trace, curve_path)
-        payload.update(result.model.to_dict(), converged=result.converged,
-                       final_loss=result.trace.best_so_far[-1])
+        payload.update(result.to_dict())
         print(
             f"trained {cfg['model']} in {len(result.trace)} evaluations, "
             f"loss {result.trace.objectives[0]:.6f} -> {result.trace.best_so_far[-1]:.6f}"

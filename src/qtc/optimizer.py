@@ -13,7 +13,9 @@ and no randomness enters the base algorithm.
 
 Candidates are clipped into a ball of radius rho_begin * d around the
 current best vertex, so no evaluation ever leaves the initial trust region
-scale.
+scale.  A distance or radius that overflows the doubles (a rho_begin near
+1e154 or above) aborts the run with NumericalError rather than collapsing
+the simplex.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 
 __all__ = ["OptimizerConfig", "OptimizationTrace", "minimize", "write_trace_csv"]
+
+STOPS = ("rho_end", "budget")  # the values of OptimizationTrace.stop
 
 
 @dataclass(frozen=True)
@@ -83,11 +87,21 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _distance(offset: np.ndarray) -> float:
+    """Euclidean length of ``offset``; NumericalError if it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = float(np.linalg.norm(offset))
+    if not math.isfinite(dist):
+        raise NumericalError("a trust-region distance overflowed the doubles; lower rho_begin")
+    return dist
+
+
 def minimize(objective, x0, config: OptimizerConfig):
     """Minimize a black-box function of R^d.
 
     Returns (x_best, f_best, trace); trace.stop says why the run ended.
-    Raises NumericalError if the objective ever returns a non-finite value.
+    Raises NumericalError if the objective ever returns a non-finite value,
+    or if a candidate's distance or the radius is not finite.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     d = x0.size
@@ -104,7 +118,7 @@ def minimize(objective, x0, config: OptimizerConfig):
     def evaluate(x: np.ndarray, center: np.ndarray):
         # keep every query inside the bounded-step ball around the current best
         offset = x - center
-        dist = float(np.linalg.norm(offset))
+        dist = _distance(offset)  # not finite when a coordinate of x is not
         if dist > cap:
             x = center + offset * (cap / dist)
         if len(trace) >= config.max_evaluations:
@@ -130,7 +144,7 @@ def minimize(objective, x0, config: OptimizerConfig):
         while True:
             b = int(np.argmin(vals))
             w = int(np.argmax(vals))
-            rho = max(float(np.linalg.norm(pts[i] - pts[b])) for i in range(d + 1))
+            rho = max(_distance(pts[i] - pts[b]) for i in range(d + 1))
             if rho <= config.rho_end:
                 trace.stop = "rho_end"
                 break

@@ -11,15 +11,28 @@ Conventions
   a batch) or free symbols (strings); a circuit must be fully bound before
   it can run.
 
-Gates are applied in place with vectorized NumPy slice arithmetic on reshaped
-views of a (rows, 2**n) amplitude array, so one circuit structure runs over a
-whole batch of states at once.
+One circuit structure runs over a whole batch of states at once, in place on
+a (rows, 2**n) amplitude array, through a fusion pass planned once per run:
+
+* each maximal run of consecutive RY gates becomes at most one real block per
+  fixed window of 6 qubits ([0, 6), [6, 12), ...): the Kronecker product of
+  the window's composed 2x2 rotations, applied by one matmul on the float64
+  view of the amplitudes;
+* each run of 3 or more consecutive CX gates becomes one precomputed index
+  gather, which moves amplitudes exactly;
+* H, P and shorter CX runs are applied one at a time with vectorized NumPy
+  slice arithmetic on reshaped views.
+
+The row axis of the batch is always a loop or matmul batch axis, never folded
+into a matrix dimension, so every row of a batch is bitwise the state that
+row gives when run alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -44,6 +57,13 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # Rows per chunk in ``run`` times 2**n_qubits; 2**15 complex128 amplitudes
 # (512 KiB) keep a gate's temporaries in cache.
 _CHUNK_AMPLITUDES = 1 << 15
+# Qubits per fused RY window: a 2**6 x 2**6 real block is one BLAS matmul per
+# chunk where six gates made about ten passes over the amplitudes each.
+_BLOCK_QUBITS = 6
+# Shortest CX run applied as one gather.  The zz feature map's CX pairs (runs
+# of 2) stay per gate: gathered, a 12-qubit encoding was no faster (12 rows:
+# 13-16 ms against 10-14 ms), and the chain of an ansatz layer is n - 1 long.
+_MIN_CX_RUN = 3
 
 
 @dataclass(frozen=True)
@@ -164,13 +184,12 @@ def backend_name() -> str:
 
 
 def _coefficient(gate: Gate):
-    """What ``_apply`` multiplies by: e^{i angle} for P, (cos, sin) of angle/2 for RY.
+    """The trigonometry of a gate: e^{i angle} for P, (cos, sin) of angle/2 for RY.
 
     An array angle gives one coefficient per row: a list of phases for P, a
-    (2, rows, 1, 1) array of cosines and sines for RY, which broadcasts over
-    a (rows, dim // (2 * step), step) view.  The trigonometry is per angle
-    through ``math``, so a row of a batch gets exactly the coefficient a
-    float angle would.
+    pair of 1-D arrays of cosines and sines for RY.  The trigonometry is per
+    angle through ``math``, so a row of a batch gets exactly the coefficient
+    a float angle would.
     """
     angle = gate.angle
     if isinstance(angle, str):
@@ -182,8 +201,8 @@ def _coefficient(gate: Gate):
     if gate.kind == "ry":
         if isinstance(angle, np.ndarray):
             halves = (0.5 * angle).tolist()
-            cos_sin = [[math.cos(h) for h in halves], [math.sin(h) for h in halves]]
-            return np.array(cos_sin).reshape(2, -1, 1, 1)
+            return (np.array([math.cos(h) for h in halves]),
+                    np.array([math.sin(h) for h in halves]))
         half = 0.5 * float(angle)
         return math.cos(half), math.sin(half)
     return None
@@ -191,15 +210,112 @@ def _coefficient(gate: Gate):
 
 def _rows(coef, start: int, stop: int):
     """The part of a per-row coefficient that covers rows start..stop-1."""
-    if isinstance(coef, list):
+    if isinstance(coef, (list, np.ndarray)):
         return coef[start:stop]
-    if isinstance(coef, np.ndarray):
-        return coef[:, start:stop]
     return coef
 
 
+def _plan(circuit: Circuit) -> list[tuple]:
+    """The steps ``run`` applies to each chunk, in circuit order.
+
+    A step is ("gate", gate, coef) for ``_apply``, ("gather", index) for a CX
+    run, or ("block", low, block) for one window of an RY run, where block is
+    the matrix ``_apply_block`` takes or, when some angle is per row, the
+    window's rotations for ``_block`` to build it from chunk by chunk.
+    """
+    n = circuit.n_qubits
+    steps: list[tuple] = []
+    for kind, run_gates in groupby(circuit.gates, key=lambda g: g.kind):
+        run_gates = list(run_gates)
+        if kind == "ry":
+            rotations = _compose_rotations(run_gates, n)
+            for low in range(0, n, _BLOCK_QUBITS):
+                window = rotations[low:low + _BLOCK_QUBITS]
+                if all(r is None for r in window):
+                    continue
+                per_row = any(isinstance(r[0], np.ndarray) for r in window if r is not None)
+                steps.append(("block", low, window if per_row else _block(window, low, 0, 1)))
+        elif kind == "cx" and len(run_gates) >= _MIN_CX_RUN:
+            steps.append(("gather", _cx_index(run_gates, n)))
+        else:
+            steps.extend(("gate", g, _coefficient(g)) for g in run_gates)
+    return steps
+
+
+def _compose_rotations(gates: list[Gate], n_qubits: int) -> list:
+    """Per qubit, the (cos, sin) of the product of its RY gates, or None.
+
+    RY(b) RY(a) is the rotation with cos = cb ca - sb sa and sin = sb ca + cb sa,
+    taken elementwise, so a per-row entry is bitwise its float counterpart.
+    """
+    rotations: list = [None] * n_qubits
+    for gate in gates:
+        c, s = _coefficient(gate)
+        q = gate.qubits[0]
+        if rotations[q] is not None:
+            c0, s0 = rotations[q]
+            c, s = c * c0 - s * s0, s * c0 + c * s0
+        rotations[q] = (c, s)
+    return rotations
+
+
+def _block(window: list, low: int, start: int, stop: int) -> np.ndarray:
+    """The real block of one window of rotations, for rows start..stop-1.
+
+    The window's matrix is the Kronecker product of its qubits' 2x2
+    rotations, highest qubit first (identity where a qubit has none), built
+    with elementwise products only, one matrix per row when an angle is per
+    row.  The lowest window returns kron(M.T, I2), which acts on the float64
+    view's trailing axis from the right; a higher window returns M with a
+    broadcast axis for the amplitudes above the window.
+    """
+    m = np.ones((1, 1, 1))
+    for rotation in reversed(window):
+        if rotation is None:
+            r = np.eye(2)[None]
+        else:
+            c, s = (np.reshape(_rows(v, start, stop), -1) for v in rotation)
+            r = np.moveaxis(np.array([[c, -s], [s, c]]), -1, 0)
+        m = m[:, :, None, :, None] * r[:, None, :, None, :]
+        m = m.reshape(m.shape[0], m.shape[1] * 2, m.shape[3] * 2)
+    if low > 0:
+        return m[:, None]
+    rows, dim = m.shape[0], m.shape[1]
+    k = np.zeros((rows, 2 * dim, 2 * dim))
+    k[:, 0::2, 0::2] = k[:, 1::2, 1::2] = m.transpose(0, 2, 1)
+    return k
+
+
+def _apply_block(amps: np.ndarray, n_qubits: int, low: int, block: np.ndarray) -> None:
+    """Apply one window's block in place to every row of a (rows, 2**n_qubits) array.
+
+    In the float64 view, float index 2 i + (0 real, 1 imaginary) holds
+    amplitude i, so qubit q is bit q + 1.  Rows stay a matmul batch axis:
+    each row is its own matrix product, the one it gets when run alone.
+    """
+    rows = amps.shape[0]
+    width = min(_BLOCK_QUBITS, n_qubits - low)
+    view = amps.view(np.float64)
+    if low == 0:
+        v = view.reshape(rows, -1, 2 << width)
+        v[...] = v @ block
+    else:
+        v = view.reshape(rows, -1, 1 << width, 2 << low)
+        v[...] = block @ v
+
+
+def _cx_index(gates: list[Gate], n_qubits: int) -> np.ndarray:
+    """Gather index of a CX run: the run maps amplitudes a to a[index]."""
+    basis = np.arange(1 << n_qubits)
+    index = basis
+    for gate in gates:
+        control, target = gate.qubits
+        index = index[basis ^ (((basis >> control) & 1) << target)]
+    return index
+
+
 def _apply(amps: np.ndarray, n_qubits: int, gate: Gate, coef) -> None:
-    """Apply one gate in place to every row of a (rows, 2**n_qubits) array.
+    """Apply one H, P or CX gate in place to every row of a (rows, 2**n_qubits) array.
 
     ``coef`` is ``_coefficient(gate)``, cut to these rows.
     """
@@ -225,21 +341,16 @@ def _apply(amps: np.ndarray, n_qubits: int, gate: Gate, coef) -> None:
         # Row by row, so each multiply has the shape a one-state run gives
         # it.  NumPy fuses the complex multiply-add only in loops longer
         # than one element, so on 1 qubit a batch-wide multiply rounds
-        # differently from the same row alone.  RY and H multiply by reals,
-        # which round the same either way.
+        # differently from the same row alone.  H multiplies by a real,
+        # which rounds the same either way.
         ones = v[:, :, 1]
         for r, phase in enumerate(coef if isinstance(coef, list) else [coef] * rows):
             ones[r] *= phase
         return
     a = v[:, :, 0].copy()
     b = v[:, :, 1].copy()
-    if gate.kind == "h":
-        v[:, :, 0] = (a + b) * _INV_SQRT2
-        v[:, :, 1] = (a - b) * _INV_SQRT2
-    else:
-        c, s = coef
-        v[:, :, 0] = c * a - s * b
-        v[:, :, 1] = s * a + c * b
+    v[:, :, 0] = (a + b) * _INV_SQRT2
+    v[:, :, 1] = (a - b) * _INV_SQRT2
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -256,10 +367,9 @@ def run(circuit: Circuit, state: StateVector | None = None) -> StateVector:
     batch circuit needs as many rows as it has.  The result has the shape of
     ``state``, or is 1-D for a float-angle circuit on |0...0>.  Rows are
     simulated in chunks of at most ``_CHUNK_AMPLITUDES`` amplitudes, which
-    keep each gate's temporaries in cache.
+    keep each step's temporaries in cache.
     """
     n = circuit.n_qubits
-    coefs = [_coefficient(g) for g in circuit.gates]
     lengths = {len(g.angle) for g in circuit.gates if isinstance(g.angle, np.ndarray)}
     if len(lengths) > 1:
         raise ValidationError(f"per-row angle arrays differ in length: {sorted(lengths)}")
@@ -279,11 +389,22 @@ def run(circuit: Circuit, state: StateVector | None = None) -> StateVector:
             raise ValidationError(
                 f"per-row angles for {lengths.pop()} rows on a batch of {amps.shape[0]}"
             )
+    steps = _plan(circuit)
     step = max(1, _CHUNK_AMPLITUDES >> n)
     for start in range(0, amps.shape[0], step):
-        chunk = amps[start:start + step]
-        for gate, coef in zip(circuit.gates, coefs):
-            _apply(chunk, n, gate, _rows(coef, start, start + step))
+        stop = start + step
+        chunk = amps[start:stop]
+        for kind, *args in steps:
+            if kind == "gate":
+                gate, coef = args
+                _apply(chunk, n, gate, _rows(coef, start, stop))
+            elif kind == "gather":
+                chunk[...] = chunk[:, args[0]]
+            else:
+                low, block = args
+                if isinstance(block, list):
+                    block = _block(block, low, start, stop)
+                _apply_block(chunk, n, low, block)
     return StateVector(n, amps.reshape(shape))
 
 

@@ -12,8 +12,10 @@ run, and the bound ansatz then runs over those states.  Exact mode uses
 statevector probabilities and is fully deterministic;
 sampled mode draws ``shots`` measurement outcomes with a seed derived from
 (master seed, sample bytes, parameter bytes) so repeated runs reproduce.
-A trained model serializes to the ``model.json`` fields with
-``VariationalModel.to_dict`` and reads back with ``from_dict``.
+A training run serializes to the ``model.json`` fields with
+``TrainingResult.to_dict`` (the model's own fields from
+``VariationalModel.to_dict``, plus how the run ended) and reads back with
+``VariationalModel.from_dict``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .circuits import AnsatzSpec, FeatureMapSpec, bind_ansatz, build_ansatz, build_feature_map
 from .errors import NUMBER, ParseError, ValidationError, json_field
-from .optimizer import OptimizerConfig, OptimizationTrace, minimize
+from .optimizer import STOPS, OptimizerConfig, OptimizationTrace, minimize
 from .qsim import StateVector, probabilities, run, sample
 
 __all__ = [
@@ -95,6 +97,19 @@ class VariationalModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VariationalModel":
+        """The model of a ``TrainingResult.to_dict`` record.
+
+        The run facts are checked too, so a damaged record reads as damaged:
+        ``stop`` is one of STOPS, ``evaluations`` a positive integer and
+        ``converged`` true exactly for a "rho_end" stop.
+        """
+        stop = json_field(d, "stop", str)
+        if stop not in STOPS:
+            raise ParseError(f"field 'stop' must be one of {', '.join(STOPS)}, got {stop!r}")
+        if json_field(d, "converged", bool) != (stop == "rho_end"):
+            raise ParseError(f"converged {d['converged']} contradicts a {stop} stop")
+        if json_field(d, "evaluations", int) < 1:
+            raise ParseError(f"evaluations must be positive, got {d['evaluations']}")
         if json_field(d, "interpret", str) != "modulo":
             raise ParseError(f"unknown outcome decoding {d['interpret']!r}, expected 'modulo'")
         mode = json_field(d, "mode", dict)
@@ -114,6 +129,11 @@ class TrainingResult:
     model: VariationalModel
     trace: OptimizationTrace
     converged: bool
+
+    def to_dict(self) -> dict:
+        """The ``model.json`` fields: the trained model and how its run ended."""
+        return dict(self.model.to_dict(), converged=self.converged, stop=self.trace.stop,
+                    evaluations=len(self.trace), final_loss=self.trace.best_so_far[-1])
 
 
 def encode(model: VariationalModel, X) -> StateVector:

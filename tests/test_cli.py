@@ -117,6 +117,9 @@ class TestPipeline:
         assert len(data) == 30
         best = [float(r[2]) for r in data]
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
+        model = json.loads((pipeline_dir / "model.json").read_text())
+        assert (model["stop"], model["evaluations"], model["converged"]) == ("budget", 30, False)
+        assert model["final_loss"] == best[-1]
 
     def test_report_rows_present(self, pipeline_dir, capsys):
         run_cli("train", "--workdir", pipeline_dir, "--model", "svc")
@@ -321,6 +324,16 @@ class TestPipeline:
         assert run_cli("train", "--workdir", pipeline_dir, "--model", "vqc", flag, value) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "rho_begin" in err
+        assert not (pipeline_dir / "model.json").exists()
+        assert not (pipeline_dir / "curve.csv").exists()
+
+    @pytest.mark.parametrize("rho_begin", ["1e200", "1e308"])
+    def test_overflowing_trust_radius_is_a_numerical_abort(self, pipeline_dir, capsys, rho_begin):
+        capsys.readouterr()
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "vqc",
+                       "--rho-begin", rho_begin) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numerical error: ") and "rho_begin" in err
         assert not (pipeline_dir / "model.json").exists()
         assert not (pipeline_dir / "curve.csv").exists()
 
@@ -635,9 +648,9 @@ class TestDamagedModel:
 
 
 # Top-level fields that evaluate does not read: it scores with the stage's
-# classes, never looks at the training config, and the variational training
-# summary is informational.
-UNREAD = {"classes", "config", "converged", "final_loss"}
+# classes, never looks at the training config, and the variational final loss
+# is informational (the run's converged/stop/evaluations are cross-checked).
+UNREAD = {"classes", "config", "final_loss"}
 
 # One value of each JSON kind; a retyped value is one of another kind.
 KINDS = [None, True, 1.5, "x", [], {}]

@@ -126,6 +126,12 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="inf"):
             OptimizerConfig(rho_begin=rho_begin, rho_end=rho_end)
 
+    @pytest.mark.parametrize("rho_begin", [1e154, 1e200, 1e308])
+    def test_overflowing_distance_raises(self, rho_begin):
+        # The probe steps' norms overflow; the run must not collapse onto x0.
+        with pytest.raises(NumericalError, match="rho_begin"):
+            minimize(sphere, [0.3, -0.2, 0.1], OptimizerConfig(rho_begin=rho_begin))
+
     def test_budget_floor(self):
         cfg = OptimizerConfig(max_evaluations=3)
         with pytest.raises(ValidationError, match="dim"):

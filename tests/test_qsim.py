@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qtc.circuits import AnsatzSpec, FeatureMapSpec, bind_ansatz, build_ansatz, build_feature_map
 from qtc.errors import ValidationError
 from qtc.qsim import core
+from qtc.variational import VariationalModel, encode
 from qtc.qsim import (
     Circuit,
     Gate,
@@ -347,8 +348,8 @@ class TestBatchRun:
 
 @st.composite
 def batch_cases(draw):
-    """(circuit with float and per-row angles, row count) on 1-5 qubits."""
-    n = draw(st.integers(1, 5))
+    """(circuit with float and per-row angles, row count) on 1-8 qubits."""
+    n = draw(st.integers(1, 8))
     rows = draw(st.integers(1, 9))
     angle = st.floats(-7.0, 7.0, allow_nan=False)
     gates = []
@@ -377,3 +378,106 @@ def test_property_batch_run_equals_row_runs(case, seed):
     for r in range(rows):
         one = run(row_circuit(circ, r), StateVector(circ.n_qubits, start[r]))
         assert_bitwise(out.amplitudes[r], one.amplitudes)
+
+
+# ------------------------------------------------------- per-gate reference
+
+
+def _reference_ry(amps: np.ndarray, gate: Gate) -> None:
+    """The oracle for RY: the per-gate slice arithmetic ``_apply`` used before
+    RY runs were fused into blocks, kept verbatim."""
+    rows = amps.shape[0]
+    if isinstance(gate.angle, np.ndarray):
+        halves = (0.5 * gate.angle).tolist()
+        cos_sin = [[math.cos(h) for h in halves], [math.sin(h) for h in halves]]
+        c, s = np.array(cos_sin).reshape(2, -1, 1, 1)
+    else:
+        half = 0.5 * float(gate.angle)
+        c, s = math.cos(half), math.sin(half)
+    v = amps.reshape(rows, -1, 2, 1 << gate.qubits[0])
+    a = v[:, :, 0].copy()
+    b = v[:, :, 1].copy()
+    v[:, :, 0] = c * a - s * b
+    v[:, :, 1] = s * a + c * b
+
+
+def reference_run(circuit: Circuit, start: np.ndarray) -> np.ndarray:
+    """Every gate of ``circuit`` applied one at a time to a copy of the
+    (rows, 2**n) amplitudes ``start``: RY by ``_reference_ry``, H, P and CX by
+    ``core._apply``, with no fusion and no chunks."""
+    amps = np.array(start, dtype=np.complex128)
+    for gate in circuit.gates:
+        if gate.kind == "ry":
+            _reference_ry(amps, gate)
+        else:
+            core._apply(amps, circuit.n_qubits, gate, core._coefficient(gate))
+    return amps
+
+
+@st.composite
+def fusion_cases(draw):
+    """(circuit, row count) on 1-8 qubits: H, P, CX runs of 1-4 gates and RY
+    runs, with float and per-row angles."""
+    n = draw(st.integers(1, 8))
+    rows = draw(st.integers(1, 5))
+    qubit = st.integers(0, n - 1)
+    angle = st.floats(-7.0, 7.0, allow_nan=False)
+
+    def turn(kind):
+        if draw(st.booleans()):
+            return Gate(kind, (draw(qubit),), np.array(draw(st.lists(angle, min_size=rows,
+                                                                      max_size=rows))))
+        return Gate(kind, (draw(qubit),), draw(angle))
+
+    gates = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(("h", "p", "ry", "cx") if n > 1 else ("h", "p", "ry")))
+        if kind == "h":
+            gates.append(Gate("h", (draw(qubit),)))
+        elif kind == "p":
+            gates.append(turn("p"))
+        elif kind == "ry":
+            gates.extend(turn("ry") for _ in range(draw(st.integers(1, 2 * n))))
+        else:
+            for _ in range(draw(st.integers(1, 4))):
+                control, target = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+                gates.append(Gate("cx", (control, target)))
+    return Circuit(n, tuple(gates)), rows
+
+
+class TestFusion:
+    @settings(max_examples=120, deadline=None)
+    @given(fusion_cases(), st.integers(0, 2**32 - 1))
+    def test_property_run_matches_per_gate_reference(self, case, seed):
+        circ, rows = case
+        start = random_states(np.random.default_rng(seed), rows, circ.n_qubits)
+        out = run(circ, StateVector(circ.n_qubits, start)).amplitudes
+        assert np.max(np.abs(out - reference_run(circ, start)), initial=0.0) <= 1e-14
+
+    def test_cx_only_circuit_equals_reference_bitwise(self):
+        rng = np.random.default_rng(21)
+        for n in range(2, 11):
+            for length in (1, 2, 3, 4, 7, 3 * n):
+                pairs = [rng.choice(n, size=2, replace=False) for _ in range(length)]
+                circ = Circuit(n, tuple(Gate("cx", (int(c), int(t))) for c, t in pairs))
+                start = random_states(rng, 3, n)
+                assert_bitwise(run(circ, StateVector(n, start)).amplitudes,
+                               reference_run(circ, start))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_zz_encoding_equals_reference_bitwise(self, n):
+        rng = np.random.default_rng(100 + n)
+        X = rng.uniform(0, math.pi, (10, n))  # 10 rows: more than one chunk at 12 qubits
+        model = VariationalModel(FeatureMapSpec("zz", n, reps=2), AnsatzSpec(n, reps=1),
+                                 np.zeros(2 * n), 2, "cross_entropy")
+        circ = build_feature_map(model.feature_map, X)
+        start = np.tile(zero_state(n).amplitudes, (10, 1))
+        assert_bitwise(encode(model, X).amplitudes, reference_run(circ, start))
+
+    def test_ansatz_layers_match_reference(self):
+        rng = np.random.default_rng(22)
+        for n in (5, 6, 7, 12, 13):
+            circ = bind_ansatz(build_ansatz(AnsatzSpec(n, reps=2)), rng.uniform(-3, 3, 3 * n))
+            start = random_states(rng, 3, n)
+            out = run(circ, StateVector(n, start)).amplitudes
+            assert np.max(np.abs(out - reference_run(circ, start))) <= 1e-14

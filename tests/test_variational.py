@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import zlib
 
 import numpy as np
 import pytest
 
+import qtc
 from qtc.circuits import AnsatzSpec, FeatureMapSpec, bind_ansatz, build_ansatz, build_feature_map, compose
 from qtc.errors import ParseError, ValidationError
 from qtc.optimizer import OptimizerConfig, minimize
@@ -319,6 +323,36 @@ class TestCachedEncoding:
             encode(make_model(), np.zeros((3, 3)))
 
 
+def test_blas_thread_count_does_not_change_bits():
+    # The fused RY blocks run through BLAS matmul; each thread count runs
+    # in a fresh process, since OpenBLAS reads the variable at load time.
+    script = (
+        "import numpy as np\n"
+        "from qtc.circuits import AnsatzSpec, FeatureMapSpec\n"
+        "from qtc.variational import VariationalModel, class_probabilities\n"
+        "rng = np.random.default_rng(17)\n"
+        "model = VariationalModel(FeatureMapSpec('zz', 12), AnsatzSpec(12),"
+        " rng.uniform(-3, 3, 24), 3, 'cross_entropy')\n"
+        "probs = class_probabilities(model, rng.uniform(0, np.pi, (48, 12)))\n"
+        "print(probs.view(np.uint64).tolist())\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(qtc.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert len(outputs[0]) == 48 and outputs[0] == outputs[1]
+
+
+def record(model, stop="rho_end", evaluations=7):
+    """The model.json fields of a training run that ended with ``model``."""
+    return dict(model.to_dict(), converged=stop == "rho_end", stop=stop,
+                evaluations=evaluations, final_loss=0.5)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("shots", [0, 64])
     def test_round_trip(self, shots):
@@ -326,10 +360,19 @@ class TestSerialization:
                            shots=shots, seed=9)
         d = model.to_dict()
         assert d["interpret"] == "modulo" and d["mode"] == {"shots": shots, "seed": 9}
-        back = VariationalModel.from_dict(json.loads(json.dumps(d)))
+        back = VariationalModel.from_dict(json.loads(json.dumps(record(model))))
         assert back.to_dict() == d
         X, _ = blob_dataset(per_class=3)
         assert np.array_equal(class_probabilities(back, X), class_probabilities(model, X))
+
+    @pytest.mark.parametrize("budget, stop", [(500, "rho_end"), (6, "budget")])
+    def test_training_record_round_trip(self, budget, stop):
+        X, y = blob_dataset(per_class=3)
+        result = train(X, y, make_model(), OptimizerConfig(rho_end=0.1, max_evaluations=budget))
+        d = json.loads(json.dumps(result.to_dict()))
+        assert (d["stop"], d["converged"]) == (stop, stop == "rho_end")
+        assert d["evaluations"] == len(result.trace) and d["final_loss"] == result.trace.best_so_far[-1]
+        assert VariationalModel.from_dict(d).to_dict() == result.model.to_dict()
 
     @pytest.mark.parametrize("damage", [
         lambda d: d.pop("mode"),
@@ -340,9 +383,21 @@ class TestSerialization:
         lambda d: d["feature_map"].update(reps=True),
         lambda d: d["ansatz"].pop("reps"),
         lambda d: d.update(feature_map="zz"),
+        lambda d: d.pop("stop"),
+        lambda d: d.update(stop="tolerance"),
+        lambda d: d.update(stop=None),
+        lambda d: d.pop("evaluations"),
+        lambda d: d.update(evaluations=0),
+        lambda d: d.update(evaluations=-3),
+        lambda d: d.update(evaluations=2.5),
+        lambda d: d.update(evaluations=True),
+        lambda d: d.pop("converged"),
+        lambda d: d.update(converged=False),
+        lambda d: d.update(stop="budget"),
+        lambda d: d.update(converged=1),
     ])
     def test_damaged_dict_raises_parse_error(self, damage):
-        d = make_model().to_dict()
+        d = record(make_model())
         damage(d)
         with pytest.raises(ParseError):
             VariationalModel.from_dict(d)
