@@ -138,13 +138,7 @@ def build_ansatz(spec: AnsatzSpec) -> Circuit:
 
 
 def bind_ansatz(circuit: Circuit, theta) -> Circuit:
-    """Bind ansatz angles in parameter order; validates the vector length."""
-    expected = len(circuit.parameters)
-    theta = list(theta)
-    if len(theta) != expected:
-        raise ValidationError(
-            f"ansatz expects {expected} parameter values, got {len(theta)}"
-        )
+    """Bind ansatz angles in parameter order (``Circuit.bind`` checks the length)."""
     return circuit.bind(theta)
 
 

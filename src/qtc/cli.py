@@ -35,10 +35,9 @@ from .errors import (
     NUMBER, NumericalError, ParseError, SchemaError, ValidationError, VersioningError, json_field,
 )
 from .optimizer import OptimizerConfig, write_trace_csv
+from .qsim import MAX_SHOTS
 
 _FEATURE_MAPS = ("z", "zz")
-# The largest count NumPy's binomial and multinomial draws accept (a C long).
-MAX_SHOTS = 2**63 - 1
 
 # OPTIONS[command][name] = (default, help, allowed values or None).  Each
 # option is the flag --name with "_" spelled "-"; --config keys use the name.
@@ -317,6 +316,7 @@ def cmd_evaluate(args, cfg: dict) -> None:
         except ValueError as exc:
             raise ParseError(f"{model_path}: invalid JSON ({exc})") from exc
     _, X_test, y_test = _split_arrays(stage, "test")
+    n_classes = len(stage.encoding.classes)
 
     try:
         kind = json_field(payload, "type", str)
@@ -325,8 +325,19 @@ def cmd_evaluate(args, cfg: dict) -> None:
                 f"{model_path} was trained against different stage artifacts; rerun train"
             )
         if kind in ("svc", "qsvc"):
+            model, support_ids = svm_mod.MulticlassSvm.from_dict(payload)
+        elif kind in ("vqc", "qnnc"):
+            model = var_mod.VariationalModel.from_dict(payload)
+        else:
+            raise ParseError(f"unknown model type {kind!r}")
+        if model.n_classes != n_classes:
+            raise VersioningError(
+                f"{model_path} has {model.n_classes} classes, the reduce stage has {n_classes}"
+            )
+        if kind in ("vqc", "qnnc"):
+            y_pred = var_mod.predict(model, X_test)
+        else:
             # One test Gram against the union of all classes' support ids.
-            clf, support_ids = svm_mod.MulticlassSvm.from_dict(payload)
             support = stage.features.rows_for(support_ids)
             kernel = json_field(payload, "kernel", dict)
             if kind == "svc":
@@ -341,15 +352,10 @@ def cmd_evaluate(args, cfg: dict) -> None:
                     shots=json_field(kernel, "shots", int),
                     seed=json_field(kernel, "seed", int),
                 ).values
-            y_pred = svm_mod.predict_multiclass(clf, K)
-        elif kind in ("vqc", "qnnc"):
-            y_pred = var_mod.predict(var_mod.VariationalModel.from_dict(payload), X_test)
-        else:
-            raise ParseError(f"unknown model type {kind!r}")
+            y_pred = svm_mod.predict_multiclass(model, K)
     except ParseError as exc:
         raise ParseError(f"{model_path}: {exc}") from exc
 
-    n_classes = len(stage.encoding.classes)
     matrix = metrics_mod.confusion(y_test, y_pred, n_classes)
     rep = metrics_mod.report(matrix, stage.encoding.classes)
     text = metrics_mod.render_report(rep)

@@ -5,6 +5,8 @@ exit code 2 (see qtc.cli).  ``json_field`` turns a missing or mistyped field
 of a JSON artifact into a ParseError instead of a KeyError or TypeError.
 """
 
+import math
+
 
 class QtcError(Exception):
     """Base class for all package errors."""
@@ -42,7 +44,8 @@ def json_field(d, key: str, kind, items=None):
     """``d[key]`` from a parsed JSON object, checked to be of ``kind``.
 
     ``items``, when given, is the kind every element of the (list) value
-    must be.  A missing key or a value of another kind raises ParseError.
+    must be.  A missing key, a value of another kind or a NaN or infinity
+    (which Python's ``json`` parses) where a number belongs raises ParseError.
     """
     if not isinstance(d, dict):
         raise ParseError(f"expected a JSON object holding {key!r}, got {type(d).__name__}")
@@ -51,4 +54,7 @@ def json_field(d, key: str, kind, items=None):
     value = d[key]
     if not _holds(value, kind) or (items is not None and not all(_holds(v, items) for v in value)):
         raise ParseError(f"field {key!r} has the wrong type")
+    numbers = value if items is not None else [value]
+    if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
+        raise ParseError(f"field {key!r} holds a non-finite number")
     return value

@@ -37,7 +37,7 @@ import numpy as np
 from .arrays import mapped_empty
 from .circuits import FeatureMapSpec, build_feature_map
 from .errors import ParseError, ValidationError, json_field
-from .qsim import run
+from .qsim import MAX_SHOTS, run
 
 __all__ = [
     "GramMatrix",
@@ -109,6 +109,8 @@ def gram(
         raise ValidationError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     if mode == "sampled" and shots < 1:
         raise ValidationError("shots must be >= 1")
+    if mode == "sampled" and shots > MAX_SHOTS:
+        raise ValidationError(f"shots must be <= {MAX_SHOTS}, got {shots}")
     if mode == "sampled" and seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     square = Y is None

@@ -1,6 +1,7 @@
 """Statevector simulation substrate: circuits, gates, exact states, sampling."""
 
 from .core import (
+    MAX_SHOTS,
     Circuit,
     Gate,
     StateVector,
@@ -14,6 +15,7 @@ from .core import (
 )
 
 __all__ = [
+    "MAX_SHOTS",
     "Circuit",
     "Gate",
     "StateVector",

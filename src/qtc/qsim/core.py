@@ -7,17 +7,17 @@ Conventions
 * Gate matrices: H = (1/sqrt 2)[[1,1],[1,-1]]; P(t) = diag(1, e^{it});
   RY(t) = [[cos t/2, -sin t/2],[sin t/2, cos t/2]]; CX flips the target when
   the control is 1.
-* Angles may be bound floats, per-row float arrays (one angle per state of
-  a batch) or free symbols (strings); a circuit must be fully bound before
-  it can run.
+* Angles may be bound floats or free symbols (strings); P alone also takes a
+  per-row float array (one phase angle per state of a batch).  A circuit
+  must be fully bound before it can run.
 
 One circuit structure runs over a whole batch of states at once, in place on
 a (rows, 2**n) amplitude array, through a fusion pass planned once per run:
 
 * each maximal run of consecutive RY gates becomes at most one real block per
   fixed window of 6 qubits ([0, 6), [6, 12), ...): the Kronecker product of
-  the window's composed 2x2 rotations, applied by one matmul on the float64
-  view of the amplitudes;
+  the window's composed 2x2 rotations, built once per run and applied by one
+  matmul on the float64 view of the amplitudes;
 * each run of 3 or more consecutive CX gates becomes one precomputed index
   gather, which moves amplitudes exactly;
 * H, P and shorter CX runs are applied one at a time with vectorized NumPy
@@ -39,6 +39,7 @@ import numpy as np
 from ..errors import ValidationError
 
 __all__ = [
+    "MAX_SHOTS",
     "Gate",
     "Circuit",
     "StateVector",
@@ -54,6 +55,8 @@ __all__ = [
 _KINDS = ("h", "p", "ry", "cx")
 _PARAMETRIC = ("p", "ry")
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# The largest count NumPy's binomial and multinomial draws accept (a C long).
+MAX_SHOTS = 2**63 - 1
 # Rows per chunk in ``run`` times 2**n_qubits; 2**15 complex128 amplitudes
 # (512 KiB) keep a gate's temporaries in cache.
 _CHUNK_AMPLITUDES = 1 << 15
@@ -71,8 +74,9 @@ class Gate:
     """One gate: kind in {'h','p','ry','cx'}, its qubits, and an optional angle.
 
     For 'cx' the qubits tuple is (control, target); 'h' takes no angle; 'p'
-    and 'ry' take an angle in radians: a float, a 1-D array with one angle
-    per row of a batch, or the name of an unbound symbol.
+    and 'ry' take an angle in radians: a float or the name of an unbound
+    symbol.  'p' alone may also take a 1-D array with one angle per row of a
+    batch.
     """
 
     kind: str
@@ -99,14 +103,12 @@ class Gate:
                 raise ValidationError(f"{self.kind} takes exactly one qubit")
             if self.kind == "h" and self.angle is not None:
                 raise ValidationError("h takes no angle")
+            if self.kind == "ry" and isinstance(self.angle, np.ndarray):
+                raise ValidationError("ry takes no per-row angles; only p does")
             if self.kind in _PARAMETRIC and self.angle is None:
                 raise ValidationError(f"{self.kind} requires an angle")
         if any(q < 0 for q in self.qubits):
             raise ValidationError("qubit indices must be nonnegative")
-
-    @property
-    def is_bound(self) -> bool:
-        return not isinstance(self.angle, str)
 
 
 @dataclass(frozen=True)
@@ -134,10 +136,6 @@ class Circuit:
             if isinstance(g.angle, str) and g.angle not in seen:
                 seen.append(g.angle)
         return seen
-
-    @property
-    def is_bound(self) -> bool:
-        return all(g.is_bound for g in self.gates)
 
     def bind(self, values) -> "Circuit":
         """Bind free symbols, in parameter order, to the given angles."""
@@ -186,9 +184,8 @@ def backend_name() -> str:
 def _coefficient(gate: Gate):
     """The trigonometry of a gate: e^{i angle} for P, (cos, sin) of angle/2 for RY.
 
-    An array angle gives one coefficient per row: a list of phases for P, a
-    pair of 1-D arrays of cosines and sines for RY.  The trigonometry is per
-    angle through ``math``, so a row of a batch gets exactly the coefficient
+    A P array angle gives a list of phases, one per row.  The trigonometry
+    is per angle through ``math``, so a row of a batch gets exactly the phase
     a float angle would.
     """
     angle = gate.angle
@@ -199,20 +196,9 @@ def _coefficient(gate: Gate):
             return [complex(math.cos(t), math.sin(t)) for t in angle.tolist()]
         return complex(math.cos(angle), math.sin(angle))
     if gate.kind == "ry":
-        if isinstance(angle, np.ndarray):
-            halves = (0.5 * angle).tolist()
-            return (np.array([math.cos(h) for h in halves]),
-                    np.array([math.sin(h) for h in halves]))
         half = 0.5 * float(angle)
         return math.cos(half), math.sin(half)
     return None
-
-
-def _rows(coef, start: int, stop: int):
-    """The part of a per-row coefficient that covers rows start..stop-1."""
-    if isinstance(coef, (list, np.ndarray)):
-        return coef[start:stop]
-    return coef
 
 
 def _plan(circuit: Circuit) -> list[tuple]:
@@ -220,8 +206,7 @@ def _plan(circuit: Circuit) -> list[tuple]:
 
     A step is ("gate", gate, coef) for ``_apply``, ("gather", index) for a CX
     run, or ("block", low, block) for one window of an RY run, where block is
-    the matrix ``_apply_block`` takes or, when some angle is per row, the
-    window's rotations for ``_block`` to build it from chunk by chunk.
+    the matrix ``_apply_block`` takes.
     """
     n = circuit.n_qubits
     steps: list[tuple] = []
@@ -231,10 +216,8 @@ def _plan(circuit: Circuit) -> list[tuple]:
             rotations = _compose_rotations(run_gates, n)
             for low in range(0, n, _BLOCK_QUBITS):
                 window = rotations[low:low + _BLOCK_QUBITS]
-                if all(r is None for r in window):
-                    continue
-                per_row = any(isinstance(r[0], np.ndarray) for r in window if r is not None)
-                steps.append(("block", low, window if per_row else _block(window, low, 0, 1)))
+                if any(r is not None for r in window):
+                    steps.append(("block", low, _block(window, low)))
         elif kind == "cx" and len(run_gates) >= _MIN_CX_RUN:
             steps.append(("gather", _cx_index(run_gates, n)))
         else:
@@ -245,8 +228,7 @@ def _plan(circuit: Circuit) -> list[tuple]:
 def _compose_rotations(gates: list[Gate], n_qubits: int) -> list:
     """Per qubit, the (cos, sin) of the product of its RY gates, or None.
 
-    RY(b) RY(a) is the rotation with cos = cb ca - sb sa and sin = sb ca + cb sa,
-    taken elementwise, so a per-row entry is bitwise its float counterpart.
+    RY(b) RY(a) is the rotation with cos = cb ca - sb sa and sin = sb ca + cb sa.
     """
     rotations: list = [None] * n_qubits
     for gate in gates:
@@ -259,30 +241,28 @@ def _compose_rotations(gates: list[Gate], n_qubits: int) -> list:
     return rotations
 
 
-def _block(window: list, low: int, start: int, stop: int) -> np.ndarray:
-    """The real block of one window of rotations, for rows start..stop-1.
+def _block(window: list, low: int) -> np.ndarray:
+    """The real block of one window of rotations.
 
-    The window's matrix is the Kronecker product of its qubits' 2x2
+    The window's matrix M is the Kronecker product of its qubits' 2x2
     rotations, highest qubit first (identity where a qubit has none), built
-    with elementwise products only, one matrix per row when an angle is per
-    row.  The lowest window returns kron(M.T, I2), which acts on the float64
-    view's trailing axis from the right; a higher window returns M with a
-    broadcast axis for the amplitudes above the window.
+    with elementwise products only.  The lowest window returns kron(M.T, I2),
+    which acts on the float64 view's trailing axis from the right; a higher
+    window returns M, which acts on the amplitudes above the window from the
+    left.
     """
-    m = np.ones((1, 1, 1))
+    m = np.ones((1, 1))
     for rotation in reversed(window):
         if rotation is None:
-            r = np.eye(2)[None]
+            r = np.eye(2)
         else:
-            c, s = (np.reshape(_rows(v, start, stop), -1) for v in rotation)
-            r = np.moveaxis(np.array([[c, -s], [s, c]]), -1, 0)
-        m = m[:, :, None, :, None] * r[:, None, :, None, :]
-        m = m.reshape(m.shape[0], m.shape[1] * 2, m.shape[3] * 2)
+            c, s = rotation
+            r = np.array([[c, -s], [s, c]])
+        m = (m[:, None, :, None] * r[None, :, None, :]).reshape(2 * len(m), 2 * len(m))
     if low > 0:
-        return m[:, None]
-    rows, dim = m.shape[0], m.shape[1]
-    k = np.zeros((rows, 2 * dim, 2 * dim))
-    k[:, 0::2, 0::2] = k[:, 1::2, 1::2] = m.transpose(0, 2, 1)
+        return m
+    k = np.zeros((2 * len(m), 2 * len(m)))
+    k[0::2, 0::2] = k[1::2, 1::2] = m.T
     return k
 
 
@@ -361,7 +341,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 def run(circuit: Circuit, state: StateVector | None = None) -> StateVector:
     """Run a fully bound circuit on |0...0>, or on a copy of ``state``.
 
-    A circuit whose angles are per-row arrays runs on a batch: one row per
+    A circuit whose P angles are per-row arrays runs on a batch: one row per
     angle, each row the state that circuit with that row's angles gives.
     ``state`` may hold one state (1-D amplitudes) or a batch (2-D), and a
     batch circuit needs as many rows as it has.  The result has the shape of
@@ -397,14 +377,11 @@ def run(circuit: Circuit, state: StateVector | None = None) -> StateVector:
         for kind, *args in steps:
             if kind == "gate":
                 gate, coef = args
-                _apply(chunk, n, gate, _rows(coef, start, stop))
+                _apply(chunk, n, gate, coef[start:stop] if isinstance(coef, list) else coef)
             elif kind == "gather":
                 chunk[...] = chunk[:, args[0]]
             else:
-                low, block = args
-                if isinstance(block, list):
-                    block = _block(block, low, start, stop)
-                _apply_block(chunk, n, low, block)
+                _apply_block(chunk, n, *args)
     return StateVector(n, amps.reshape(shape))
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .circuits import AnsatzSpec, FeatureMapSpec, bind_ansatz, build_ansatz, build_feature_map
 from .errors import NUMBER, ParseError, ValidationError, json_field
 from .optimizer import STOPS, OptimizerConfig, OptimizationTrace, minimize
-from .qsim import StateVector, probabilities, run, sample
+from .qsim import MAX_SHOTS, StateVector, probabilities, run, sample
 
 __all__ = [
     "VariationalModel",
@@ -70,6 +70,8 @@ class VariationalModel:
             raise ValidationError(f"loss_kind must be one of {LOSS_KINDS}")
         if self.shots < 0:
             raise ValidationError("shots must be >= 0 (0 selects exact mode)")
+        if self.shots > MAX_SHOTS:
+            raise ValidationError(f"shots must be <= {MAX_SHOTS}, got {self.shots}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 

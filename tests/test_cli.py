@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -437,7 +438,7 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize(
         "values, code",
         [({"components": "two"}, 1), ({"scale_hi": True}, 1), ({"components": 2.0}, 1),
-         ({"scale_hi": 3}, 0)],
+         ({"scale_hi": 3}, 0), ({"scale_hi": float("nan")}, 1)],
     )
     def test_config_value_type_checked(self, pipeline_dir, capsys, values, code):
         cfgfile = pipeline_dir / "cfg.json"
@@ -638,6 +639,35 @@ class TestDamagedModel:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(payload))
         assert evaluate_quietly(work, path) == (1, "error: seed must be >= 0, got -1\n")
+
+    @pytest.mark.parametrize("model, damage, message", [
+        ("vqc", lambda d: d["theta"].__setitem__(0, float("inf")), "'theta' holds a non-finite"),
+        ("vqc", lambda d: d["theta"].__setitem__(0, float("nan")), "'theta' holds a non-finite"),
+        ("qsvc", lambda d: d["per_class"][0]["dual_coefs"].__setitem__(0, float("nan")),
+         "'dual_coefs' holds a non-finite"),
+        ("qsvc", lambda d: d["per_class"][0].update(bias=float("inf")),
+         "'bias' holds a non-finite"),
+        ("vqc", lambda d: d["mode"].update(shots=2**70), "shots must be <= 9223372036854775807"),
+        ("qsvc", lambda d: d["kernel"].update(mode="sampled", shots=2**70),
+         "shots must be <= 9223372036854775807"),
+        ("vqc", lambda d: d.update(n_classes=99), "has 99 classes, the reduce stage has 3"),
+        ("qsvc", lambda d: d["per_class"].append(d["per_class"][0]),
+         "has 4 classes, the reduce stage has 3"),
+    ], ids=["vqc_theta_inf", "vqc_theta_nan", "qsvc_dual_coef_nan", "qsvc_bias_inf",
+            "vqc_shots_2**70", "qsvc_shots_2**70", "vqc_99_classes", "qsvc_4_classes"])
+    def test_rejected_before_any_report(self, trained_models, tmp_path, model, damage, message):
+        work, payloads = trained_models
+        work = shutil.copytree(work, tmp_path / "work")
+        for name in ("report.json", "report.txt"):
+            (work / name).unlink()
+        payload = json.loads(json.dumps(payloads[model]))
+        damage(payload)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))  # NaN and Infinity as Python's json writes them
+        code, err = evaluate_quietly(work, path)
+        assert code == 1
+        assert err.count("\n") == 1 and message in err
+        assert not (work / "report.json").exists() and not (work / "report.txt").exists()
 
     def test_unknown_type_names_only_the_type(self, trained_models, tmp_path):
         work, payloads = trained_models

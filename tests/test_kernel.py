@@ -644,3 +644,7 @@ class TestSampledGram:
     def test_shots_below_one_or_negative_seed_rejected(self, shots, seed):
         with pytest.raises(ValidationError):
             gram(ZZ2, np.zeros((2, 2)), mode="sampled", shots=shots, seed=seed)
+
+    def test_shots_above_max_rejected(self):
+        with pytest.raises(ValidationError, match="shots must be <="):
+            gram(ZZ2, np.zeros((2, 2)), mode="sampled", shots=2**63, seed=1)

@@ -216,7 +216,6 @@ class TestBinding:
         circ = Circuit(2, (Gate("ry", (0,), "a"), Gate("ry", (1,), "b")))
         bound = circ.bind([0.5, 1.5])
         assert [g.angle for g in bound.gates] == [0.5, 1.5]
-        assert bound.is_bound
 
     def test_repeated_symbol_binds_once(self):
         circ = Circuit(1, (Gate("ry", (0,), "a"), Gate("p", (0,), "a")))
@@ -234,10 +233,11 @@ class TestBinding:
 
 
 def random_batch_circuit(rng, n_qubits, n_gates, rows) -> Circuit:
-    """A random circuit whose P/RY angles are, at random, floats or per-row arrays."""
+    """A random circuit whose P angles are, at random, floats or per-row arrays
+    (RY angles are floats)."""
     gates = []
     for g in random_circuit(rng, n_qubits, n_gates).gates:
-        if g.kind in ("p", "ry") and rng.integers(2):
+        if g.kind == "p" and rng.integers(2):
             g = Gate(g.kind, g.qubits, rng.uniform(-4, 4, rows))
         gates.append(g)
     return Circuit(n_qubits, tuple(gates))
@@ -323,7 +323,7 @@ class TestBatchRun:
         assert_bitwise(start, kept)
 
     def test_angle_arrays_of_different_lengths_rejected(self):
-        circ = Circuit(1, (Gate("p", (0,), np.zeros(2)), Gate("ry", (0,), np.zeros(3))))
+        circ = Circuit(1, (Gate("p", (0,), np.zeros(2)), Gate("p", (0,), np.zeros(3))))
         with pytest.raises(ValidationError, match="differ in length"):
             run(circ)
 
@@ -340,15 +340,19 @@ class TestBatchRun:
         with pytest.raises(ValidationError, match="1-D"):
             Gate("p", (0,), np.zeros((2, 2)))
 
+    def test_only_p_takes_per_row_angles(self):
+        with pytest.raises(ValidationError, match="only p does"):
+            Gate("ry", (0,), np.array([0.1, 0.2]))
+
     def test_sample_rejects_batch(self):
-        batch = run(Circuit(1, (Gate("ry", (0,), np.array([0.1, 0.2])),)))
+        batch = run(Circuit(1, (Gate("p", (0,), np.array([0.1, 0.2])),)))
         with pytest.raises(ValidationError, match="batch"):
             sample(batch, 10, seed=0)
 
 
 @st.composite
 def batch_cases(draw):
-    """(circuit with float and per-row angles, row count) on 1-8 qubits."""
+    """(circuit with float angles and per-row P angles, row count) on 1-8 qubits."""
     n = draw(st.integers(1, 8))
     rows = draw(st.integers(1, 9))
     angle = st.floats(-7.0, 7.0, allow_nan=False)
@@ -361,7 +365,7 @@ def batch_cases(draw):
             gates.append(Gate("cx", (control, target)))
         elif kind == "h":
             gates.append(Gate("h", (draw(st.integers(0, n - 1)),)))
-        elif draw(st.booleans()):
+        elif kind == "p" and draw(st.booleans()):
             values = draw(st.lists(angle, min_size=rows, max_size=rows))
             gates.append(Gate(kind, (draw(st.integers(0, n - 1)),), np.array(values)))
         else:
@@ -387,13 +391,8 @@ def _reference_ry(amps: np.ndarray, gate: Gate) -> None:
     """The oracle for RY: the per-gate slice arithmetic ``_apply`` used before
     RY runs were fused into blocks, kept verbatim."""
     rows = amps.shape[0]
-    if isinstance(gate.angle, np.ndarray):
-        halves = (0.5 * gate.angle).tolist()
-        cos_sin = [[math.cos(h) for h in halves], [math.sin(h) for h in halves]]
-        c, s = np.array(cos_sin).reshape(2, -1, 1, 1)
-    else:
-        half = 0.5 * float(gate.angle)
-        c, s = math.cos(half), math.sin(half)
+    half = 0.5 * float(gate.angle)
+    c, s = math.cos(half), math.sin(half)
     v = amps.reshape(rows, -1, 2, 1 << gate.qubits[0])
     a = v[:, :, 0].copy()
     b = v[:, :, 1].copy()
@@ -417,14 +416,14 @@ def reference_run(circuit: Circuit, start: np.ndarray) -> np.ndarray:
 @st.composite
 def fusion_cases(draw):
     """(circuit, row count) on 1-8 qubits: H, P, CX runs of 1-4 gates and RY
-    runs, with float and per-row angles."""
+    runs, with float angles and per-row P angles."""
     n = draw(st.integers(1, 8))
     rows = draw(st.integers(1, 5))
     qubit = st.integers(0, n - 1)
     angle = st.floats(-7.0, 7.0, allow_nan=False)
 
     def turn(kind):
-        if draw(st.booleans()):
+        if kind == "p" and draw(st.booleans()):
             return Gate(kind, (draw(qubit),), np.array(draw(st.lists(angle, min_size=rows,
                                                                       max_size=rows))))
         return Gate(kind, (draw(qubit),), draw(angle))

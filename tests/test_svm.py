@@ -547,6 +547,8 @@ class TestSerialization:
         lambda d: d["per_class"][1].update(support_ids=[7]),
         lambda d: d["per_class"][2]["dual_coefs"].pop(),
         lambda d: d["per_class"].__setitem__(0, "class zero"),
+        lambda d: d["per_class"][0]["dual_coefs"].__setitem__(0, float("nan")),
+        lambda d: d["per_class"][1].update(bias=float("-inf")),
     ])
     def test_damaged_dict_raises_parse_error(self, damage):
         G, labels, ids = three_class_problem()

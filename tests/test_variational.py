@@ -241,6 +241,11 @@ class TestTrain:
         short = fit(used - 1)
         assert short.trace.stop == "budget" and not short.converged
 
+    def test_shots_above_max_rejected(self):
+        make_model(shots=2**63 - 1)
+        with pytest.raises(ValidationError, match="shots must be <="):
+            make_model(shots=2**63)
+
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValidationError):
             train(np.zeros((0, 2)), [], make_model(), OptimizerConfig(max_evaluations=10))
@@ -395,6 +400,8 @@ class TestSerialization:
         lambda d: d.update(converged=False),
         lambda d: d.update(stop="budget"),
         lambda d: d.update(converged=1),
+        lambda d: d["theta"].__setitem__(0, float("nan")),
+        lambda d: d["theta"].__setitem__(0, float("inf")),
     ])
     def test_damaged_dict_raises_parse_error(self, damage):
         d = record(make_model())
