@@ -12,16 +12,20 @@ Conventions
   must be fully bound before it can run.
 
 One circuit structure runs over a whole batch of states at once, in place on
-a (rows, 2**n) amplitude array, through a fusion pass planned once per run:
+a (rows, 2**n) amplitude array, through a fusion pass planned once per run
+that turns the circuit into two kinds of step:
 
-* each maximal run of consecutive RY gates becomes at most one real block per
-  fixed window of 6 qubits ([0, 6), [6, 12), ...): the Kronecker product of
-  the window's composed 2x2 rotations, built once per run and applied by one
-  matmul on the float64 view of the amplitudes;
-* each run of 3 or more consecutive CX gates becomes one precomputed index
-  gather, which moves amplitudes exactly;
-* H, P and shorter CX runs are applied one at a time with vectorized NumPy
-  slice arithmetic on reshaped views.
+* each maximal run of real single-qubit gates (H and RY) becomes at most one
+  real block per fixed window of 6 qubits ([0, 6), [6, 12), ...): the
+  Kronecker product of the window's composed 2x2 matrices, built once per
+  run and applied by one matmul on the float64 view of the amplitudes;
+* each maximal run of P and CX gates becomes one per-row phase table and at
+  most one index gather.  The CX gates permute the basis, which a gather
+  does exactly, and each P gate adds its angle where a 0/1 mask over the
+  output basis index is set.  The table is one (1, K) @ (K, 2**n) matmul per
+  row for the run's K P gates; its cos and sin then multiply the gathered
+  amplitudes in float64 arithmetic.  The zz feature map's CX pairs compose
+  to the identity and cost nothing.
 
 The row axis of the batch is always a loop or matmul batch axis, never folded
 into a matrix dimension, so every row of a batch is bitwise the state that
@@ -54,19 +58,17 @@ __all__ = [
 
 _KINDS = ("h", "p", "ry", "cx")
 _PARAMETRIC = ("p", "ry")
+# Gates that fuse into real blocks; the others (P, CX) fuse into phase runs.
+_REAL = ("h", "ry")
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # The largest count NumPy's binomial and multinomial draws accept (a C long).
 MAX_SHOTS = 2**63 - 1
 # Rows per chunk in ``run`` times 2**n_qubits; 2**15 complex128 amplitudes
-# (512 KiB) keep a gate's temporaries in cache.
+# (512 KiB) keep a step's temporaries in cache.
 _CHUNK_AMPLITUDES = 1 << 15
-# Qubits per fused RY window: a 2**6 x 2**6 real block is one BLAS matmul per
-# chunk where six gates made about ten passes over the amplitudes each.
+# Qubits per fused real window: a 2**6 x 2**6 real block is one BLAS matmul
+# per chunk where six gates made about ten passes over the amplitudes each.
 _BLOCK_QUBITS = 6
-# Shortest CX run applied as one gather.  The zz feature map's CX pairs (runs
-# of 2) stay per gate: gathered, a 12-qubit encoding was no faster (12 rows:
-# 13-16 ms against 10-14 ms), and the chain of an ansatz layer is n - 1 long.
-_MIN_CX_RUN = 3
 
 
 @dataclass(frozen=True)
@@ -181,83 +183,70 @@ def backend_name() -> str:
     return "numpy"
 
 
-def _coefficient(gate: Gate):
-    """The trigonometry of a gate: e^{i angle} for P, (cos, sin) of angle/2 for RY.
+def _bound(gate: Gate):
+    """The gate's angle, which must not be a free symbol."""
+    if isinstance(gate.angle, str):
+        raise ValidationError(f"unbound parameter {gate.angle!r} in circuit")
+    return gate.angle
 
-    A P array angle gives a list of phases, one per row.  The trigonometry
-    is per angle through ``math``, so a row of a batch gets exactly the phase
-    a float angle would.
-    """
-    angle = gate.angle
-    if isinstance(angle, str):
-        raise ValidationError(f"unbound parameter {angle!r} in circuit")
-    if gate.kind == "p":
-        if isinstance(angle, np.ndarray):
-            return [complex(math.cos(t), math.sin(t)) for t in angle.tolist()]
-        return complex(math.cos(angle), math.sin(angle))
-    if gate.kind == "ry":
-        half = 0.5 * float(angle)
-        return math.cos(half), math.sin(half)
-    return None
+
+def _matrix(gate: Gate) -> np.ndarray:
+    """The real 2x2 matrix of an H or RY gate."""
+    if gate.kind == "h":
+        return np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]])
+    half = 0.5 * float(_bound(gate))
+    c, s = math.cos(half), math.sin(half)
+    return np.array([[c, -s], [s, c]])
 
 
 def _plan(circuit: Circuit) -> list[tuple]:
     """The steps ``run`` applies to each chunk, in circuit order.
 
-    A step is ("gate", gate, coef) for ``_apply``, ("gather", index) for a CX
-    run, or ("block", low, block) for one window of an RY run, where block is
-    the matrix ``_apply_block`` takes.
+    A step is ("block", low, block) for one window of a real run, where block
+    is the matrix ``_apply_block`` takes, or ("phase", angles, masks, index)
+    for a P/CX run, as ``_phase_run`` gives it.
     """
     n = circuit.n_qubits
     steps: list[tuple] = []
-    for kind, run_gates in groupby(circuit.gates, key=lambda g: g.kind):
+    for real, run_gates in groupby(circuit.gates, key=lambda g: g.kind in _REAL):
         run_gates = list(run_gates)
-        if kind == "ry":
-            rotations = _compose_rotations(run_gates, n)
+        if real:
+            matrices = _compose(run_gates, n)
             for low in range(0, n, _BLOCK_QUBITS):
-                window = rotations[low:low + _BLOCK_QUBITS]
-                if any(r is not None for r in window):
+                window = matrices[low:low + _BLOCK_QUBITS]
+                if any(m is not None for m in window):
                     steps.append(("block", low, _block(window, low)))
-        elif kind == "cx" and len(run_gates) >= _MIN_CX_RUN:
-            steps.append(("gather", _cx_index(run_gates, n)))
         else:
-            steps.extend(("gate", g, _coefficient(g)) for g in run_gates)
+            step = _phase_run(run_gates, n)
+            if step is not None:
+                steps.append(step)
     return steps
 
 
-def _compose_rotations(gates: list[Gate], n_qubits: int) -> list:
-    """Per qubit, the (cos, sin) of the product of its RY gates, or None.
-
-    RY(b) RY(a) is the rotation with cos = cb ca - sb sa and sin = sb ca + cb sa.
-    """
-    rotations: list = [None] * n_qubits
+def _compose(gates: list[Gate], n_qubits: int) -> list:
+    """Per qubit, the product of its H and RY matrices in gate order, or None."""
+    matrices: list = [None] * n_qubits
     for gate in gates:
-        c, s = _coefficient(gate)
         q = gate.qubits[0]
-        if rotations[q] is not None:
-            c0, s0 = rotations[q]
-            c, s = c * c0 - s * s0, s * c0 + c * s0
-        rotations[q] = (c, s)
-    return rotations
+        m = _matrix(gate)
+        matrices[q] = m if matrices[q] is None else m @ matrices[q]
+    return matrices
 
 
 def _block(window: list, low: int) -> np.ndarray:
-    """The real block of one window of rotations.
+    """The real block of one window of 2x2 matrices.
 
-    The window's matrix M is the Kronecker product of its qubits' 2x2
-    rotations, highest qubit first (identity where a qubit has none), built
-    with elementwise products only.  The lowest window returns kron(M.T, I2),
+    The window's matrix M is the Kronecker product of its qubits' matrices,
+    highest qubit first (identity where a qubit has none), built with
+    elementwise products only.  The lowest window returns kron(M.T, I2),
     which acts on the float64 view's trailing axis from the right; a higher
     window returns M, which acts on the amplitudes above the window from the
     left.
     """
     m = np.ones((1, 1))
-    for rotation in reversed(window):
-        if rotation is None:
+    for r in reversed(window):
+        if r is None:
             r = np.eye(2)
-        else:
-            c, s = rotation
-            r = np.array([[c, -s], [s, c]])
         m = (m[:, None, :, None] * r[None, :, None, :]).reshape(2 * len(m), 2 * len(m))
     if low > 0:
         return m
@@ -284,53 +273,68 @@ def _apply_block(amps: np.ndarray, n_qubits: int, low: int, block: np.ndarray) -
         v[...] = block @ v
 
 
-def _cx_index(gates: list[Gate], n_qubits: int) -> np.ndarray:
-    """Gather index of a CX run: the run maps amplitudes a to a[index]."""
-    basis = np.arange(1 << n_qubits)
-    index = basis
-    for gate in gates:
-        control, target = gate.qubits
-        index = index[basis ^ (((basis >> control) & 1) << target)]
-    return index
+def _phase_run(gates: list[Gate], n_qubits: int) -> tuple | None:
+    """One step for a run of P and CX gates, or None if the run is the identity.
 
+    The run maps amplitudes a to a[index] * e^{i phi}, where phi is a sum of
+    the run's P angles, each times a 0/1 mask over the output basis index.
+    Walking the run backwards, ``source`` maps each output index to the index
+    it holds before the CX gates seen so far; a P gate on qubit q then
+    contributes where bit q of ``source`` is set, and at the start of the run
+    ``source`` is the gather index.
 
-def _apply(amps: np.ndarray, n_qubits: int, gate: Gate, coef) -> None:
-    """Apply one H, P or CX gate in place to every row of a (rows, 2**n_qubits) array.
-
-    ``coef`` is ``_coefficient(gate)``, cut to these rows.
+    The step is ("phase", angles, masks, index): the (rows, K) angle matrix,
+    one column per P gate and one row per batch row (a single row when every
+    angle is a float), the (K, 2**n_qubits) float mask matrix, and the gather
+    index, None when the CX gates compose to the identity.  A run with no P
+    gate has no angles and no masks.
     """
-    rows = amps.shape[0]
-    if gate.kind == "cx":
-        # Qubit k is axis n-k (axis 0 is the row); swap the target's halves
-        # where the control is 1.
-        v = amps.reshape((rows,) + (2,) * n_qubits)
-        control, target = (n_qubits - q for q in gate.qubits)
-        t0 = [slice(None)] * (n_qubits + 1)
-        t0[control] = 1
-        t1 = list(t0)
-        t0[target], t1[target] = 0, 1
-        t0, t1 = tuple(t0), tuple(t1)
-        tmp = v[t0].copy()
-        v[t0] = v[t1]
-        v[t1] = tmp
+    basis = np.arange(1 << n_qubits)
+    source = basis
+    angles: list = []
+    masks: list = []
+    for gate in reversed(gates):
+        if gate.kind == "cx":
+            control, target = gate.qubits
+            source = source ^ (((source >> control) & 1) << target)
+        else:
+            angles.append(_bound(gate))
+            masks.append((source >> gate.qubits[0]) & 1)
+    index = None if np.array_equal(source, basis) else source
+    if not angles:
+        return None if index is None else ("phase", None, None, index)
+    rows = max((len(a) for a in angles if isinstance(a, np.ndarray)), default=1)
+    matrix = np.column_stack([np.broadcast_to(a, (rows,)) for a in reversed(angles)])
+    return ("phase", matrix, np.array(masks[::-1], dtype=np.float64), index)
+
+
+def _trig(angles: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the (rows, 2**n) phase table of a (rows, K) angle matrix.
+
+    Rows are the matmul batch axis, so each row's table is its own (1, K)
+    product, the one it gets when run alone.
+    """
+    phi = (angles[:, None, :] @ masks)[:, 0]
+    return np.cos(phi), np.sin(phi)
+
+
+def _apply_phase(amps: np.ndarray, trig, index) -> None:
+    """Gather a (rows, 2**n) array by ``index``, then multiply it by e^{i phi} in place.
+
+    The complex multiply is spelled out in float64, one rounding per
+    operation, so no row's bits depend on which loop NumPy picks.
+    """
+    if trig is None:
+        amps[...] = amps[:, index]
         return
-    # Viewed as (rows, dim // (2 * step), 2, step) with step = 2**q, axis 2
-    # is qubit q.
-    v = amps.reshape(rows, -1, 2, 1 << gate.qubits[0])
-    if gate.kind == "p":
-        # Row by row, so each multiply has the shape a one-state run gives
-        # it.  NumPy fuses the complex multiply-add only in loops longer
-        # than one element, so on 1 qubit a batch-wide multiply rounds
-        # differently from the same row alone.  H multiplies by a real,
-        # which rounds the same either way.
-        ones = v[:, :, 1]
-        for r, phase in enumerate(coef if isinstance(coef, list) else [coef] * rows):
-            ones[r] *= phase
-        return
-    a = v[:, :, 0].copy()
-    b = v[:, :, 1].copy()
-    v[:, :, 0] = (a + b) * _INV_SQRT2
-    v[:, :, 1] = (a - b) * _INV_SQRT2
+    c, s = trig
+    view = amps.view(np.float64).reshape(amps.shape[0], -1, 2)
+    re, im = view[:, :, 0], view[:, :, 1]
+    if index is not None:
+        re, im = re[:, index], im[:, index]
+    out_re = re * c - im * s
+    view[:, :, 1] = re * s + im * c
+    view[:, :, 0] = out_re
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -375,13 +379,14 @@ def run(circuit: Circuit, state: StateVector | None = None) -> StateVector:
         stop = start + step
         chunk = amps[start:stop]
         for kind, *args in steps:
-            if kind == "gate":
-                gate, coef = args
-                _apply(chunk, n, gate, coef[start:stop] if isinstance(coef, list) else coef)
-            elif kind == "gather":
-                chunk[...] = chunk[:, args[0]]
-            else:
+            if kind == "block":
                 _apply_block(chunk, n, *args)
+            else:
+                angles, masks, index = args
+                # A single row of angles serves every row of the batch.
+                trig = None if masks is None else _trig(
+                    angles if len(angles) == 1 else angles[start:stop], masks)
+                _apply_phase(chunk, trig, index)
     return StateVector(n, amps.reshape(shape))
 
 

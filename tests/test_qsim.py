@@ -53,9 +53,13 @@ def dense_unitary(gate: Gate, n: int) -> np.ndarray:
     return np.kron(np.kron(np.eye(1 << (n - 1 - q)), single), np.eye(1 << q))
 
 
-def dense_run(circuit: Circuit) -> np.ndarray:
-    state = np.zeros(1 << circuit.n_qubits, dtype=complex)
-    state[0] = 1.0
+def dense_run(circuit: Circuit, start: np.ndarray | None = None) -> np.ndarray:
+    """The circuit's dense unitaries applied in turn to ``start``, or to |0...0>."""
+    if start is None:
+        state = np.zeros(1 << circuit.n_qubits, dtype=complex)
+        state[0] = 1.0
+    else:
+        state = np.array(start, dtype=complex)
     for gate in circuit.gates:
         state = dense_unitary(gate, circuit.n_qubits) @ state
     return state
@@ -400,16 +404,60 @@ def _reference_ry(amps: np.ndarray, gate: Gate) -> None:
     v[:, :, 1] = s * a + c * b
 
 
+def _reference_coefficient(gate: Gate):
+    """The P phase e^{i angle}, a list with one phase per row for a per-row
+    angle, as ``core._coefficient`` computed it before P runs were fused
+    into phase tables, kept verbatim."""
+    angle = gate.angle
+    if isinstance(angle, np.ndarray):
+        return [complex(math.cos(t), math.sin(t)) for t in angle.tolist()]
+    return complex(math.cos(angle), math.sin(angle))
+
+
+def _reference_gate(amps: np.ndarray, n_qubits: int, gate: Gate) -> None:
+    """The oracle for H, P and CX: the per-gate slice arithmetic of
+    ``core._apply`` before H joined the real blocks and P and CX the phase
+    runs, kept verbatim."""
+    rows = amps.shape[0]
+    if gate.kind == "cx":
+        # Qubit k is axis n-k (axis 0 is the row); swap the target's halves
+        # where the control is 1.
+        v = amps.reshape((rows,) + (2,) * n_qubits)
+        control, target = (n_qubits - q for q in gate.qubits)
+        t0 = [slice(None)] * (n_qubits + 1)
+        t0[control] = 1
+        t1 = list(t0)
+        t0[target], t1[target] = 0, 1
+        t0, t1 = tuple(t0), tuple(t1)
+        tmp = v[t0].copy()
+        v[t0] = v[t1]
+        v[t1] = tmp
+        return
+    # Viewed as (rows, dim // (2 * step), 2, step) with step = 2**q, axis 2
+    # is qubit q.
+    v = amps.reshape(rows, -1, 2, 1 << gate.qubits[0])
+    if gate.kind == "p":
+        coef = _reference_coefficient(gate)
+        ones = v[:, :, 1]
+        for r, phase in enumerate(coef if isinstance(coef, list) else [coef] * rows):
+            ones[r] *= phase
+        return
+    a = v[:, :, 0].copy()
+    b = v[:, :, 1].copy()
+    v[:, :, 0] = (a + b) * INV
+    v[:, :, 1] = (a - b) * INV
+
+
 def reference_run(circuit: Circuit, start: np.ndarray) -> np.ndarray:
     """Every gate of ``circuit`` applied one at a time to a copy of the
     (rows, 2**n) amplitudes ``start``: RY by ``_reference_ry``, H, P and CX by
-    ``core._apply``, with no fusion and no chunks."""
+    ``_reference_gate``, with no fusion and no chunks."""
     amps = np.array(start, dtype=np.complex128)
     for gate in circuit.gates:
         if gate.kind == "ry":
             _reference_ry(amps, gate)
         else:
-            core._apply(amps, circuit.n_qubits, gate, core._coefficient(gate))
+            _reference_gate(amps, circuit.n_qubits, gate)
     return amps
 
 
@@ -465,13 +513,51 @@ class TestFusion:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_zz_encoding_equals_reference_bitwise(self, n):
+        # Fused H and P round differently from the per-gate reference, so the
+        # encoding matches it to 1e-14; bitwise, each row of the batch is the
+        # encoding of that point alone.
         rng = np.random.default_rng(100 + n)
         X = rng.uniform(0, math.pi, (10, n))  # 10 rows: more than one chunk at 12 qubits
         model = VariationalModel(FeatureMapSpec("zz", n, reps=2), AnsatzSpec(n, reps=1),
                                  np.zeros(2 * n), 2, "cross_entropy")
         circ = build_feature_map(model.feature_map, X)
         start = np.tile(zero_state(n).amplitudes, (10, 1))
-        assert_bitwise(encode(model, X).amplitudes, reference_run(circ, start))
+        batch = encode(model, X).amplitudes
+        assert np.max(np.abs(batch - reference_run(circ, start))) <= 1e-14
+        for r, x in enumerate(X):
+            assert_bitwise(batch[r], run(build_feature_map(model.feature_map, x)).amplitudes)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_p_inside_cx_runs_matches_dense_oracle(self, n):
+        # P gates on the control, on the target and on other qubits of CX
+        # chains, so most phase runs end in a permutation other than the
+        # identity; the circuit begins and ends with such a run, and the P
+        # angles are per row or float.
+        rng = np.random.default_rng(300 + n)
+        rows = 3
+
+        def p(q):
+            angle = rng.uniform(-4, 4, rows) if rng.integers(2) else float(rng.uniform(-4, 4))
+            return Gate("p", (q,), angle)
+
+        def phase_run():
+            gates = [p(0)]
+            for q in range(n - 1):
+                control, target = (q, q + 1) if rng.integers(2) else (q + 1, q)
+                others = [k for k in range(n) if k not in (control, target)]
+                gates += [p(control), Gate("cx", (control, target)), p(target)]
+                if others:
+                    gates.append(p(int(rng.choice(others))))
+            return gates
+
+        middle = [Gate("h", (q,)) for q in range(n)] + [Gate("ry", (0,), 0.7)]
+        circ = Circuit(n, tuple(phase_run() + middle + phase_run() + middle[:1] + phase_run()))
+        start = random_states(rng, rows, n)
+        out = run(circ, StateVector(n, start)).amplitudes
+        for r in range(rows):
+            one = row_circuit(circ, r)
+            assert np.max(np.abs(out[r] - dense_run(one, start[r]))) <= 1e-14
+            assert_bitwise(out[r], run(one, StateVector(n, start[r])).amplitudes)
 
     def test_ansatz_layers_match_reference(self):
         rng = np.random.default_rng(22)

@@ -329,17 +329,21 @@ class TestCachedEncoding:
 
 
 def test_blas_thread_count_does_not_change_bits():
-    # The fused RY blocks run through BLAS matmul; each thread count runs
-    # in a fresh process, since OpenBLAS reads the variable at load time.
+    # The real blocks and the phase tables of the P/CX runs go through BLAS
+    # matmul at every width: the 12-qubit model, and a 2-qubit zz encoding
+    # of 2,001 rows.  Each thread count runs in a fresh process, since
+    # OpenBLAS reads the variable at load time.
     script = (
         "import numpy as np\n"
         "from qtc.circuits import AnsatzSpec, FeatureMapSpec\n"
+        "from qtc.kernel import encoded_state\n"
         "from qtc.variational import VariationalModel, class_probabilities\n"
         "rng = np.random.default_rng(17)\n"
         "model = VariationalModel(FeatureMapSpec('zz', 12), AnsatzSpec(12),"
         " rng.uniform(-3, 3, 24), 3, 'cross_entropy')\n"
         "probs = class_probabilities(model, rng.uniform(0, np.pi, (48, 12)))\n"
-        "print(probs.view(np.uint64).tolist())\n"
+        "states = encoded_state(FeatureMapSpec('zz', 2), rng.uniform(0, np.pi, (2001, 2)))\n"
+        "print([probs.view(np.uint64).tolist(), states.view(np.uint64).tolist()])\n"
     )
     outputs = []
     for threads in ("1", "2"):
@@ -349,7 +353,9 @@ def test_blas_thread_count_does_not_change_bits():
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outputs.append(json.loads(proc.stdout))
-    assert len(outputs[0]) == 48 and outputs[0] == outputs[1]
+    probs, states = outputs[0]
+    assert len(probs) == 48 and len(states) == 2001
+    assert outputs[0] == outputs[1]
 
 
 def record(model, stop="rho_end", evaluations=7):
