@@ -14,6 +14,7 @@ default.  The resolved configuration is echoed by every command.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -34,7 +35,7 @@ from .corpus import load_stage, manifest_hash, save_stage, stratified_split
 from .errors import (
     NUMBER, NumericalError, ParseError, SchemaError, ValidationError, VersioningError, json_field,
 )
-from .optimizer import OptimizerConfig, write_trace_csv
+from .optimizer import OptimizerConfig, check_budget, write_trace_csv
 from .qsim import MAX_SHOTS
 
 _FEATURE_MAPS = ("z", "zz")
@@ -126,6 +127,25 @@ def _resolve(args: argparse.Namespace) -> dict:
     return resolved
 
 
+@contextlib.contextmanager
+def _options(cfg: dict, *names: str):
+    """Name the given options and their values in a ValidationError raised inside.
+
+    The specs and fitters name their own fields ("reps", "k"); the user set
+    those through these options.
+    """
+    try:
+        yield
+    except ValidationError as exc:
+        given = ", ".join(f"--{name.replace('_', '-')} {cfg[name]}" for name in names)
+        raise type(exc)(f"{given}: {exc}") from exc
+
+
+def _feature_map(cfg: dict, n_qubits: int) -> FeatureMapSpec:
+    with _options(cfg, "reps"):
+        return FeatureMapSpec(cfg["feature_map"], n_qubits, cfg["reps"])
+
+
 def _data_hash(ids, values: np.ndarray) -> str:
     h = hashlib.sha256()
     h.update("\n".join(ids).encode("utf-8"))
@@ -183,7 +203,8 @@ def cmd_preprocess(args, cfg: dict) -> None:
 
 def cmd_reduce(args, cfg: dict) -> None:
     stage = load_stage(os.path.join(args.workdir, "tfidf"), expect_stage="tfidf")
-    pca = reduce_mod.fit_pca(stage.features, cfg["components"])
+    with _options(cfg, "components"):
+        pca = reduce_mod.fit_pca(stage.features, cfg["components"])
     projected = reduce_mod.transform_pca(pca, stage.features)
     if stage.split is None:
         raise VersioningError("tfidf stage has no split; rerun preprocess")
@@ -191,7 +212,8 @@ def cmd_reduce(args, cfg: dict) -> None:
     train_matrix = corpus_mod.FeatureMatrix(
         list(stage.split.train_ids), list(projected.feature_names), train_rows
     )
-    scaler = reduce_mod.fit_scaler(train_matrix, cfg["scale_lo"], cfg["scale_hi"])
+    with _options(cfg, "scale_lo", "scale_hi"):
+        scaler = reduce_mod.fit_scaler(train_matrix, cfg["scale_lo"], cfg["scale_hi"])
     scaled = reduce_mod.transform_scale(scaler, projected)
     save_stage(
         os.path.join(args.workdir, "reduce"),
@@ -218,7 +240,7 @@ def _split_arrays(stage, part: str):
 def cmd_kernel(args, cfg: dict) -> None:
     stage = load_stage(os.path.join(args.workdir, "reduce"), expect_stage="reduce")
     ids, X, _ = _split_arrays(stage, "train")
-    spec = FeatureMapSpec(cfg["feature_map"], X.shape[1], cfg["reps"])
+    spec = _feature_map(cfg, X.shape[1])
     mode = "exact" if cfg["shots"] == 0 else "sampled"
     g = kernel_mod.gram(spec, X, mode=mode, shots=cfg["shots"], seed=cfg["seed"])
     kernel_mod.save_gram(args.workdir, g, _data_hash(ids, X), manifest_hash(stage.manifest))
@@ -252,6 +274,17 @@ def cmd_train(args, cfg: dict) -> None:
         svm_mod.check_params(cfg["C"], cfg["tol"])  # before any Gram is built or written
     stage = load_stage(os.path.join(args.workdir, "reduce"), expect_stage="reduce")
     ids, X, y = _split_arrays(stage, "train")
+    # Every spec is built, and so checked, before any work starts.
+    fm = None if cfg["model"] == "svc" else _feature_map(cfg, X.shape[1])
+    if cfg["model"] in ("vqc", "qnnc"):
+        with _options(cfg, "ansatz_reps"):
+            ansatz = AnsatzSpec(X.shape[1], cfg["ansatz_reps"])
+        with _options(cfg, "iters"):
+            check_budget(cfg["iters"], ansatz.n_parameters)
+        with _options(cfg, "rho_begin", "rho_end"):
+            opt = OptimizerConfig(
+                rho_begin=cfg["rho_begin"], rho_end=cfg["rho_end"], max_evaluations=cfg["iters"]
+            )
     upstream = manifest_hash(stage.manifest)
     model_path = args.model_out or os.path.join(args.workdir, "model.json")
     payload = {
@@ -267,7 +300,6 @@ def cmd_train(args, cfg: dict) -> None:
             G = svm_mod.poly_gram(X, spec=spec)
             payload["kernel"] = {"poly": spec.to_dict()}
         else:
-            fm = FeatureMapSpec(cfg["feature_map"], X.shape[1], cfg["reps"])
             mode = "exact" if cfg["shots"] == 0 else "sampled"
             data_hash = _data_hash(ids, X)
             g, miss = _cached_gram(args.workdir, fm, mode, cfg["shots"], cfg["seed"], data_hash)
@@ -282,18 +314,14 @@ def cmd_train(args, cfg: dict) -> None:
                                  "shots": cfg["shots"], "seed": cfg["seed"]}
         payload.update(svm_mod.train_multiclass(G, y, C=cfg["C"], tol=cfg["tol"]).to_dict(ids))
     else:
-        ansatz = AnsatzSpec(X.shape[1], cfg["ansatz_reps"])
         template = var_mod.VariationalModel(
-            feature_map=FeatureMapSpec(cfg["feature_map"], X.shape[1], cfg["reps"]),
+            feature_map=fm,
             ansatz=ansatz,
             theta=np.zeros(ansatz.n_parameters),
             n_classes=len(stage.encoding.classes),
             loss_kind="cross_entropy" if cfg["model"] == "vqc" else "squared_error",
             shots=cfg["shots"],
             seed=cfg["seed"],
-        )
-        opt = OptimizerConfig(
-            rho_begin=cfg["rho_begin"], rho_end=cfg["rho_end"], max_evaluations=cfg["iters"]
         )
         result = var_mod.train(X, y, template, opt, init_seed=cfg["init_seed"])
         curve_path = args.curve_out or os.path.join(args.workdir, "curve.csv")

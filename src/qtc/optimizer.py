@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 
-__all__ = ["OptimizerConfig", "OptimizationTrace", "minimize", "write_trace_csv"]
+__all__ = ["OptimizerConfig", "OptimizationTrace", "check_budget", "minimize", "write_trace_csv"]
 
 STOPS = ("rho_end", "budget")  # the values of OptimizationTrace.stop
 
@@ -43,6 +43,14 @@ class OptimizerConfig:
             raise ValidationError("need 0 < rho_end < rho_begin < inf")
         if self.max_evaluations < 1:
             raise ValidationError("max_evaluations must be positive")
+
+
+def check_budget(max_evaluations: int, dim: int) -> None:
+    """Raise unless the budget covers the dim + 2 evaluations of the first model."""
+    if max_evaluations < dim + 2:
+        raise ValidationError(
+            f"max_evaluations must be >= dim + 2 = {dim + 2}, got {max_evaluations}"
+        )
 
 
 @dataclass
@@ -107,10 +115,7 @@ def minimize(objective, x0, config: OptimizerConfig):
     d = x0.size
     if d < 1:
         raise ValidationError("objective dimension must be >= 1")
-    if config.max_evaluations < d + 2:
-        raise ValidationError(
-            f"max_evaluations must be >= dim + 2 = {d + 2}, got {config.max_evaluations}"
-        )
+    check_budget(config.max_evaluations, d)
 
     trace = OptimizationTrace()
     cap = config.rho_begin * d

@@ -19,13 +19,22 @@ that turns the circuit into two kinds of step:
   real block per fixed window of 6 qubits ([0, 6), [6, 12), ...): the
   Kronecker product of the window's composed 2x2 matrices, built once per
   run and applied by one matmul on the float64 view of the amplitudes;
-* each maximal run of P and CX gates becomes one per-row phase table and at
-  most one index gather.  The CX gates permute the basis, which a gather
-  does exactly, and each P gate adds its angle where a 0/1 mask over the
-  output basis index is set.  The table is one (1, K) @ (K, 2**n) matmul per
-  row for the run's K P gates; its cos and sin then multiply the gathered
-  amplitudes in float64 arithmetic.  The zz feature map's CX pairs compose
-  to the identity and cost nothing.
+* each maximal run of P and CX gates becomes one per-row phase e^{i phi}
+  and at most one index gather.  The CX gates permute the basis, which a
+  gather does exactly, and each P gate adds its angle where a 0/1 mask over
+  the output basis index is set.  Each mask is the parity of a set of output
+  bits, so it goes to the smallest of three tables that holds it: the low
+  table over bits [0, 6), the high table over bits [5, n) (sharing bit 5,
+  so a zz pair across the boundary fits) or the full 2**n table.  Each
+  table is a (1, K) @ (K, entries) matmul per row for its K P gates; only
+  its entries take a cos and sin, and the tables combine by broadcasting
+  over the amplitude index in float64 complex products.  For n <= 6 only
+  the low table occurs.  The zz feature map's CX pairs compose to the
+  identity and cost nothing.
+
+The masks and gather of a P/CX run depend only on its gate kinds and
+qubits, so a bounded cache keeps them per run shape: the feature map's
+repetitions and every VQC evaluation's ansatz chain reuse them.
 
 The row axis of the batch is always a loop or matmul batch axis, never folded
 into a matrix dimension, so every row of a batch is bitwise the state that
@@ -34,6 +43,7 @@ row gives when run alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -69,6 +79,12 @@ _CHUNK_AMPLITUDES = 1 << 15
 # Qubits per fused real window: a 2**6 x 2**6 real block is one BLAS matmul
 # per chunk where six gates made about ten passes over the amplitudes each.
 _BLOCK_QUBITS = 6
+# Bits of a phase run's low table; its high table starts one bit lower, so a
+# zz pair across the boundary fits in it.
+_TABLE_BITS = 6
+# Phase-run structures kept by ``_phase_structure``; a pipeline meets a few
+# (the feature map's layers, the ansatz's CX chain).
+_STRUCTURES = 32
 
 
 @dataclass(frozen=True)
@@ -203,8 +219,8 @@ def _plan(circuit: Circuit) -> list[tuple]:
     """The steps ``run`` applies to each chunk, in circuit order.
 
     A step is ("block", low, block) for one window of a real run, where block
-    is the matrix ``_apply_block`` takes, or ("phase", angles, masks, index)
-    for a P/CX run, as ``_phase_run`` gives it.
+    is the matrix ``_apply_block`` takes, or ("phase", factors, index) for a
+    P/CX run, as ``_phase_run`` gives it.
     """
     n = circuit.n_qubits
     steps: list[tuple] = []
@@ -276,46 +292,96 @@ def _apply_block(amps: np.ndarray, n_qubits: int, low: int, block: np.ndarray) -
 def _phase_run(gates: list[Gate], n_qubits: int) -> tuple | None:
     """One step for a run of P and CX gates, or None if the run is the identity.
 
+    The step is ("phase", factors, index) with ``_phase_structure``'s gather
+    index and one (angles, masks, shape) factor per table: the (rows, K)
+    matrix of the table's P angles (a single row when every angle is a
+    float), then its masks and shape.
+    """
+    tables, index = _phase_structure(n_qubits, tuple((g.kind, g.qubits) for g in gates))
+    if not tables:
+        return None if index is None else ("phase", (), index)
+    angles = [_bound(g) for g in gates if g.kind == "p"]
+    rows = max((len(a) for a in angles if isinstance(a, np.ndarray)), default=1)
+    factors = tuple(
+        (np.column_stack([np.broadcast_to(angles[k], (rows,)) for k in columns]), masks, shape)
+        for columns, masks, shape in tables
+    )
+    return ("phase", factors, index)
+
+
+@functools.lru_cache(maxsize=_STRUCTURES)
+def _phase_structure(n_qubits: int, gates: tuple) -> tuple:
+    """The angle-free part of a P/CX run of the given (kind, qubits) gates.
+
     The run maps amplitudes a to a[index] * e^{i phi}, where phi is a sum of
     the run's P angles, each times a 0/1 mask over the output basis index.
     Walking the run backwards, ``source`` maps each output index to the index
     it holds before the CX gates seen so far; a P gate on qubit q then
     contributes where bit q of ``source`` is set, and at the start of the run
-    ``source`` is the gather index.
+    ``source`` is the gather index.  The CX walk is linear over GF(2), so
+    each mask is the parity of the output bits in a set S, read off the mask
+    at the indices 1 << j.
 
-    The step is ("phase", angles, masks, index): the (rows, K) angle matrix,
-    one column per P gate and one row per batch row (a single row when every
-    angle is a float), the (K, 2**n_qubits) float mask matrix, and the gather
-    index, None when the CX gates compose to the identity.  A run with no P
-    gate has no angles and no masks.
+    Returns (tables, index).  Each P gate's mask goes to the first table
+    whose bits cover S: low (bits [0, 6)), high (bits [5, n), sharing bit 5
+    with low) or full.  A table is (columns, masks, shape): the positions
+    of its P gates in the run, their (K, entries) float masks, and its shape
+    in the (2**(n-6), 2, 32) grid of amplitude indices (all 2**n entries in
+    one axis when n <= 6, where only the low table occurs).  ``index`` is
+    None when the CX gates compose to the identity.
     """
     basis = np.arange(1 << n_qubits)
     source = basis
-    angles: list = []
     masks: list = []
-    for gate in reversed(gates):
-        if gate.kind == "cx":
-            control, target = gate.qubits
+    for kind, qubits in reversed(gates):
+        if kind == "cx":
+            control, target = qubits
             source = source ^ (((source >> control) & 1) << target)
         else:
-            angles.append(_bound(gate))
-            masks.append((source >> gate.qubits[0]) & 1)
+            masks.append((source >> qubits[0]) & 1)
+    masks.reverse()
+    half = 1 << (_TABLE_BITS - 1)
+    groups: tuple[list, list, list] = ([], [], [])
+    for k, mask in enumerate(masks):
+        support = sum(int(mask[1 << j]) << j for j in range(n_qubits))
+        groups[0 if support < 2 * half else 1 if support % half == 0 else 2].append(k)
+    cuts = (slice(2 * half), slice(None, None, half), slice(None))
+    shapes = (((1, 2, half), (-1, 2, 1), (-1, 2, half)) if n_qubits > _TABLE_BITS
+              else ((-1,),) * 3)
+    tables = tuple(
+        (tuple(columns), np.array([masks[k][cut] for k in columns], dtype=np.float64), shape)
+        for columns, cut, shape in zip(groups, cuts, shapes) if columns
+    )
     index = None if np.array_equal(source, basis) else source
-    if not angles:
-        return None if index is None else ("phase", None, None, index)
-    rows = max((len(a) for a in angles if isinstance(a, np.ndarray)), default=1)
-    matrix = np.column_stack([np.broadcast_to(a, (rows,)) for a in reversed(angles)])
-    return ("phase", matrix, np.array(masks[::-1], dtype=np.float64), index)
+    for array in [index] + [masks for _, masks, _ in tables]:
+        if array is not None:
+            array.flags.writeable = False
+    return tables, index
 
 
-def _trig(angles: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of the (rows, 2**n) phase table of a (rows, K) angle matrix.
+def _trig(factors: tuple, n_qubits: int, start: int, stop: int) -> tuple | None:
+    """cos and sin of the (rows, 2**n) phase table of one chunk, or None.
 
-    Rows are the matmul batch axis, so each row's table is its own (1, K)
-    product, the one it gets when run alone.
+    Each table is a (rows, 1, K) @ (K, entries) matmul with rows as the
+    batch axis, so each row's table is the one it gets when run alone; a
+    single row of angles serves every row.  The tables combine, low then
+    high then full, by broadcasting float64 complex products over the grid.
     """
-    phi = (angles[:, None, :] @ masks)[:, 0]
-    return np.cos(phi), np.sin(phi)
+    if not factors:
+        return None
+    c = s = None
+    for angles, masks, shape in factors:
+        if len(angles) > 1:
+            angles = angles[start:stop]
+        phi = (angles[:, None, :] @ masks)[:, 0].reshape((len(angles),) + shape)
+        fc, fs = np.cos(phi), np.sin(phi)
+        if c is None:
+            c, s = fc, fs
+        else:
+            c, s = c * fc - s * fs, s * fc + c * fs
+    grid = ((1 << (n_qubits - _TABLE_BITS), 2, 1 << (_TABLE_BITS - 1))
+            if n_qubits > _TABLE_BITS else (1 << n_qubits,))
+    return tuple(np.broadcast_to(t, t.shape[:1] + grid).reshape(len(t), -1) for t in (c, s))
 
 
 def _apply_phase(amps: np.ndarray, trig, index) -> None:
@@ -382,11 +448,8 @@ def run(circuit: Circuit, state: StateVector | None = None) -> StateVector:
             if kind == "block":
                 _apply_block(chunk, n, *args)
             else:
-                angles, masks, index = args
-                # A single row of angles serves every row of the batch.
-                trig = None if masks is None else _trig(
-                    angles if len(angles) == 1 else angles[start:stop], masks)
-                _apply_phase(chunk, trig, index)
+                factors, index = args
+                _apply_phase(chunk, _trig(factors, n, start, stop), index)
     return StateVector(n, amps.reshape(shape))
 
 

@@ -328,6 +328,28 @@ class TestPipeline:
         assert not (pipeline_dir / "model.json").exists()
         assert not (pipeline_dir / "curve.csv").exists()
 
+    # Each of these values is checked by a spec or fitter that names its own
+    # field ("reps", "k", "max_evaluations"); the error names the option.
+    @pytest.mark.parametrize("argv, option", [
+        pytest.param(("train", "--model", "vqc", "--reps", 0), "--reps", id="vqc-reps"),
+        pytest.param(("train", "--model", "vqc", "--ansatz-reps", 0), "--ansatz-reps",
+                     id="vqc-ansatz-reps"),
+        pytest.param(("train", "--model", "qsvc", "--reps", 0), "--reps", id="qsvc-reps"),
+        pytest.param(("kernel", "--reps", 0), "--reps", id="kernel-reps"),
+        pytest.param(("reduce", "--components", 0), "--components", id="components"),
+        pytest.param(("reduce", "--scale-lo", 2, "--scale-hi", 1), "--scale-lo", id="scale"),
+        pytest.param(("train", "--model", "vqc", "--iters", 1), "--iters", id="iters"),
+        pytest.param(("train", "--model", "qnnc", "--rho-end", 2), "--rho-begin 1.0, --rho-end",
+                     id="rho-end"),
+    ])
+    def test_bad_option_named_in_error(self, pipeline_dir, capsys, argv, option):
+        before = _file_bytes(pipeline_dir)
+        capsys.readouterr()
+        assert run_cli(*argv, "--workdir", pipeline_dir) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {option} ")
+        assert _file_bytes(pipeline_dir) == before
+
     @pytest.mark.parametrize("rho_begin", ["1e200", "1e308"])
     def test_overflowing_trust_radius_is_a_numerical_abort(self, pipeline_dir, capsys, rho_begin):
         capsys.readouterr()

@@ -1,12 +1,18 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qtc
 from qtc.circuits import AnsatzSpec, FeatureMapSpec, bind_ansatz, build_ansatz, build_feature_map
 from qtc.errors import ValidationError
+from qtc.kernel import encoded_state
 from qtc.qsim import core
 from qtc.variational import VariationalModel, encode
 from qtc.qsim import (
@@ -559,6 +565,44 @@ class TestFusion:
             assert np.max(np.abs(out[r] - dense_run(one, start[r]))) <= 1e-14
             assert_bitwise(out[r], run(one, StateVector(n, start[r])).amplitudes)
 
+    @pytest.mark.parametrize("n", (6, 7, 8, 12, 13))
+    def test_factored_phase_tables_match_reference(self, n):
+        # Each P gate sits in a CX sandwich whose controls make its mask the
+        # parity of a chosen bit set: within the low table's bits [0, 6),
+        # within the high table's [5, n) (bit 5 included), or across both
+        # (the full table).  A CX chain before the sandwiches leaves each
+        # set as it is but makes the run's gather a permutation other than
+        # the identity.  At n = 6 every set lies in the low table.
+        rng = np.random.default_rng(500 + n)
+        rows = 3
+        top = n - 1
+        supports = [(2,), (3, 0, 5), (5,), (4, 1)]  # (qubit, *controls)
+        if n > 6:
+            supports += [(6, 5), (top,), (top, 6, 5), (6,),  # high
+                         (6, 4), (top, 0), (1, top, 5)]  # across
+
+        def sandwich(q, *controls):
+            angle = rng.uniform(-4, 4, rows) if rng.integers(2) else float(rng.uniform(-4, 4))
+            chain = [Gate("cx", (c, q)) for c in controls if c != q]
+            return chain + [Gate("p", (q,), angle)] + chain[::-1]
+
+        def phase_run():
+            gates = [Gate("cx", (q, q + 1)) for q in range(n - 1)]
+            for support in supports:
+                gates += sandwich(*support)
+            return gates
+
+        middle = [Gate("h", (q,)) for q in range(n)]
+        circ = Circuit(n, tuple(phase_run() + middle + phase_run()))
+        tables = [len(step[1]) for step in core._plan(circ) if step[0] == "phase"]
+        assert tables == ([1, 1] if n == 6 else [3, 3])
+        start = random_states(rng, rows, n)
+        out = run(circ, StateVector(n, start)).amplitudes
+        assert np.max(np.abs(out - reference_run(circ, start))) <= 1e-14
+        for r in range(rows):
+            one = row_circuit(circ, r)
+            assert_bitwise(out[r], run(one, StateVector(n, start[r])).amplitudes)
+
     def test_ansatz_layers_match_reference(self):
         rng = np.random.default_rng(22)
         for n in (5, 6, 7, 12, 13):
@@ -566,3 +610,45 @@ class TestFusion:
             start = random_states(rng, 3, n)
             out = run(circ, StateVector(n, start)).amplitudes
             assert np.max(np.abs(out - reference_run(circ, start))) <= 1e-14
+
+
+class TestPhaseStructureCache:
+    def test_same_shape_with_other_angles_equals_cold_run(self):
+        rng = np.random.default_rng(31)
+        spec = FeatureMapSpec("zz", 12, reps=2)
+        first, second = (build_feature_map(spec, rng.uniform(0, math.pi, (4, 12)))
+                         for _ in range(2))
+        core._phase_structure.cache_clear()
+        warm = [run(first).amplitudes, run(second).amplitudes]
+        assert core._phase_structure.cache_info().hits > 0
+        for circ, amps in zip((first, second), warm):
+            core._phase_structure.cache_clear()
+            assert_bitwise(run(circ).amplitudes, amps)
+
+    def test_cache_stays_bounded(self):
+        core._phase_structure.cache_clear()
+        for q in range(3 * core._STRUCTURES):
+            run(Circuit(8, (Gate("cx", (q % 8, (q + 1) % 8)),) * (1 + q // 8)
+                        + (Gate("p", (q % 8,), 0.5),)))
+        info = core._phase_structure.cache_info()
+        assert info.misses == 3 * core._STRUCTURES
+        assert info.currsize <= info.maxsize == core._STRUCTURES
+
+    def test_cold_process_and_warm_cache_give_same_bytes(self):
+        x = np.random.default_rng(33).uniform(0, math.pi, (5, 12))
+        script = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from qtc.circuits import FeatureMapSpec\n"
+            "from qtc.kernel import encoded_state\n"
+            "x = np.array(json.loads(sys.argv[1]))\n"
+            "sys.stdout.write(encoded_state(FeatureMapSpec('zz', 12), x).tobytes().hex())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qtc.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(x.tolist())], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        spec = FeatureMapSpec("zz", 12)
+        encoded_state(spec, x)
+        assert core._phase_structure.cache_info().currsize > 0
+        assert encoded_state(spec, x).tobytes().hex() == proc.stdout
