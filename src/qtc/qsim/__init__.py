@@ -11,6 +11,7 @@ from .core import (
     probabilities,
     run,
     sample,
+    split,
     zero_state,
 )
 
@@ -25,5 +26,6 @@ __all__ = [
     "probabilities",
     "run",
     "sample",
+    "split",
     "zero_state",
 ]

@@ -36,6 +36,13 @@ The masks and gather of a P/CX run depend only on its gate kinds and
 qubits, so a bounded cache keeps them per run shape: the feature map's
 repetitions and every VQC evaluation's ansatz chain reuse them.
 
+A run from |0...0> does not apply the plan's leading real blocks: each maps
+|0> of its window to its first column, so the start state is the outer
+product of those columns, bitwise what the block matmuls give.  For the
+feature maps that is the whole first H layer.  ``split`` cuts a circuit
+where its plan's steps end, so a run can stop at a cut and resume from the
+state there with the same bits; VQC training resumes from such a cut.
+
 The row axis of the batch is always a loop or matmul batch axis, never folded
 into a matrix dimension, so every row of a batch is bitwise the state that
 row gives when run alone.
@@ -60,6 +67,7 @@ __all__ = [
     "zero_state",
     "apply_gate",
     "run",
+    "split",
     "adjoint",
     "probabilities",
     "sample",
@@ -215,31 +223,52 @@ def _matrix(gate: Gate) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def split(circuit: Circuit) -> list[tuple[Gate, ...]]:
+    """The circuit's gates cut where the steps of its plan end.
+
+    Each run of H and RY gates gives one piece per 6-qubit window it touches
+    (its gates on that window, in circuit order), and each run of P and CX
+    gates gives one piece.  Any range of consecutive pieces, joined, plans to
+    exactly the steps those pieces give in the whole circuit, so a run cut at
+    a piece boundary and resumed from the state there is bitwise the whole
+    run.
+    """
+    pieces: list[tuple[Gate, ...]] = []
+    for real, run_gates in groupby(circuit.gates, key=lambda g: g.kind in _REAL):
+        run_gates = tuple(run_gates)
+        if not real:
+            pieces.append(run_gates)
+            continue
+        for low in range(0, circuit.n_qubits, _BLOCK_QUBITS):
+            window = tuple(g for g in run_gates if low <= g.qubits[0] < low + _BLOCK_QUBITS)
+            if window:
+                pieces.append(window)
+    return pieces
+
+
 def _plan(circuit: Circuit) -> list[tuple]:
-    """The steps ``run`` applies to each chunk, in circuit order.
+    """The steps ``run`` applies to each chunk: at most one per piece of ``split``.
 
     A step is ("block", low, block) for one window of a real run, where block
     is the matrix ``_apply_block`` takes, or ("phase", factors, index) for a
-    P/CX run, as ``_phase_run`` gives it.
+    P/CX run, as ``_phase_run`` gives it (a run that is the identity gives
+    no step).
     """
     n = circuit.n_qubits
     steps: list[tuple] = []
-    for real, run_gates in groupby(circuit.gates, key=lambda g: g.kind in _REAL):
-        run_gates = list(run_gates)
-        if real:
-            matrices = _compose(run_gates, n)
-            for low in range(0, n, _BLOCK_QUBITS):
-                window = matrices[low:low + _BLOCK_QUBITS]
-                if any(m is not None for m in window):
-                    steps.append(("block", low, _block(window, low)))
+    for piece in split(circuit):
+        if piece[0].kind in _REAL:
+            low = piece[0].qubits[0] - piece[0].qubits[0] % _BLOCK_QUBITS
+            window = _compose(piece, n)[low:low + _BLOCK_QUBITS]
+            steps.append(("block", low, _block(window, low)))
         else:
-            step = _phase_run(run_gates, n)
+            step = _phase_run(piece, n)
             if step is not None:
                 steps.append(step)
     return steps
 
 
-def _compose(gates: list[Gate], n_qubits: int) -> list:
+def _compose(gates: tuple[Gate, ...], n_qubits: int) -> list:
     """Per qubit, the product of its H and RY matrices in gate order, or None."""
     matrices: list = [None] * n_qubits
     for gate in gates:
@@ -289,7 +318,7 @@ def _apply_block(amps: np.ndarray, n_qubits: int, low: int, block: np.ndarray) -
         v[...] = block @ v
 
 
-def _phase_run(gates: list[Gate], n_qubits: int) -> tuple | None:
+def _phase_run(gates: tuple[Gate, ...], n_qubits: int) -> tuple | None:
     """One step for a run of P and CX gates, or None if the run is the identity.
 
     The step is ("phase", factors, index) with ``_phase_structure``'s gather
@@ -403,6 +432,36 @@ def _apply_phase(amps: np.ndarray, trig, index) -> None:
     view[:, :, 0] = out_re
 
 
+def _start(steps: list[tuple], n_qubits: int, rows: int) -> tuple[np.ndarray, list[tuple]]:
+    """|0...0> on ``rows`` rows with the plan's leading blocks applied, and the steps left.
+
+    A block maps |0> of its window to its first column: row 0's even entries
+    of kron(M.T, I2) for the lowest window, column 0 of M above it.  While
+    the leading blocks act on ascending windows, the state is therefore the
+    outer product of those columns (e_0 for a window they leave alone), low
+    window first, each higher window multiplying on the left.  Each amplitude
+    a block matmul would give is one such product plus exact zeros, so the
+    real parts are its bits once a -0.0 becomes +0.0; the imaginary parts
+    are +0.
+    """
+    columns: dict[int, np.ndarray] = {}
+    for kind, *args in steps:
+        if kind != "block" or (columns and args[0] <= max(columns)):
+            break
+        low, block = args
+        columns[low] = block[0, 0::2] if low == 0 else block[:, 0]
+    state = np.ones(1)
+    for low in range(0, n_qubits, _BLOCK_QUBITS):
+        column = columns.get(low)
+        if column is None:
+            column = np.zeros(1 << min(_BLOCK_QUBITS, n_qubits - low))
+            column[0] = 1.0
+        state = np.multiply.outer(column, state).ravel()
+    amps = np.zeros((rows, 1 << n_qubits), dtype=np.complex128)
+    amps.real[...] = state + 0.0
+    return amps, steps[len(columns):]
+
+
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate, returning a new state; the input is left untouched."""
     return run(Circuit(state.n_qubits, (gate,)), state)
@@ -425,8 +484,7 @@ def run(circuit: Circuit, state: StateVector | None = None) -> StateVector:
         raise ValidationError(f"per-row angle arrays differ in length: {sorted(lengths)}")
     if state is None:
         rows = lengths.pop() if lengths else None
-        amps = np.zeros((1 if rows is None else rows, 1 << n), dtype=np.complex128)
-        amps[:, 0] = 1.0
+        amps, steps = _start(_plan(circuit), n, 1 if rows is None else rows)
         shape = (1 << n,) if rows is None else amps.shape
     else:
         if state.n_qubits != n:
@@ -439,7 +497,7 @@ def run(circuit: Circuit, state: StateVector | None = None) -> StateVector:
             raise ValidationError(
                 f"per-row angles for {lengths.pop()} rows on a batch of {amps.shape[0]}"
             )
-    steps = _plan(circuit)
+        steps = _plan(circuit)
     step = max(1, _CHUNK_AMPLITUDES >> n)
     for start in range(0, amps.shape[0], step):
         stop = start + step

@@ -8,7 +8,12 @@ flavors: mean cross-entropy of the true-class probability, and mean squared
 distance to the one-hot target.
 
 All rows run as one batch: the feature map encodes them in one simulator
-run, and the bound ansatz then runs over those states.  Exact mode uses
+run, and the bound ansatz then runs over those states.  Training encodes
+the rows once.  The first evaluation's ansatz run (theta0) leaves one
+cached state at a cut between the simulator's plan steps, and a later
+evaluation whose angles before that cut are theta0's, bitwise, resumes
+from it; a resumed run is bitwise the whole run.  Outcome distributions
+are folded onto classes a block of rows at a time.  Exact mode uses
 statevector probabilities and is fully deterministic;
 sampled mode draws ``shots`` measurement outcomes with a seed derived from
 (master seed, sample bytes, parameter bytes) so repeated runs reproduce.
@@ -28,7 +33,7 @@ import numpy as np
 from .circuits import AnsatzSpec, FeatureMapSpec, bind_ansatz, build_ansatz, build_feature_map
 from .errors import NUMBER, ParseError, ValidationError, json_field
 from .optimizer import STOPS, OptimizerConfig, OptimizationTrace, minimize
-from .qsim import MAX_SHOTS, StateVector, probabilities, run, sample
+from .qsim import MAX_SHOTS, Circuit, StateVector, probabilities, run, sample, split
 
 __all__ = [
     "VariationalModel",
@@ -44,6 +49,10 @@ __all__ = [
 
 LOSS_KINDS = ("cross_entropy", "squared_error")
 _EPS = 1e-10
+# Amplitudes per block of rows when folding outcomes onto classes: 2**15
+# float64 probabilities (256 KiB) per block keep the fold's temporaries
+# small beside the (rows, 2**n) output states.
+_FOLD_AMPLITUDES = 1 << 15
 
 
 @dataclass
@@ -160,23 +169,35 @@ def class_probabilities(model: VariationalModel, X, states: StateVector | None =
     X = np.asarray(X, dtype=float)
     if states is None:
         states = encode(model, X)
-    out = run(bind_ansatz(build_ansatz(model.ansatz), model.theta), states)
-    if model.shots == 0:
-        dist = probabilities(out)
-    else:
-        dist = np.zeros(out.amplitudes.shape)
-        theta_bytes = model.theta.astype("<f8").tobytes()
-        for r, (x, amps) in enumerate(zip(X, out.amplitudes)):
-            digest = zlib.crc32(x.astype("<f8").tobytes() + theta_bytes)
-            counts = sample(StateVector(model.n_qubits, amps), model.shots, (model.seed, digest))
-            for idx, c in counts.items():
-                dist[r, idx] = c / model.shots
-    # Outcome i counts for class i mod n_classes.  A running sum over each
-    # class's outcomes adds them in index order, as a per-row np.bincount does,
-    # so every row's fold is bitwise the one-state fold.
-    folded = np.zeros((dist.shape[0], model.n_classes))
-    for c in range(min(model.n_classes, dist.shape[1])):
-        folded[:, c] = np.cumsum(dist[:, c::model.n_classes], axis=1)[:, -1]
+    return _fold(model, X, run(bind_ansatz(build_ansatz(model.ansatz), model.theta), states))
+
+
+def _fold(model: VariationalModel, X: np.ndarray, output: StateVector) -> np.ndarray:
+    """Class probabilities of the rows of X from the bound ansatz's output states.
+
+    The outcome distribution is built and folded a block of rows at a time,
+    so no (rows, 2**n) distribution is held beside the amplitudes.
+    """
+    amps = output.amplitudes
+    folded = np.zeros((len(amps), model.n_classes))
+    theta_bytes = model.theta.astype("<f8").tobytes()
+    step = max(1, _FOLD_AMPLITUDES >> model.n_qubits)
+    for start in range(0, len(amps), step):
+        block = amps[start:start + step]
+        if model.shots == 0:
+            dist = probabilities(StateVector(model.n_qubits, block))
+        else:
+            dist = np.zeros(block.shape)
+            for r, (x, row) in enumerate(zip(X[start:start + step], block)):
+                digest = zlib.crc32(x.astype("<f8").tobytes() + theta_bytes)
+                state = StateVector(model.n_qubits, row)
+                for idx, c in sample(state, model.shots, (model.seed, digest)).items():
+                    dist[r, idx] = c / model.shots
+        # Outcome i counts for class i mod n_classes.  A running sum over each
+        # class's outcomes adds them in index order, as a per-row np.bincount
+        # does, so every row's fold is bitwise the one-state fold.
+        for c in range(min(model.n_classes, dist.shape[1])):
+            folded[start:start + step, c] = np.cumsum(dist[:, c::model.n_classes], axis=1)[:, -1]
     return folded
 
 
@@ -196,16 +217,19 @@ def squared_error(probs: np.ndarray, y) -> float:
     return float(np.mean(np.sum((probs - onehot) ** 2, axis=1)))
 
 
-def loss(model: VariationalModel, X, y, *, states: StateVector | None = None) -> float:
+def loss(model: VariationalModel, X, y, *, states: StateVector | None = None,
+         output: StateVector | None = None) -> float:
     """Training loss of the model on (X, y) under its configured loss kind.
 
     ``states``, when given, must be ``encode(model, X)``; the feature map is
-    then not run again.
+    then not run again.  ``output``, when given, must be the bound ansatz's
+    run on those states; then nothing is simulated.
     """
+    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     if y.size and (y.min() < 0 or y.max() >= model.n_classes):
         raise ValidationError("labels out of range")
-    probs = class_probabilities(model, X, states)
+    probs = class_probabilities(model, X, states) if output is None else _fold(model, X, output)
     if model.loss_kind == "cross_entropy":
         return cross_entropy(probs, y)
     return squared_error(probs, y)
@@ -227,18 +251,20 @@ def train(
     """Fit ansatz angles by derivative-free loss minimization.
 
     theta0 is drawn uniformly from [-pi, pi]^k with ``init_seed``; the
-    template's theta is ignored.  X is encoded once; each objective
-    evaluation runs only the bound ansatz over those states.
+    template's theta is ignored.  X is encoded once, and each objective
+    evaluation runs the bound ansatz over those states, resumed where it can
+    be from a checkpoint of theta0's run (see ``_Checkpoint``).
     """
     X = np.asarray(X, dtype=float)
     if X.shape[0] == 0:
         raise ValidationError("training set is empty")
     rng = np.random.default_rng(init_seed)
     theta0 = rng.uniform(-np.pi, np.pi, template.ansatz.n_parameters)
-    states = encode(template, X)
+    checkpoint = _Checkpoint(build_ansatz(template.ansatz), encode(template, X))
 
     def objective(theta):
-        return loss(template.with_theta(theta), X, y, states=states)
+        model = template.with_theta(theta)
+        return loss(model, X, y, output=checkpoint.output(model.theta))
 
     theta_best, _, trace = minimize(objective, theta0, config)
     return TrainingResult(
@@ -246,3 +272,50 @@ def train(
         trace=trace,
         converged=trace.stop == "rho_end",
     )
+
+
+class _Checkpoint:
+    """Ansatz runs over fixed encoded states that resume from one cached state.
+
+    The bound ansatz is cut into ``qsim.split``'s pieces, at the boundaries
+    of its plan's steps: one per block window of each RY layer, one per CX
+    chain.  The first run's pieces (theta0) are kept.  The one cached state
+    is theta0's run up to boundary k; it starts at k = 0 as the encoded
+    states themselves.  For later angles, let s be the first piece whose
+    angles differ, bitwise, from theta0's.  If s >= k, the cache advances to
+    boundary s along theta0's pieces, and the run resumes there; if s < k,
+    the run starts over from the encoded states.  Rows are independent and
+    steps apply in order, so a resumed run is bitwise the whole run.
+    """
+
+    def __init__(self, ansatz: Circuit, states: StateVector):
+        self.ansatz = ansatz
+        self.states = states
+        self.first: list | None = None  # theta0's pieces
+        self.first_angles: list | None = None
+        self.k = 0
+        self.state = states
+
+    def output(self, theta: np.ndarray) -> StateVector:
+        """The bound ansatz's run on the encoded states."""
+        pieces = split(bind_ansatz(self.ansatz, theta))
+        angles = [_angle_bytes(piece) for piece in pieces]
+        if self.first is None:
+            self.first, self.first_angles = pieces, angles
+            return self._run(pieces, self.states)
+        s = next((i for i, (a, b) in enumerate(zip(angles, self.first_angles)) if a != b),
+                 len(pieces))
+        if s < self.k:
+            return self._run(pieces, self.states)
+        if s > self.k:
+            self.state = self._run(self.first[self.k:s], self.state)
+            self.k = s
+        return self._run(pieces[s:], self.state)
+
+    def _run(self, pieces: list, state: StateVector) -> StateVector:
+        return run(Circuit(self.ansatz.n_qubits, sum(pieces, ())), state)
+
+
+def _angle_bytes(gates: tuple) -> bytes:
+    """The angles of a piece's gates as float64 bytes, so -0.0 and 0.0 differ."""
+    return np.array([g.angle for g in gates if g.angle is not None], dtype="<f8").tobytes()

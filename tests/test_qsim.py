@@ -24,6 +24,7 @@ from qtc.qsim import (
     probabilities,
     run,
     sample,
+    split,
     zero_state,
 )
 
@@ -610,6 +611,108 @@ class TestFusion:
             start = random_states(rng, 3, n)
             out = run(circ, StateVector(n, start)).amplitudes
             assert np.max(np.abs(out - reference_run(circ, start))) <= 1e-14
+
+
+def planned_run(circuit: Circuit, rows: int) -> np.ndarray:
+    """Every step of the circuit's plan applied to |0...0> on ``rows`` rows,
+    chunk by chunk as ``run`` applies them to a given batch."""
+    n = circuit.n_qubits
+    amps = np.tile(zero_state(n).amplitudes, (rows, 1))
+    step = max(1, core._CHUNK_AMPLITUDES >> n)
+    steps = core._plan(circuit)
+    for start in range(0, rows, step):
+        chunk = amps[start:start + step]
+        for kind, *args in steps:
+            if kind == "block":
+                core._apply_block(chunk, n, *args)
+            else:
+                factors, index = args
+                core._apply_phase(chunk, core._trig(factors, n, start, start + step), index)
+    return amps
+
+
+def assert_same_bits(a, b):
+    """Equal as uint64 words, so signed zeros count."""
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# Angles whose RY columns hold signed zeros (0.0, -0.0), an all-negative
+# first row (3.0, 2.5), or a near-zero entry (pi).
+SIGNED_ANGLES = (0.0, -0.0, math.pi, 3.0, -3.0, 2.5, 2 * math.pi)
+
+
+class TestProductStart:
+    """``run`` on |0...0> starts from the product state of the plan's leading blocks."""
+
+    @pytest.mark.parametrize("n", (1, 2, 6, 7, 12, 13))
+    @pytest.mark.parametrize("kind", ("z", "zz"))
+    def test_feature_map_equals_block_steps(self, n, kind):
+        X = np.random.default_rng(700 + n).uniform(0, math.pi, (10, n))
+        circ = build_feature_map(FeatureMapSpec(kind, n), X)
+        lows = list(range(0, n, 6))
+        opening = [step[:2] for step in core._plan(circ)[:len(lows)]]
+        assert opening == [("block", low) for low in lows]
+        assert_same_bits(run(circ).amplitudes, planned_run(circ, 10))
+
+    @pytest.mark.parametrize("n", (1, 2, 6, 7, 12, 13, 14))
+    def test_ry_openings_equal_block_steps(self, n):
+        rows = 3
+        p = Gate("p", (0,), np.random.default_rng(800 + n).uniform(-4, 4, rows))
+        ry = [Gate("ry", (q,), SIGNED_ANGLES[q % len(SIGNED_ANGLES)]) for q in range(n)]
+        h = [Gate("h", (q,)) for q in range(n)]
+        openings = [ry, ry[::2], ry[-1:], ry + h, ry[6:] + ry[:6]]
+        if n > 1:  # an identity CX pair between two real runs on one window
+            openings.append(h[:1] + [Gate("cx", (0, 1))] * 2 + ry[:1])
+        for gates in openings:
+            circ = Circuit(n, tuple(gates) + (p,))
+            assert_same_bits(run(circ).amplitudes, planned_run(circ, rows))
+            one = Circuit(n, tuple(gates))
+            assert_same_bits(run(one).amplitudes, planned_run(one, 1)[0])
+
+    @pytest.mark.parametrize("n", (1, 2, 7, 13))
+    def test_p_opening_equals_block_steps(self, n):
+        rows = 3
+        p = Gate("p", (n - 1,), np.random.default_rng(900 + n).uniform(-4, 4, rows))
+        circ = Circuit(n, (p,) + tuple(Gate("h", (q,)) for q in range(n)) + (p,))
+        assert core._plan(circ)[0][0] == "phase"
+        assert_same_bits(run(circ).amplitudes, planned_run(circ, rows))
+
+
+class TestSplit:
+    @pytest.mark.parametrize("n", (1, 2, 7, 13))
+    def test_pieces_are_the_plan_steps(self, n):
+        # One piece per RY window and per CX chain; at one qubit the ansatz
+        # is a single RY run.
+        circ = bind_ansatz(build_ansatz(AnsatzSpec(n, reps=2)),
+                           np.random.default_rng(n).uniform(-3, 3, 3 * n))
+        pieces = split(circ)
+        gates = [g for piece in pieces for g in piece]
+        assert sorted(map(id, gates)) == sorted(map(id, circ.gates))
+        layer = [("block", low) for low in range(0, n, 6)]
+        expected = layer + [("phase",)] + layer + [("phase",)] + layer if n > 1 else layer
+        steps = core._plan(circ)
+        assert [step[:1] if step[0] == "phase" else step[:2] for step in steps] == expected
+        assert len(pieces) == len(steps)
+        for piece in pieces:
+            assert len(core._plan(Circuit(n, piece))) == 1
+
+    @pytest.mark.parametrize("n", (1, 2, 7, 13))
+    def test_run_resumed_at_every_cut_is_bitwise_the_whole_run(self, n):
+        rng = np.random.default_rng(40 + n)
+        h = tuple(Gate("h", (q,)) for q in range(n))
+        ansatz = bind_ansatz(build_ansatz(AnsatzSpec(n, reps=2)), rng.uniform(-3, 3, 3 * n))
+        pair = (Gate("cx", (0, 1)),) * 2 if n > 1 else ()
+        circ = Circuit(n, h + pair + ansatz.gates + pair + h)
+        start = StateVector(n, random_states(rng, 3, n))
+        whole = run(circ, start).amplitudes
+        pieces = split(circ)
+        for cut in range(len(pieces) + 1):
+            for stop in range(cut, len(pieces) + 1):
+                head = run(Circuit(n, sum(pieces[:cut], ())), start)
+                middle = run(Circuit(n, sum(pieces[cut:stop], ())), head)
+                out = run(Circuit(n, sum(pieces[stop:], ())), middle).amplitudes
+                assert_same_bits(out, whole)
 
 
 class TestPhaseStructureCache:

@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 import zlib
 
 import numpy as np
 import pytest
 
 import qtc
+import qtc.variational
 from qtc.circuits import AnsatzSpec, FeatureMapSpec, bind_ansatz, build_ansatz, build_feature_map, compose
 from qtc.errors import ParseError, ValidationError
 from qtc.optimizer import OptimizerConfig, minimize
@@ -305,7 +307,8 @@ class TestCachedEncoding:
         assert np.array_equal(result.model.theta, theta_ref)
         assert result.trace.objectives == trace_ref.objectives
 
-    @pytest.mark.parametrize("n_qubits, n_classes", [(1, 2), (3, 3), (5, 3)])
+    # 13 qubits: 9 rows fold in three blocks of rows.
+    @pytest.mark.parametrize("n_qubits, n_classes", [(1, 2), (3, 3), (5, 3), (13, 3)])
     @pytest.mark.parametrize("shots", [0, 64])
     def test_probabilities_match_per_point_bitwise(self, n_qubits, n_classes, shots):
         rng = np.random.default_rng(n_qubits)
@@ -317,6 +320,100 @@ class TestCachedEncoding:
         assert np.array_equal(class_probabilities(model, X), expected)
         states = encode(model, X)
         assert np.array_equal(class_probabilities(model, X, states), expected)
+
+    @pytest.mark.parametrize("n_qubits, reps, loss_kind, shots", [
+        (2, 1, "cross_entropy", 0),
+        (2, 2, "squared_error", 64),
+        (7, 1, "squared_error", 0),
+        (7, 2, "cross_entropy", 64),
+        (13, 1, "cross_entropy", 64),
+        (13, 2, "squared_error", 0),
+    ])
+    def test_resumed_training_matches_per_point_oracle_bitwise(self, n_qubits, reps, loss_kind,
+                                                              shots):
+        # The budget runs 4 evaluations past the first simplex, whose moved
+        # angles make later runs start over from the encoded states.
+        rng = np.random.default_rng(60 + n_qubits + reps)
+        X = rng.uniform(0, math.pi, (6, n_qubits))
+        y = rng.integers(0, 3, 6)
+        ansatz = AnsatzSpec(n_qubits, reps=reps)
+        template = VariationalModel(FeatureMapSpec("zz", n_qubits, reps=2), ansatz,
+                                    np.zeros(ansatz.n_parameters), 3, loss_kind, shots, seed=11)
+        cfg = OptimizerConfig(max_evaluations=ansatz.n_parameters + 5)
+        result = train(X, y, template, cfg, init_seed=3)
+        theta0 = np.random.default_rng(3).uniform(-np.pi, np.pi, ansatz.n_parameters)
+        theta_ref, _, trace_ref = minimize(
+            lambda t: per_point_loss(template.with_theta(t), X, y), theta0, cfg
+        )
+        assert len(result.trace) == cfg.max_evaluations
+        objectives = np.array(result.trace.objectives)
+        assert objectives.tobytes() == np.array(trace_ref.objectives).tobytes()
+        assert result.model.theta.tobytes() == theta_ref.tobytes()
+
+    def test_checkpoint_outputs_equal_fresh_runs_bitwise(self):
+        # 7 qubits, reps 2: pieces 0-7 are RY windows [0, 6) and [6, 7) and a
+        # CX chain, twice, then the last RY layer's two windows; angle k of
+        # layer l sits in piece 3 l (k < 6) or 3 l + 1 (k = 6).
+        from qtc.variational import _Checkpoint
+
+        rng = np.random.default_rng(75)
+        model = small_model(7, n_classes=3, loss_kind="cross_entropy")
+        states = encode(model, rng.uniform(0, math.pi, (5, 7)))
+        ansatz = build_ansatz(AnsatzSpec(7, reps=2))
+        x0 = rng.uniform(-3, 3, 21)
+        x0[3] = 0.0
+
+        def moved(*coords):
+            theta = x0.copy()
+            for k in coords:
+                theta[k] = -0.0 if theta[k] == 0.0 else theta[k] + 0.5
+            return theta
+
+        for sequence in (
+            # (theta, boundary of the cached state after it)
+            [(x0, 0), (moved(20), 7), (moved(14), 7), (moved(0), 7), (x0, 8), (moved(20), 8)],
+            [(x0, 0), (moved(6), 1), (moved(6, 13), 1), (moved(3), 1), (moved(7), 3),
+             (moved(13), 4), (moved(6), 4)],
+        ):
+            checkpoint = _Checkpoint(ansatz, states)
+            for theta, k in sequence:
+                out = checkpoint.output(theta).amplitudes
+                fresh = run(bind_ansatz(ansatz, theta), states).amplitudes
+                assert np.array_equal(out.view(np.uint64), fresh.view(np.uint64))
+                assert checkpoint.k == k
+
+    def test_training_keeps_one_cached_state(self, monkeypatch):
+        # Spy on every simulator run: after the encoding, each run starts from
+        # the encoded states or from the one cached state, which is an earlier
+        # run's output; no other earlier output may still be alive.
+        rng = np.random.default_rng(70)
+        X = rng.uniform(0, math.pi, (5, 7))
+        y = rng.integers(0, 3, 5)
+        ansatz = AnsatzSpec(7, reps=2)
+        template = VariationalModel(FeatureMapSpec("zz", 7), ansatz,
+                                    np.zeros(ansatz.n_parameters), 3, "cross_entropy")
+        real_run = qtc.variational.run
+        outputs, starts = [], []
+
+        def spy(circuit, state=None):
+            if outputs:
+                encoded = outputs[0]()
+                live = [ref() for ref in outputs[1:]]
+                cached = [out for out in live if out is not None]
+                assert len(cached) <= 1
+                assert state is encoded or (cached and state is cached[0])
+                starts.append("encoded" if state is encoded else id(state))
+                del live, cached, encoded
+            out = real_run(circuit, state)
+            outputs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(qtc.variational, "run", spy)
+        result = train(X, y, template, OptimizerConfig(max_evaluations=ansatz.n_parameters + 5))
+        resumed = [i for i, start in enumerate(starts) if start != "encoded"]
+        assert len(set(starts[i] for i in resumed)) >= 2  # the cache moved on at least once
+        assert "encoded" in starts[resumed[-1]:]  # and later runs started over
+        assert len(result.trace) == ansatz.n_parameters + 5
 
     def test_loss_with_cached_states_equals_loss_without(self):
         X, y = blob_dataset(per_class=4)
