@@ -150,8 +150,8 @@ class TrainingResult:
 def encode(model: VariationalModel, X) -> StateVector:
     """Encoded states of the rows of X: one batched feature-map run.
 
-    They do not depend on theta, so ``train`` computes them once and passes
-    them to every ``loss`` evaluation.
+    They do not depend on theta, so ``train`` computes them once and runs
+    every evaluation's ansatz on them.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_qubits:
@@ -217,19 +217,17 @@ def squared_error(probs: np.ndarray, y) -> float:
     return float(np.mean(np.sum((probs - onehot) ** 2, axis=1)))
 
 
-def loss(model: VariationalModel, X, y, *, states: StateVector | None = None,
-         output: StateVector | None = None) -> float:
+def loss(model: VariationalModel, X, y, *, output: StateVector | None = None) -> float:
     """Training loss of the model on (X, y) under its configured loss kind.
 
-    ``states``, when given, must be ``encode(model, X)``; the feature map is
-    then not run again.  ``output``, when given, must be the bound ansatz's
-    run on those states; then nothing is simulated.
+    ``output``, when given, must be the bound ansatz's run on
+    ``encode(model, X)``; then nothing is simulated.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     if y.size and (y.min() < 0 or y.max() >= model.n_classes):
         raise ValidationError("labels out of range")
-    probs = class_probabilities(model, X, states) if output is None else _fold(model, X, output)
+    probs = class_probabilities(model, X) if output is None else _fold(model, X, output)
     if model.loss_kind == "cross_entropy":
         return cross_entropy(probs, y)
     return squared_error(probs, y)

@@ -418,7 +418,8 @@ class TestCachedEncoding:
     def test_loss_with_cached_states_equals_loss_without(self):
         X, y = blob_dataset(per_class=4)
         model = make_model(theta=np.array([0.3, -1.1, 0.8, 2.0]))
-        assert loss(model, X, y, states=encode(model, X)) == loss(model, X, y)
+        output = run(bind_ansatz(build_ansatz(model.ansatz), model.theta), encode(model, X))
+        assert loss(model, X, y, output=output) == loss(model, X, y)
 
     def test_encode_rejects_wrong_width(self):
         with pytest.raises(ValidationError):
