@@ -9,8 +9,9 @@ Hadamard layers over ``reps`` repetitions:
 
 The variational ansatz alternates RY rotation layers with a linear CX chain:
 one leading RY layer plus one (chain + RY layer) block per repetition, for
-n_qubits * (reps + 1) trainable angles, named "theta[k]" in layer-major,
-qubit-ascending order.
+n_qubits * (reps + 1) trainable angles.  ``build_ansatz`` builds it with
+every angle 0.0, and ``bind_ansatz`` sets theta[k] on the k-th RY gate, which
+is layer-major, qubit-ascending order.
 """
 
 from __future__ import annotations
@@ -122,24 +123,22 @@ def build_feature_map(spec: FeatureMapSpec, x) -> Circuit:
 
 
 def build_ansatz(spec: AnsatzSpec) -> Circuit:
-    """Parameterized ansatz circuit with free symbols theta[0..k-1]."""
-    gates: list[Gate] = []
-    k = 0
-    for q in range(spec.n_qubits):
-        gates.append(Gate("ry", (q,), f"theta[{k}]"))
-        k += 1
-    for _ in range(spec.reps):
-        for q in range(spec.n_qubits - 1):
-            gates.append(Gate("cx", (q, q + 1)))
-        for q in range(spec.n_qubits):
-            gates.append(Gate("ry", (q,), f"theta[{k}]"))
-            k += 1
-    return Circuit(spec.n_qubits, tuple(gates))
+    """The ansatz circuit at theta = 0: every RY angle is 0.0."""
+    layer = [Gate("ry", (q,), 0.0) for q in range(spec.n_qubits)]
+    chain = [Gate("cx", (q, q + 1)) for q in range(spec.n_qubits - 1)]
+    return Circuit(spec.n_qubits, tuple(layer + (chain + layer) * spec.reps))
 
 
 def bind_ansatz(circuit: Circuit, theta) -> Circuit:
-    """Bind ansatz angles in parameter order (``Circuit.bind`` checks the length)."""
-    return circuit.bind(theta)
+    """The ansatz with its RY angles, in gate order, set to ``float(t)`` for t in theta."""
+    values = [float(t) for t in theta]
+    count = sum(g.kind == "ry" for g in circuit.gates)
+    if len(values) != count:
+        raise ValidationError(f"expected {count} parameter values, got {len(values)}")
+    angles = iter(values)
+    return Circuit(circuit.n_qubits, tuple(
+        Gate("ry", g.qubits, next(angles)) if g.kind == "ry" else g for g in circuit.gates
+    ))
 
 
 def compose(first: Circuit, second: Circuit) -> Circuit:

@@ -13,6 +13,7 @@ digits, which round-trips IEEE doubles exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -145,6 +146,35 @@ class DatasetSplit:
     seed: int
 
 
+@contextlib.contextmanager
+def _csv_reader(path, make=csv.reader):
+    """``make`` over the UTF-8 text of the CSV file at ``path``.
+
+    Bytes that are not UTF-8, and rows csv rejects (such as a field over its
+    size limit), raise ParseError naming the file and the line.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = make(fh)
+        try:
+            yield reader
+        except UnicodeDecodeError as exc:
+            # The decoder reads in chunks, so find the first bad byte's line
+            # in the whole file.
+            with open(path, "rb") as raw:
+                data = raw.read()
+            start = len(data)
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as first:
+                start = first.start
+            line = data.count(b"\n", 0, start) + 1
+            raise ParseError(f"{path}: line {line}: not UTF-8 text") from exc
+        except csv.Error as exc:
+            # A DictReader's own line count lags by the row being read.
+            line = getattr(reader, "reader", reader).line_num
+            raise ParseError(f"{path}: line {line}: {exc}") from exc
+
+
 def load_corpus(
     path,
     id_col: str = "ID",
@@ -152,8 +182,7 @@ def load_corpus(
     label_col: str = "Category",
 ) -> list[Document]:
     """Read a labeled corpus from a CSV file with a header row."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    with _csv_reader(path, csv.DictReader) as reader:
         if reader.fieldnames is None:
             raise ValidationError(f"{path}: empty file")
         for col in (id_col, text_col, label_col):
@@ -367,7 +396,7 @@ def load_stage(directory, expect_stage: str | None = None) -> StageData:
             manifest = json.load(fh)
     except OSError as exc:
         raise VersioningError(f"missing stage manifest: {manifest_path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"{manifest_path}: invalid JSON ({exc})") from exc
 
     if not isinstance(manifest, dict):
@@ -391,8 +420,7 @@ def load_stage(directory, expect_stage: str | None = None) -> StageData:
     feat_path = os.path.join(directory, "features.csv")
     ids: list[str] = []
     rows: list[list[float]] = []
-    with open(feat_path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(feat_path) as reader:
         header = next(reader, None)
         if not header or header[0] != "id":
             raise ParseError(f"{feat_path}: malformed header")
@@ -409,8 +437,7 @@ def load_stage(directory, expect_stage: str | None = None) -> StageData:
 
     lab_path = os.path.join(directory, "labels.csv")
     label_by_id: dict[str, int] = {}
-    with open(lab_path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(lab_path) as reader:
         header = next(reader, None)
         if header != ["id", "label_index"]:
             raise ParseError(f"{lab_path}: malformed header")

@@ -6,13 +6,11 @@ from .core import (
     Gate,
     StateVector,
     adjoint,
-    apply_gate,
     backend_name,
     probabilities,
     run,
     sample,
     split,
-    zero_state,
 )
 
 __all__ = [
@@ -21,11 +19,9 @@ __all__ = [
     "Gate",
     "StateVector",
     "adjoint",
-    "apply_gate",
     "backend_name",
     "probabilities",
     "run",
     "sample",
     "split",
-    "zero_state",
 ]

@@ -7,9 +7,9 @@ Conventions
 * Gate matrices: H = (1/sqrt 2)[[1,1],[1,-1]]; P(t) = diag(1, e^{it});
   RY(t) = [[cos t/2, -sin t/2],[sin t/2, cos t/2]]; CX flips the target when
   the control is 1.
-* Angles may be bound floats or free symbols (strings); P alone also takes a
-  per-row float array (one phase angle per state of a batch).  A circuit
-  must be fully bound before it can run.
+* Angles are floats; P alone also takes a per-row float array (one phase
+  angle per state of a batch).  ``run`` is the one way to make a state:
+  ``run(Circuit(n))`` is |0...0>.
 
 One circuit structure runs over a whole batch of states at once, in place on
 a (rows, 2**n) amplitude array, through a fusion pass planned once per run
@@ -64,8 +64,6 @@ __all__ = [
     "Gate",
     "Circuit",
     "StateVector",
-    "zero_state",
-    "apply_gate",
     "run",
     "split",
     "adjoint",
@@ -100,14 +98,13 @@ class Gate:
     """One gate: kind in {'h','p','ry','cx'}, its qubits, and an optional angle.
 
     For 'cx' the qubits tuple is (control, target); 'h' takes no angle; 'p'
-    and 'ry' take an angle in radians: a float or the name of an unbound
-    symbol.  'p' alone may also take a 1-D array with one angle per row of a
-    batch.
+    and 'ry' take a float angle in radians.  'p' alone may also take a 1-D
+    array with one angle per row of a batch.
     """
 
     kind: str
     qubits: tuple[int, ...]
-    angle: float | np.ndarray | str | None = None
+    angle: float | np.ndarray | None = None
 
     def __post_init__(self):
         if isinstance(self.angle, np.ndarray):
@@ -139,7 +136,7 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list on n_qubits, possibly with free angle symbols."""
+    """An ordered gate list on n_qubits."""
 
     n_qubits: int
     gates: tuple[Gate, ...] = ()
@@ -154,30 +151,6 @@ class Circuit:
                     f"{self.n_qubits}-qubit circuit"
                 )
 
-    @property
-    def parameters(self) -> list[str]:
-        """Free symbol names in first-occurrence order."""
-        seen: list[str] = []
-        for g in self.gates:
-            if isinstance(g.angle, str) and g.angle not in seen:
-                seen.append(g.angle)
-        return seen
-
-    def bind(self, values) -> "Circuit":
-        """Bind free symbols, in parameter order, to the given angles."""
-        names = self.parameters
-        values = [float(v) for v in values]
-        if len(values) != len(names):
-            raise ValidationError(
-                f"expected {len(names)} parameter values, got {len(values)}"
-            )
-        table = dict(zip(names, values))
-        bound = tuple(
-            Gate(g.kind, g.qubits, table[g.angle]) if isinstance(g.angle, str) else g
-            for g in self.gates
-        )
-        return Circuit(self.n_qubits, bound)
-
 
 @dataclass
 class StateVector:
@@ -189,36 +162,17 @@ class StateVector:
     n_qubits: int
     amplitudes: np.ndarray = field(repr=False)
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
-
-
-def zero_state(n_qubits: int) -> StateVector:
-    """|0...0> on n_qubits."""
-    if n_qubits < 1:
-        raise ValidationError("need at least one qubit")
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(n_qubits, amps)
-
 
 def backend_name() -> str:
     """Name of the gate kernel; NumPy is the only one."""
     return "numpy"
 
 
-def _bound(gate: Gate):
-    """The gate's angle, which must not be a free symbol."""
-    if isinstance(gate.angle, str):
-        raise ValidationError(f"unbound parameter {gate.angle!r} in circuit")
-    return gate.angle
-
-
 def _matrix(gate: Gate) -> np.ndarray:
     """The real 2x2 matrix of an H or RY gate."""
     if gate.kind == "h":
         return np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]])
-    half = 0.5 * float(_bound(gate))
+    half = 0.5 * float(gate.angle)
     c, s = math.cos(half), math.sin(half)
     return np.array([[c, -s], [s, c]])
 
@@ -329,7 +283,7 @@ def _phase_run(gates: tuple[Gate, ...], n_qubits: int) -> tuple | None:
     tables, index = _phase_structure(n_qubits, tuple((g.kind, g.qubits) for g in gates))
     if not tables:
         return None if index is None else ("phase", (), index)
-    angles = [_bound(g) for g in gates if g.kind == "p"]
+    angles = [g.angle for g in gates if g.kind == "p"]
     rows = max((len(a) for a in angles if isinstance(a, np.ndarray)), default=1)
     factors = tuple(
         (np.column_stack([np.broadcast_to(angles[k], (rows,)) for k in columns]), masks, shape)
@@ -462,13 +416,8 @@ def _start(steps: list[tuple], n_qubits: int, rows: int) -> tuple[np.ndarray, li
     return amps, steps[len(columns):]
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate, returning a new state; the input is left untouched."""
-    return run(Circuit(state.n_qubits, (gate,)), state)
-
-
 def run(circuit: Circuit, state: StateVector | None = None) -> StateVector:
-    """Run a fully bound circuit on |0...0>, or on a copy of ``state``.
+    """Run a circuit on |0...0>, or on a copy of ``state``.
 
     A circuit whose P angles are per-row arrays runs on a batch: one row per
     angle, each row the state that circuit with that row's angles gives.
@@ -515,8 +464,6 @@ def adjoint(circuit: Circuit) -> Circuit:
     """Inverse circuit: gates reversed, P/RY angles negated (H, CX self-inverse)."""
     inv: list[Gate] = []
     for g in reversed(circuit.gates):
-        if isinstance(g.angle, str):
-            raise ValidationError(f"cannot take adjoint of unbound parameter {g.angle!r}")
         if g.kind in _PARAMETRIC:
             inv.append(Gate(g.kind, g.qubits, -g.angle))
         else:

@@ -159,16 +159,13 @@ def encode(model: VariationalModel, X) -> StateVector:
     return run(build_feature_map(model.feature_map, X))
 
 
-def class_probabilities(model: VariationalModel, X, states: StateVector | None = None) -> np.ndarray:
+def class_probabilities(model: VariationalModel, X) -> np.ndarray:
     """Class probabilities, one row per row of X.
 
-    Outcome mass is folded onto classes by index mod n_classes.  ``states``,
-    when given, must be ``encode(model, X)``; the feature map is then not
-    run again.
+    Outcome mass is folded onto classes by index mod n_classes.
     """
     X = np.asarray(X, dtype=float)
-    if states is None:
-        states = encode(model, X)
+    states = encode(model, X)
     return _fold(model, X, run(bind_ansatz(build_ansatz(model.ansatz), model.theta), states))
 
 

@@ -89,7 +89,7 @@ class TestAnsatz:
     def test_figure_shape_two_qubits_one_rep(self):
         circ = build_ansatz(AnsatzSpec(2, reps=1))
         assert [g.kind for g in circ.gates] == ["ry", "ry", "cx", "ry", "ry"]
-        assert len(circ.parameters) == 4
+        assert [g.angle for g in circ.gates if g.kind == "ry"] == [0.0] * 4
 
     def test_zero_angles_act_as_cx_chain(self):
         circ = bind_ansatz(build_ansatz(AnsatzSpec(2, reps=1)), np.zeros(4))
@@ -97,7 +97,7 @@ class TestAnsatz:
 
     def test_parameter_count_formula(self):
         assert AnsatzSpec(3, reps=2).n_parameters == 9
-        assert len(build_ansatz(AnsatzSpec(3, reps=2)).parameters) == 9
+        assert sum(g.kind == "ry" for g in build_ansatz(AnsatzSpec(3, reps=2)).gates) == 9
 
     def test_bind_wrong_length_states_expected(self):
         circ = build_ansatz(AnsatzSpec(2, reps=1))
@@ -105,10 +105,15 @@ class TestAnsatz:
             bind_ansatz(circ, [0.1, 0.2])
 
     def test_parameter_order_layer_major(self):
-        circ = build_ansatz(AnsatzSpec(2, reps=1))
-        assert circ.parameters == ["theta[0]", "theta[1]", "theta[2]", "theta[3]"]
-        ry_angles = [g.angle for g in circ.gates if g.kind == "ry"]
-        assert ry_angles == circ.parameters
+        circ = bind_ansatz(build_ansatz(AnsatzSpec(3, reps=2)), np.arange(9))
+        ry = [g for g in circ.gates if g.kind == "ry"]
+        assert [g.angle for g in ry] == [float(k) for k in range(9)]
+        assert [g.qubits[0] for g in ry] == [0, 1, 2] * 3
+
+    def test_bind_keeps_negative_zero(self):
+        circ = bind_ansatz(build_ansatz(AnsatzSpec(2, reps=1)), [-0.0, 0.0, -0.0, 1.0])
+        signs = [math.copysign(1.0, g.angle) for g in circ.gates if g.kind == "ry"]
+        assert signs == [-1.0, 1.0, -1.0, 1.0]
 
 
 class TestCompose:
@@ -127,10 +132,8 @@ class TestCompose:
         ansatz = bind_ansatz(build_ansatz(AnsatzSpec(2, reps=1)), rng.uniform(-math.pi, math.pi, 4))
         composed = run(compose(fm, ansatz)).amplitudes
         staged = run(fm)
-        from qtc.qsim import apply_gate
-
         for gate in ansatz.gates:
-            staged = apply_gate(staged, gate)
+            staged = run(Circuit(2, (gate,)), staged)
         assert np.allclose(composed, staged.amplitudes, atol=1e-12)
 
     def test_qubit_mismatch(self):

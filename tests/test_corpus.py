@@ -78,6 +78,18 @@ class TestLoadCorpus:
         docs = load_corpus(path, id_col="id", text_col="text", label_col="label")
         assert docs[0].label == "Z"
 
+    def test_undecodable_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"ID,Resume_str,Category\n1,a,X\n2,b\xff,Y\n")
+        with pytest.raises(ParseError, match=r"c\.csv: line 3: not UTF-8"):
+            load_corpus(path)
+
+    def test_oversized_document_names_file_and_line(self, tmp_path):
+        path = _write(tmp_path / "c.csv",
+                      "ID,Resume_str,Category\n1,a,X\n2," + "w" * 131_073 + ",Y\n")
+        with pytest.raises(ParseError, match=r"c\.csv: line 3: field larger than field limit"):
+            load_corpus(path)
+
 
 class TestPreprocess:
     def test_stopwords_and_case(self):
@@ -293,6 +305,18 @@ class TestStageRoundTrip:
         lines[2] = lines[2].rsplit(",", 1)[0] + ",notanumber"
         feat.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="row 3"):
+            load_stage(tmp_path)
+
+    @pytest.mark.parametrize("name", ["features.csv", "labels.csv", "manifest.json"])
+    def test_undecodable_byte_names_file(self, tmp_path, name):
+        fm, labels, enc = self._stage()
+        save_stage(tmp_path, fm, labels, enc, stage="tfidf")
+        path = tmp_path / name
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"\n".join(lines))
+        expected = "line 3: not UTF-8" if name.endswith(".csv") else "invalid JSON"
+        with pytest.raises(ParseError, match=rf"{name}: {expected}"):
             load_stage(tmp_path)
 
 

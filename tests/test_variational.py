@@ -318,8 +318,6 @@ class TestCachedEncoding:
         expected = per_point_probabilities(model, X)
         assert np.array_equal(predict(model, X), np.argmax(expected, axis=1))
         assert np.array_equal(class_probabilities(model, X), expected)
-        states = encode(model, X)
-        assert np.array_equal(class_probabilities(model, X, states), expected)
 
     @pytest.mark.parametrize("n_qubits, reps, loss_kind, shots", [
         (2, 1, "cross_entropy", 0),
