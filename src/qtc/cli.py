@@ -34,9 +34,10 @@ from .circuits import AnsatzSpec, FeatureMapSpec
 from .corpus import load_stage, manifest_hash, save_stage, stratified_split
 from .errors import (
     NUMBER, NumericalError, ParseError, SchemaError, ValidationError, VersioningError, json_field,
+    read_json, write_json,
 )
 from .optimizer import OptimizerConfig, check_budget, write_trace_csv
-from .qsim import MAX_SHOTS
+from .qsim import check_sampling
 
 _FEATURE_MAPS = ("z", "zz")
 
@@ -90,13 +91,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     """Merge CLI flags over config-file values over built-in defaults, and echo the result."""
     file_cfg = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                file_cfg = json.load(fh)
-            except ValueError as exc:
-                raise ParseError(f"{args.config}: invalid JSON ({exc})") from exc
-        if not isinstance(file_cfg, dict):
-            raise ValidationError(f"{args.config}: config file must hold a JSON object")
+        file_cfg = read_json(args.config)
         # A key of another command is accepted: one file may serve several.
         unknown = sorted(set(file_cfg).difference(*OPTIONS.values()))
         if unknown:
@@ -116,13 +111,9 @@ def _resolve(args: argparse.Namespace) -> dict:
         if allowed is not None and value not in allowed:
             raise ValidationError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
         resolved[key] = value
-    if resolved.get("shots", 0) < 0:
-        raise ValidationError(f"shots must be >= 0 (0 = exact), got {resolved['shots']}")
-    if resolved.get("shots", 0) > MAX_SHOTS:
-        raise ValidationError(f"shots must be <= {MAX_SHOTS}, got {resolved['shots']}")
-    for key in ("seed", "init_seed"):
-        if resolved.get(key, 0) < 0:
-            raise ValidationError(f"{key} must be >= 0, got {resolved[key]}")
+    check_sampling(resolved.get("shots", 0), resolved.get("seed", 0))
+    if resolved.get("init_seed", 0) < 0:
+        raise ValidationError(f"init_seed must be >= 0, got {resolved['init_seed']}")
     print(f"{args.command} config: {json.dumps(resolved, sort_keys=True)}")
     return resolved
 
@@ -151,12 +142,6 @@ def _data_hash(ids, values: np.ndarray) -> str:
     h.update("\n".join(ids).encode("utf-8"))
     h.update(np.ascontiguousarray(values, dtype="<f8").tobytes())
     return h.hexdigest()
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ----------------------------------------------------------------- commands
@@ -241,23 +226,21 @@ def cmd_kernel(args, cfg: dict) -> None:
     stage = load_stage(os.path.join(args.workdir, "reduce"), expect_stage="reduce")
     ids, X, _ = _split_arrays(stage, "train")
     spec = _feature_map(cfg, X.shape[1])
-    mode = "exact" if cfg["shots"] == 0 else "sampled"
-    g = kernel_mod.gram(spec, X, mode=mode, shots=cfg["shots"], seed=cfg["seed"])
+    g = kernel_mod.gram(spec, X, shots=cfg["shots"], seed=cfg["seed"])
     kernel_mod.save_gram(args.workdir, g, _data_hash(ids, X), manifest_hash(stage.manifest))
     print(f"gram: {g.values.shape[0]} x {g.values.shape[1]} ({g.mode})")
 
 
-def _cached_gram(workdir, spec, mode, shots, seed, data_hash):
+def _cached_gram(workdir, spec, shots, seed, data_hash):
     """The cached Gram, or None and why not: missing, damaged or stale.
 
     The manifest is read and compared first, so a stale cache costs no read
-    of its values.
+    of its values.  An exact Gram's manifest has null shots and seed.
     """
     try:
         manifest = kernel_mod.load_gram_manifest(workdir)
-        expected = {"feature_map": spec.to_dict(), "mode": mode, "data_hash": data_hash}
-        if mode == "sampled":
-            expected.update(shots=shots, seed=seed)
+        expected = {"feature_map": spec.to_dict(), "data_hash": data_hash,
+                    "shots": shots or None, "seed": seed if shots else None}
         stale = [key for key, value in expected.items() if manifest.get(key) != value]
         if stale:
             return None, f"stale (does not match: {', '.join(stale)})"
@@ -300,17 +283,16 @@ def cmd_train(args, cfg: dict) -> None:
             G = svm_mod.poly_gram(X, spec=spec)
             payload["kernel"] = {"poly": spec.to_dict()}
         else:
-            mode = "exact" if cfg["shots"] == 0 else "sampled"
             data_hash = _data_hash(ids, X)
-            g, miss = _cached_gram(args.workdir, fm, mode, cfg["shots"], cfg["seed"], data_hash)
+            g, miss = _cached_gram(args.workdir, fm, cfg["shots"], cfg["seed"], data_hash)
             if g is None:
-                g = kernel_mod.gram(fm, X, mode=mode, shots=cfg["shots"], seed=cfg["seed"])
+                g = kernel_mod.gram(fm, X, shots=cfg["shots"], seed=cfg["seed"])
                 kernel_mod.save_gram(args.workdir, g, data_hash, upstream)
                 print(f"gram cache: miss, {miss}; recomputed")
             else:
                 print("gram cache: hit")
             G = g.values
-            payload["kernel"] = {"feature_map": fm.to_dict(), "mode": mode,
+            payload["kernel"] = {"feature_map": fm.to_dict(), "mode": g.mode,
                                  "shots": cfg["shots"], "seed": cfg["seed"]}
         payload.update(svm_mod.train_multiclass(G, y, C=cfg["C"], tol=cfg["tol"]).to_dict(ids))
     else:
@@ -331,18 +313,14 @@ def cmd_train(args, cfg: dict) -> None:
             f"trained {cfg['model']} in {len(result.trace)} evaluations, "
             f"loss {result.trace.objectives[0]:.6f} -> {result.trace.best_so_far[-1]:.6f}"
         )
-    _write_json(model_path, payload)
+    write_json(model_path, payload)
     print(f"model written to {model_path}")
 
 
 def cmd_evaluate(args, cfg: dict) -> None:
     stage = load_stage(os.path.join(args.workdir, "reduce"), expect_stage="reduce")
     model_path = args.model or os.path.join(args.workdir, "model.json")
-    with open(model_path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise ParseError(f"{model_path}: invalid JSON ({exc})") from exc
+    payload = read_json(model_path)
     _, X_test, y_test = _split_arrays(stage, "test")
     n_classes = len(stage.encoding.classes)
 
@@ -372,14 +350,17 @@ def cmd_evaluate(args, cfg: dict) -> None:
                 spec = svm_mod.PolyKernelSpec.from_dict(json_field(kernel, "poly", dict))
                 K = svm_mod.poly_gram(X_test, support, spec=spec)
             else:
-                K = kernel_mod.gram(
+                mode, shots = json_field(kernel, "mode", str), json_field(kernel, "shots", int)
+                g = kernel_mod.gram(
                     FeatureMapSpec.from_dict(json_field(kernel, "feature_map", dict)),
                     X_test,
                     support,
-                    mode=json_field(kernel, "mode", str),
-                    shots=json_field(kernel, "shots", int),
+                    shots=shots,
                     seed=json_field(kernel, "seed", int),
-                ).values
+                )
+                if g.mode != mode:  # gram alone derives the mode from shots
+                    raise ParseError(f"kernel mode {mode!r} contradicts shots {shots}")
+                K = g.values
             y_pred = svm_mod.predict_multiclass(model, K)
     except ParseError as exc:
         raise ParseError(f"{model_path}: {exc}") from exc
@@ -391,7 +372,7 @@ def cmd_evaluate(args, cfg: dict) -> None:
     report_json["model_type"] = kind
     report_json["confusion"] = matrix.tolist()
     report_json["upstream_hash"] = payload["upstream_hash"]
-    _write_json(os.path.join(args.workdir, "report.json"), report_json)
+    write_json(os.path.join(args.workdir, "report.json"), report_json)
     with open(os.path.join(args.workdir, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(text)
     print(text, end="")

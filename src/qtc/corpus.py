@@ -27,6 +27,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import NUMBER, ParseError, SchemaError, ValidationError, VersioningError, json_field
+from .errors import read_json, write_json
 
 __all__ = [
     "Document",
@@ -382,9 +383,7 @@ def save_stage(
         "upstream_hash": upstream_hash,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(directory, "manifest.json"), manifest)
     return manifest
 
 
@@ -392,15 +391,9 @@ def load_stage(directory, expect_stage: str | None = None) -> StageData:
     """Load a stage saved by save_stage; verifies the stage name if given."""
     manifest_path = os.path.join(directory, "manifest.json")
     try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        manifest = read_json(manifest_path)
     except OSError as exc:
         raise VersioningError(f"missing stage manifest: {manifest_path}") from exc
-    except ValueError as exc:
-        raise ParseError(f"{manifest_path}: invalid JSON ({exc})") from exc
-
-    if not isinstance(manifest, dict):
-        raise ParseError(f"{manifest_path}: expected a JSON object, got {type(manifest).__name__}")
     if expect_stage is not None and manifest.get("stage") != expect_stage:
         raise VersioningError(
             f"{directory}: expected stage {expect_stage!r}, found {manifest.get('stage')!r}"

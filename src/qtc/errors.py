@@ -1,10 +1,13 @@
-"""Exception hierarchy shared across the pipeline, and a typed JSON field reader.
+"""Exception hierarchy shared across the pipeline, and the JSON artifact format.
 
 Validation-type failures map to process exit code 1, numerical aborts to
-exit code 2 (see qtc.cli).  ``json_field`` turns a missing or mistyped field
-of a JSON artifact into a ParseError instead of a KeyError or TypeError.
+exit code 2 (see qtc.cli).  Every JSON file qtc reads goes through
+``read_json`` and every one it writes through ``write_json``.  ``read_json``
+and ``json_field`` turn a damaged file or field into a ParseError that names
+it, instead of a ValueError, KeyError or TypeError.
 """
 
+import json
 import math
 
 
@@ -33,6 +36,25 @@ class NumericalError(QtcError):
 
 
 NUMBER = (int, float)
+
+
+def read_json(path) -> dict:
+    """The JSON object held by the file at ``path``; a missing file raises OSError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            value = json.load(fh)
+        except ValueError as exc:  # also undecodable bytes: UnicodeDecodeError is a ValueError
+            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(value, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as JSON with 2-space indent, sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _holds(value, kind) -> bool:

@@ -1,5 +1,6 @@
 """Fidelity kernel K(x, y) = |<phi(y)|phi(x)>|^2 and Gram-matrix assembly.
 
+``shots`` alone selects the mode: 0 is exact, and shots >= 1 is sampled.
 Both modes encode each side's points with one batched simulator run and take
 inner products directly.  Sampled mode models hardware execution: there the
 kernel is the frequency of the all-zeros outcome of map(x) map(y)^dag over
@@ -25,7 +26,6 @@ interrupted save leaves a cache that reads as missing.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import queue
 import threading
@@ -36,8 +36,8 @@ import numpy as np
 
 from .arrays import mapped_empty
 from .circuits import FeatureMapSpec, build_feature_map
-from .errors import ParseError, ValidationError, json_field
-from .qsim import MAX_SHOTS, run
+from .errors import ParseError, ValidationError, json_field, read_json, write_json
+from .qsim import check_sampling, run
 
 __all__ = [
     "GramMatrix",
@@ -93,26 +93,20 @@ def gram(
     X,
     Y=None,
     *,
-    mode: str = "exact",
-    shots: int = 1024,
+    shots: int = 0,
     seed: int = 0,
 ) -> GramMatrix:
     """Kernel matrix over rows of X (square) or X versus Y (rectangular).
 
-    The square case sets the diagonal to 1 outright and mirrors the upper
-    triangle.  Sampled mode then redraws row i from column j0 on (j0 = i when
-    square, else 0) as Binomial(shots, K[i, j0:]) / shots, seeded by
-    (seed, i), and mirrors again.
+    ``shots`` = 0 gives the exact kernel and shots >= 1 the sampled one (see
+    qsim.check_sampling); the seed matters only when sampling.  The square
+    case sets the diagonal to 1 outright and mirrors the upper triangle.
+    Sampled mode then redraws row i from column j0 on (j0 = i when square,
+    else 0) as Binomial(shots, K[i, j0:]) / shots, seeded by (seed, i), and
+    mirrors again.
     """
+    check_sampling(shots, seed)
     X = np.asarray(X, dtype=float)
-    if mode not in ("exact", "sampled"):
-        raise ValidationError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    if mode == "sampled" and shots < 1:
-        raise ValidationError("shots must be >= 1")
-    if mode == "sampled" and shots > MAX_SHOTS:
-        raise ValidationError(f"shots must be <= {MAX_SHOTS}, got {shots}")
-    if mode == "sampled" and seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
     square = Y is None
     Ym = X if square else np.asarray(Y, dtype=float)
     if X.ndim != 2 or Ym.ndim != 2 or X.shape[1] != Ym.shape[1]:
@@ -131,22 +125,16 @@ def gram(
     if square:
         _mirror_upper(K)
         np.fill_diagonal(K, 1.0)
-    if mode == "sampled":
-        for i in range(m):
-            j0 = i if square else 0
-            # Rounding can put an overlap just above 1, where binomial raises.
-            p = np.minimum(K[i, j0:], 1.0)
-            K[i, j0:] = np.random.default_rng((seed, i)).binomial(shots, p) / shots
-        if square:
-            _mirror_upper(K)
-
-    return GramMatrix(
-        values=K,
-        mode=mode,
-        feature_map=spec,
-        shots=shots if mode == "sampled" else None,
-        seed=seed if mode == "sampled" else None,
-    )
+    if not shots:
+        return GramMatrix(values=K, mode="exact", feature_map=spec)
+    for i in range(m):
+        j0 = i if square else 0
+        # Rounding can put an overlap just above 1, where binomial raises.
+        p = np.minimum(K[i, j0:], 1.0)
+        K[i, j0:] = np.random.default_rng((seed, i)).binomial(shots, p) / shots
+    if square:
+        _mirror_upper(K)
+    return GramMatrix(values=K, mode="sampled", feature_map=spec, shots=shots, seed=seed)
 
 
 def _mirror_upper(K: np.ndarray) -> None:
@@ -460,9 +448,7 @@ def save_gram(directory, g: GramMatrix, data_hash: str, upstream_hash: str | Non
         "upstream_hash": upstream_hash,
         "shape": list(g.values.shape),
     }
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest_path, manifest)
 
 
 # Manifest fields load_gram reads, with the JSON types each may hold.
@@ -526,13 +512,13 @@ def _bitwise_symmetric(K: np.ndarray) -> bool:
 
 
 def load_gram_manifest(directory) -> dict:
-    """Read and check gram.manifest.json; a missing file raises OSError."""
+    """Read and check gram.manifest.json; a missing file raises OSError.
+
+    ``mode`` must agree with ``shots`` and ``seed``, as ``gram`` sets them:
+    "exact" with both null, or "sampled" with a shot count and a seed.
+    """
     manifest_path = os.path.join(directory, "gram.manifest.json")
-    with open(manifest_path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:
-            raise ParseError(f"cannot read gram manifest in {directory}: {exc}") from exc
+    manifest = read_json(manifest_path)
     try:
         for key, kind in _MANIFEST_FIELDS.items():
             json_field(manifest, key, kind)
@@ -541,6 +527,10 @@ def load_gram_manifest(directory) -> dict:
     shape = manifest["shape"]
     if len(shape) != 2 or not all(type(n) is int and n >= 0 for n in shape):
         raise ParseError(f"{manifest_path}: field 'shape' must hold two counts")
+    mode, shots, seed = manifest["mode"], manifest["shots"], manifest["seed"]
+    if not (mode == "exact" and shots is None and seed is None
+            or mode == "sampled" and shots is not None and shots >= 1 and seed is not None):
+        raise ParseError(f"{manifest_path}: mode {mode!r} contradicts shots {shots} and seed {seed}")
     try:
         FeatureMapSpec.from_dict(manifest["feature_map"])
     except ParseError as exc:

@@ -7,6 +7,7 @@ from .core import (
     StateVector,
     adjoint,
     backend_name,
+    check_sampling,
     probabilities,
     run,
     sample,
@@ -20,6 +21,7 @@ __all__ = [
     "StateVector",
     "adjoint",
     "backend_name",
+    "check_sampling",
     "probabilities",
     "run",
     "sample",

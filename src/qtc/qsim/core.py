@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -61,6 +62,7 @@ from ..errors import ValidationError
 
 __all__ = [
     "MAX_SHOTS",
+    "check_sampling",
     "Gate",
     "Circuit",
     "StateVector",
@@ -93,6 +95,17 @@ _TABLE_BITS = 6
 _STRUCTURES = 32
 
 
+def check_sampling(shots: int, seed: int) -> None:
+    """Check a sampling configuration: shots = 0 selects exact mode, shots >= 1
+    draws that many samples per estimate, up to MAX_SHOTS; the seed is >= 0."""
+    if shots < 0:
+        raise ValidationError(f"shots must be >= 0 (0 = exact), got {shots}")
+    if shots > MAX_SHOTS:
+        raise ValidationError(f"shots must be <= {MAX_SHOTS}, got {shots}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate: kind in {'h','p','ry','cx'}, its qubits, and an optional angle.
@@ -108,10 +121,15 @@ class Gate:
 
     def __post_init__(self):
         if isinstance(self.angle, np.ndarray):
-            angle = np.asarray(self.angle, dtype=float)
+            try:
+                angle = np.asarray(self.angle, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{self.kind} angles must be real numbers") from exc
             if angle.ndim != 1:
                 raise ValidationError("an angle array holds one angle per row (1-D)")
             object.__setattr__(self, "angle", angle)
+        elif isinstance(self.angle, bool) or not isinstance(self.angle, (type(None), numbers.Real)):
+            raise ValidationError(f"{self.kind} angle must be a real number, got {self.angle!r}")
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown gate kind {self.kind!r}")
         if self.kind == "cx":

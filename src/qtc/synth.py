@@ -35,6 +35,9 @@ CLASS_NAMES = [
     "XRAY", "YANKEE", "ZULU",
 ]
 
+# The corpus CSV header; preprocess's default --id-col, --text-col and --label-col.
+_HEADER = ("ID", "Resume_str", "Category")
+
 _ONSETS = ["b", "d", "f", "g", "k", "l", "m", "n", "p", "r", "s", "t", "v", "z"]
 _VOWELS = ["a", "e", "i", "o", "u"]
 
@@ -140,17 +143,13 @@ def synthesize_corpus(
     return docs
 
 
-def write_corpus_csv(
-    path,
-    docs: list[Document],
-    columns: tuple[str, str, str] = ("ID", "Resume_str", "Category"),
-) -> None:
-    """Write documents in the standard corpus CSV layout."""
+def write_corpus_csv(path, docs: list[Document]) -> None:
+    """Write documents in the standard corpus CSV layout: the columns of _HEADER."""
     parent = os.path.dirname(os.fspath(path))
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(_HEADER)
         for doc in docs:
             writer.writerow([doc.id, doc.text, doc.label])

@@ -33,7 +33,7 @@ import numpy as np
 from .circuits import AnsatzSpec, FeatureMapSpec, bind_ansatz, build_ansatz, build_feature_map
 from .errors import NUMBER, ParseError, ValidationError, json_field
 from .optimizer import STOPS, OptimizerConfig, OptimizationTrace, minimize
-from .qsim import MAX_SHOTS, Circuit, StateVector, probabilities, run, sample, split
+from .qsim import Circuit, StateVector, check_sampling, probabilities, run, sample, split
 
 __all__ = [
     "VariationalModel",
@@ -77,12 +77,7 @@ class VariationalModel:
             raise ValidationError("need at least 2 classes")
         if self.loss_kind not in LOSS_KINDS:
             raise ValidationError(f"loss_kind must be one of {LOSS_KINDS}")
-        if self.shots < 0:
-            raise ValidationError("shots must be >= 0 (0 selects exact mode)")
-        if self.shots > MAX_SHOTS:
-            raise ValidationError(f"shots must be <= {MAX_SHOTS}, got {self.shots}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        check_sampling(self.shots, self.seed)
 
     @property
     def n_qubits(self) -> int:
@@ -277,10 +272,11 @@ class _Checkpoint:
     chain.  The first run's pieces (theta0) are kept.  The one cached state
     is theta0's run up to boundary k; it starts at k = 0 as the encoded
     states themselves.  For later angles, let s be the first piece whose
-    angles differ, bitwise, from theta0's.  If s >= k, the cache advances to
-    boundary s along theta0's pieces, and the run resumes there; if s < k,
-    the run starts over from the encoded states.  Rows are independent and
-    steps apply in order, so a resumed run is bitwise the whole run.
+    angles differ, bitwise, from theta0's.  If s < k, the cache first goes
+    back to the encoded states at k = 0, so no state past s stays cached.
+    Then it advances to boundary s along theta0's pieces, and the run
+    resumes there.  Rows are independent and steps apply in order, so a
+    resumed run is bitwise the whole run.
     """
 
     def __init__(self, ansatz: Circuit, states: StateVector):
@@ -301,7 +297,7 @@ class _Checkpoint:
         s = next((i for i, (a, b) in enumerate(zip(angles, self.first_angles)) if a != b),
                  len(pieces))
         if s < self.k:
-            return self._run(pieces, self.states)
+            self.state, self.k = self.states, 0
         if s > self.k:
             self.state = self._run(self.first[self.k:s], self.state)
             self.k = s

@@ -207,6 +207,48 @@ class TestPipeline:
         assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
         assert json.loads(path.read_text())["shape"] == [96, 96]
 
+    def test_gram_mode_contradicting_shots_recomputed_by_train(self, pipeline_dir, capsys):
+        assert run_cli("kernel", "--workdir", pipeline_dir, "--shots", 64) == 0
+        path = pipeline_dir / "gram.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["mode"] = "exact"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc", "--shots", 64) == 0
+        assert (f"gram cache: miss, damaged ({path}: mode 'exact' contradicts shots 64 and "
+                f"seed 5); recomputed\n" in capsys.readouterr().out)
+        assert json.loads(path.read_text())["mode"] == "sampled"
+        assert json.loads((pipeline_dir / "model.json").read_text())["kernel"]["mode"] == "sampled"
+
+    @pytest.mark.parametrize("text, message", [
+        ("{bad", "invalid JSON"), ("[]", "expected a JSON object, got list"),
+    ], ids=["invalid", "array"])
+    @pytest.mark.parametrize("name, argv", [
+        ("cfg.json", ("kernel", "--config", "{path}")),
+        ("reduce/manifest.json", ("kernel",)),
+        ("gram.manifest.json", ("train", "--model", "qsvc")),
+        ("model.json", ("evaluate",)),
+    ], ids=["config", "stage_manifest", "gram_manifest", "model"])
+    def test_malformed_json_file_named_in_one_line(self, pipeline_dir, capsys, name, argv,
+                                                   text, message):
+        """Every JSON file qtc reads is read one way: invalid JSON, or JSON
+        other than an object, ends in one line that names the file.  A damaged
+        gram manifest is a cache miss that train recomputes."""
+        assert run_cli("kernel", "--workdir", pipeline_dir) == 0
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
+        path = pipeline_dir / name
+        path.write_text(text)
+        capsys.readouterr()
+        code = run_cli(*[str(a).format(path=path) for a in argv], "--workdir", pipeline_dir)
+        out, err = capsys.readouterr()
+        if name == "gram.manifest.json":
+            assert (code, err) == (0, "")
+            assert f"gram cache: miss, damaged ({path}: {message}" in out
+            assert json.loads(path.read_text())["mode"] == "exact"
+        else:
+            assert code == 1 and err.count("\n") == 1
+            assert err.startswith(f"error: {path}: {message}")
+
     def test_asymmetric_gram_cache_recomputed_by_train(self, pipeline_dir, capsys):
         assert run_cli("kernel", "--workdir", pipeline_dir) == 0
         assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
@@ -450,13 +492,6 @@ class TestConfigPrecedence:
         rows = read_rows(out)
         assert len(rows) == 12
 
-    def test_malformed_config_file(self, tmp_path, capsys):
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text("{bad")
-        assert run_cli("synth", "--config", cfgfile, "--out", tmp_path / "c.csv") == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "invalid JSON" in err
-
     @pytest.mark.parametrize(
         "values, code",
         [({"components": "two"}, 1), ({"scale_hi": True}, 1), ({"components": 2.0}, 1),
@@ -570,7 +605,7 @@ class TestQsvcScoring:
     ]
 
     @staticmethod
-    def scores(mode):
+    def scores(shots):
         """Per-class decision values, and predictions, as ``evaluate`` computes them."""
         rng = np.random.default_rng(8)
         features = FeatureMatrix(["a", "b", "c"], ["f0", "f1"], rng.uniform(0, 3, (3, 2)))
@@ -578,18 +613,18 @@ class TestQsvcScoring:
         clf, support_ids = MulticlassSvm.from_dict(
             {"C": 1.0, "tol": 1e-3, "per_class": TestQsvcScoring.PER_CLASS})
         K = kernel_mod.gram(FeatureMapSpec("zz", 2), X_test, features.rows_for(support_ids),
-                            mode=mode, shots=64, seed=3).values
+                            shots=shots, seed=3).values
         scores = np.stack([decision(m, K) for m in clf.models], axis=1)
         return scores, predict_multiclass(clf, K), features, X_test
 
     def test_shared_support_id_gets_one_sampled_estimate(self):
-        scores, predicted, _, X_test = self.scores("sampled")
+        scores, predicted, _, X_test = self.scores(64)
         assert np.array_equal(scores[:, 0], scores[:, 1])
         # Equal scores tie, and ties go to the lowest class.
         assert np.array_equal(predicted, np.zeros(len(X_test), dtype=np.int64))
 
     def test_exact_scores_equal_per_class_grams(self):
-        scores, _, features, X_test = self.scores("exact")
+        scores, _, features, X_test = self.scores(0)
         for k, entry in enumerate(self.PER_CLASS):
             K = kernel_mod.gram(FeatureMapSpec("zz", 2), X_test,
                                 features.rows_for(entry["support_ids"])).values
@@ -672,11 +707,14 @@ class TestDamagedModel:
         ("vqc", lambda d: d["mode"].update(shots=2**70), "shots must be <= 9223372036854775807"),
         ("qsvc", lambda d: d["kernel"].update(mode="sampled", shots=2**70),
          "shots must be <= 9223372036854775807"),
+        ("qsvc", lambda d: d["kernel"].update(mode="sampled"), "mode 'sampled' contradicts shots 0"),
+        ("qsvc", lambda d: d["kernel"].update(shots=64), "mode 'exact' contradicts shots 64"),
         ("vqc", lambda d: d.update(n_classes=99), "has 99 classes, the reduce stage has 3"),
         ("qsvc", lambda d: d["per_class"].append(d["per_class"][0]),
          "has 4 classes, the reduce stage has 3"),
     ], ids=["vqc_theta_inf", "vqc_theta_nan", "qsvc_dual_coef_nan", "qsvc_bias_inf",
-            "vqc_shots_2**70", "qsvc_shots_2**70", "vqc_99_classes", "qsvc_4_classes"])
+            "vqc_shots_2**70", "qsvc_shots_2**70", "qsvc_sampled_at_0_shots",
+            "qsvc_exact_at_64_shots", "vqc_99_classes", "qsvc_4_classes"])
     def test_rejected_before_any_report(self, trained_models, tmp_path, model, damage, message):
         work, payloads = trained_models
         work = shutil.copytree(work, tmp_path / "work")

@@ -174,14 +174,18 @@ class TestGram:
     def test_sampled_square_deterministic_and_symmetric(self):
         rng = np.random.default_rng(24)
         X = rng.uniform(0, math.pi, (4, 2))
-        g1 = gram(ZZ2, X, mode="sampled", shots=256, seed=9)
-        g2 = gram(ZZ2, X, mode="sampled", shots=256, seed=9)
+        g1 = gram(ZZ2, X, shots=256, seed=9)
+        g2 = gram(ZZ2, X, shots=256, seed=9)
         assert np.array_equal(g1.values, g2.values)
         assert np.array_equal(g1.values, g1.values.T)
 
-    def test_bad_mode(self):
-        with pytest.raises(ValidationError):
-            gram(ZZ2, np.zeros((2, 2)), mode="noisy")
+    def test_zero_shots_is_exact_bitwise(self):
+        rng = np.random.default_rng(25)
+        X, Y = rng.uniform(0, math.pi, (6, 2)), rng.uniform(0, math.pi, (4, 2))
+        for args in ((X,), (X, Y)):
+            g = gram(ZZ2, *args, shots=0, seed=9)
+            assert (g.mode, g.shots, g.seed) == ("exact", None, None)
+            assert g.values.tobytes() == gram(ZZ2, *args).values.tobytes()
 
 
 def bitwise_symmetric(K) -> bool:
@@ -198,10 +202,10 @@ def test_square_grams_are_bitwise_symmetric(build, rows):
     if build == "poly":
         K = poly_gram(X, spec=PolyKernelSpec(degree=3, gamma=0.7, coef0=0.3))
     elif build == "psd_project":
-        sampled = gram(ZZ2, X, mode="sampled", shots=16, seed=3)
+        sampled = gram(ZZ2, X, shots=16, seed=3)
         K = psd_project(sampled).values
     else:
-        K = gram(ZZ2, X, mode=build, shots=16, seed=3).values
+        K = gram(ZZ2, X, shots=16 if build == "sampled" else 0, seed=3).values
     assert bitwise_symmetric(K)
 
 
@@ -256,7 +260,9 @@ class TestGramPersistence:
         "field, value",
         [("shape", MISSING), ("mode", MISSING), ("feature_map", MISSING), ("shots", MISSING),
          ("seed", MISSING), ("shape", "5x5"), ("mode", 1), ("feature_map", [1]),
-         ("feature_map", {"kind": "zz"}), ("shots", "many"), ("seed", 1.5), ("seed", True)],
+         ("feature_map", {"kind": "zz"}), ("shots", "many"), ("seed", 1.5), ("seed", True),
+         # An exact Gram's manifest: a mode its shots and seed contradict.
+         ("mode", "sampled"), ("mode", "noisy"), ("shots", 64), ("seed", 5)],
     )
     def test_damaged_manifest_raises_parse_error(self, tmp_path, field, value):
         save_gram(tmp_path, gram(ZZ2, np.zeros((2, 2))), data_hash="abc123")
@@ -591,13 +597,13 @@ class TestSampledGram:
         spec, x = CLIPPED
         assert exact_kernel(spec, x, x) > 1.0
         assert sampled_kernel(spec, x, x, shots=16, seed=3) == 1.0
-        g = gram(spec, np.array([[0.2], x]), x[None], mode="sampled", shots=16, seed=3)
+        g = gram(spec, np.array([[0.2], x]), x[None], shots=16, seed=3)
         assert g.values[1, 0] == 1.0
 
     def test_square_diagonal_one_and_entries_on_the_shot_grid(self):
         X = np.random.default_rng(51).uniform(0, math.pi, (12, 2))
         shots = 64
-        K = gram(ZZ2, X, mode="sampled", shots=shots, seed=4).values
+        K = gram(ZZ2, X, shots=shots, seed=4).values
         assert np.all(np.diag(K) == 1.0)
         assert np.array_equal(K, K.T)
         assert np.all((K >= 0) & (K <= 1))
@@ -607,7 +613,7 @@ class TestSampledGram:
         rng = np.random.default_rng(52)
         X, Y = rng.uniform(0, math.pi, (5, 2)), rng.uniform(0, math.pi, (7, 2))
         exact = gram(ZZ2, X, Y).values
-        sampled = gram(ZZ2, X, Y, mode="sampled", shots=100, seed=6).values
+        sampled = gram(ZZ2, X, Y, shots=100, seed=6).values
         for i in range(len(X)):
             draw = np.random.default_rng((6, i)).binomial(100, np.minimum(exact[i], 1.0)) / 100
             assert np.array_equal(sampled[i], draw)
@@ -616,9 +622,8 @@ class TestSampledGram:
         rng = np.random.default_rng(53)
         X, Y = rng.uniform(0, math.pi, (8, 2)), rng.uniform(0, math.pi, (6, 2))
         shots = 10**5
-        for exact, sampled in ((gram(ZZ2, X), gram(ZZ2, X, mode="sampled", shots=shots, seed=7)),
-                               (gram(ZZ2, X, Y), gram(ZZ2, X, Y, mode="sampled", shots=shots,
-                                                      seed=7))):
+        for exact, sampled in ((gram(ZZ2, X), gram(ZZ2, X, shots=shots, seed=7)),
+                               (gram(ZZ2, X, Y), gram(ZZ2, X, Y, shots=shots, seed=7))):
             p = exact.values
             bound = 5 * np.sqrt(np.maximum(p * (1 - p), 1e-12) / shots)
             assert np.all(np.abs(sampled.values - p) <= bound)
@@ -635,16 +640,16 @@ class TestSampledGram:
         rng = np.random.default_rng(54)
         X = rng.uniform(0, math.pi, (6, 2))
         Y = rng.uniform(0, math.pi, (4, 2)) if rectangular else None
-        for mode in ("exact", "sampled"):
+        for shots in (0, 32):
             calls.clear()
-            gram(ZZ2, X, Y, mode=mode, shots=32, seed=1)
-            assert len(calls) == runs, mode
+            gram(ZZ2, X, Y, shots=shots, seed=1)
+            assert len(calls) == runs, shots
 
-    @pytest.mark.parametrize("shots, seed", [(0, 1), (-3, 1), (16, -1)])
+    @pytest.mark.parametrize("shots, seed", [(-3, 1), (16, -1)])
     def test_shots_below_one_or_negative_seed_rejected(self, shots, seed):
         with pytest.raises(ValidationError):
-            gram(ZZ2, np.zeros((2, 2)), mode="sampled", shots=shots, seed=seed)
+            gram(ZZ2, np.zeros((2, 2)), shots=shots, seed=seed)
 
     def test_shots_above_max_rejected(self):
         with pytest.raises(ValidationError, match="shots must be <="):
-            gram(ZZ2, np.zeros((2, 2)), mode="sampled", shots=2**63, seed=1)
+            gram(ZZ2, np.zeros((2, 2)), shots=2**63, seed=1)

@@ -347,6 +347,14 @@ class TestBatchRun:
         with pytest.raises(ValidationError, match="1-D"):
             Gate("p", (0,), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("kind, angle", [
+        ("ry", "theta"), ("p", "theta"), ("ry", True), ("p", False), ("ry", [0.5]),
+        ("p", np.array(["a", "b"])),
+    ], ids=["ry-str", "p-str", "ry-bool", "p-bool", "ry-list", "p-str-array"])
+    def test_non_numeric_angle_names_gate_kind(self, kind, angle):
+        with pytest.raises(ValidationError, match=f"^{kind} angle"):
+            Gate(kind, (0,), angle)
+
     def test_only_p_takes_per_row_angles(self):
         with pytest.raises(ValidationError, match="only p does"):
             Gate("ry", (0,), np.array([0.1, 0.2]))

@@ -211,8 +211,8 @@ def indefinite_problems(draw):
     if draw(st.booleans()):
         m = draw(st.integers(2, 30))
         X = draw(hnp.arrays(np.float64, (m, 2), elements=st.floats(0.0, np.pi)))
-        G = gram(FeatureMapSpec("zz", 2, reps=2), X, mode="sampled",
-                 shots=draw(st.integers(1, 64)), seed=draw(st.integers(0, 2**32 - 1))).values
+        G = gram(FeatureMapSpec("zz", 2, reps=2), X, shots=draw(st.integers(1, 64)),
+                 seed=draw(st.integers(0, 2**32 - 1))).values
     else:
         m = draw(st.integers(3, 30))
         G = draw(hnp.arrays(np.float64, (m, m), elements=st.floats(0.0, 1.0)))

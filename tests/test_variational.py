@@ -368,10 +368,11 @@ class TestCachedEncoding:
             return theta
 
         for sequence in (
-            # (theta, boundary of the cached state after it)
-            [(x0, 0), (moved(20), 7), (moved(14), 7), (moved(0), 7), (x0, 8), (moved(20), 8)],
-            [(x0, 0), (moved(6), 1), (moved(6, 13), 1), (moved(3), 1), (moved(7), 3),
-             (moved(13), 4), (moved(6), 4)],
+            # (theta, boundary of the cached state after it); an s < k step
+            # goes back to k = 0 and advances to s from there.
+            [(x0, 0), (moved(20), 7), (moved(14), 6), (moved(0), 0), (x0, 8), (moved(20), 7)],
+            [(x0, 0), (moved(6), 1), (moved(6, 13), 1), (moved(3), 0), (moved(7), 3),
+             (moved(13), 4), (moved(6), 1)],
         ):
             checkpoint = _Checkpoint(ansatz, states)
             for theta, k in sequence:
@@ -379,11 +380,14 @@ class TestCachedEncoding:
                 fresh = run(bind_ansatz(ansatz, theta), states).amplitudes
                 assert np.array_equal(out.view(np.uint64), fresh.view(np.uint64))
                 assert checkpoint.k == k
+                # At k = 0 the cache is the encoded states object itself.
+                assert (checkpoint.state is states) == (k == 0)
 
     def test_training_keeps_one_cached_state(self, monkeypatch):
         # Spy on every simulator run: after the encoding, each run starts from
         # the encoded states or from the one cached state, which is an earlier
-        # run's output; no other earlier output may still be alive.
+        # run's output; no other earlier output may still be alive, and none
+        # at all when a run starts over from the encoded states.
         rng = np.random.default_rng(70)
         X = rng.uniform(0, math.pi, (5, 7))
         y = rng.integers(0, 3, 5)
@@ -399,7 +403,7 @@ class TestCachedEncoding:
                 live = [ref() for ref in outputs[1:]]
                 cached = [out for out in live if out is not None]
                 assert len(cached) <= 1
-                assert state is encoded or (cached and state is cached[0])
+                assert (state is encoded and not cached) or (cached and state is cached[0])
                 starts.append("encoded" if state is encoded else id(state))
                 del live, cached, encoded
             out = real_run(circuit, state)
