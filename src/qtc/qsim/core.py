@@ -11,14 +11,18 @@ Conventions
   angle per state of a batch).  ``run`` is the one way to make a state:
   ``run(Circuit(n))`` is |0...0>.
 
-One circuit structure runs over a whole batch of states at once, in place on
-a (rows, 2**n) amplitude array, through a fusion pass planned once per run
-that turns the circuit into two kinds of step:
+One circuit structure runs over a whole batch of states at once, through a
+fusion pass planned once per run that turns the circuit into two kinds of
+step.  The rows go in cache-sized chunks; each chunk is copied once into a
+(rows, 2, 2**n) float64 array of real and imaginary planes, every step reads
+one such array and writes a second of the same shape, and the chunk goes
+back to the (rows, 2**n) complex amplitudes after its last step.
 
 * each maximal run of real single-qubit gates (H and RY) becomes at most one
   real block per fixed window of 6 qubits ([0, 6), [6, 12), ...): the
   Kronecker product of the window's composed 2x2 matrices, built once per
-  run and applied by one matmul on the float64 view of the amplitudes;
+  run and applied to both planes by one matmul with the window's own
+  2**6 x 2**6 matrix;
 * each maximal run of P and CX gates becomes one per-row phase e^{i phi}
   and at most one index gather.  The CX gates permute the basis, which a
   gather does exactly, and each P gate adds its angle where a 0/1 mask over
@@ -81,8 +85,9 @@ _REAL = ("h", "ry")
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # The largest count NumPy's binomial and multinomial draws accept (a C long).
 MAX_SHOTS = 2**63 - 1
-# Rows per chunk in ``run`` times 2**n_qubits; 2**15 complex128 amplitudes
-# (512 KiB) keep a step's temporaries in cache.
+# Rows per chunk in ``run`` times 2**n_qubits; 2**15 amplitudes (512 KiB of
+# float64 planes, in each of the two arrays a step reads and writes) keep a
+# chunk in cache.
 _CHUNK_AMPLITUDES = 1 << 15
 # Qubits per fused real window: a 2**6 x 2**6 real block is one BLAS matmul
 # per chunk where six gates made about ten passes over the amplitudes each.
@@ -121,6 +126,9 @@ class Gate:
 
     def __post_init__(self):
         if isinstance(self.angle, np.ndarray):
+            # A float cast would keep only the real part of a complex array.
+            if np.iscomplexobj(self.angle):
+                raise ValidationError(f"{self.kind} angles must be real numbers")
             try:
                 angle = np.asarray(self.angle, dtype=float)
             except (TypeError, ValueError) as exc:
@@ -251,12 +259,12 @@ def _compose(gates: tuple[Gate, ...], n_qubits: int) -> list:
 
 
 def _block(window: list, low: int) -> np.ndarray:
-    """The real block of one window of 2x2 matrices.
+    """The real 2**w x 2**w block of one window of w 2x2 matrices.
 
     The window's matrix M is the Kronecker product of its qubits' matrices,
     highest qubit first (identity where a qubit has none), built with
-    elementwise products only.  The lowest window returns kron(M.T, I2),
-    which acts on the float64 view's trailing axis from the right; a higher
+    elementwise products only.  The lowest window returns M.T, contiguous,
+    which acts on each plane's trailing window axis from the right; a higher
     window returns M, which acts on the amplitudes above the window from the
     left.
     """
@@ -265,29 +273,25 @@ def _block(window: list, low: int) -> np.ndarray:
         if r is None:
             r = np.eye(2)
         m = (m[:, None, :, None] * r[None, :, None, :]).reshape(2 * len(m), 2 * len(m))
-    if low > 0:
-        return m
-    k = np.zeros((2 * len(m), 2 * len(m)))
-    k[0::2, 0::2] = k[1::2, 1::2] = m.T
-    return k
+    return np.ascontiguousarray(m.T) if low == 0 else m
 
 
-def _apply_block(amps: np.ndarray, n_qubits: int, low: int, block: np.ndarray) -> None:
-    """Apply one window's block in place to every row of a (rows, 2**n_qubits) array.
+def _apply_block(planes: np.ndarray, spare: np.ndarray, n_qubits: int, low: int,
+                 block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply one window's block to a (rows, 2, 2**n_qubits) array of planes.
 
-    In the float64 view, float index 2 i + (0 real, 1 imaginary) holds
-    amplitude i, so qubit q is bit q + 1.  Rows stay a matmul batch axis:
+    Both planes of every row take the same matmul, written into ``spare``;
+    returns (state, spare) after the step.  Rows stay a matmul batch axis:
     each row is its own matrix product, the one it gets when run alone.
     """
-    rows = amps.shape[0]
     width = min(_BLOCK_QUBITS, n_qubits - low)
-    view = amps.view(np.float64)
     if low == 0:
-        v = view.reshape(rows, -1, 2 << width)
-        v[...] = v @ block
+        shape = (len(planes), -1, 1 << width)
+        np.matmul(planes.reshape(shape), block, out=spare.reshape(shape))
     else:
-        v = view.reshape(rows, -1, 1 << width, 2 << low)
-        v[...] = block @ v
+        shape = (len(planes), -1, 1 << width, 1 << low)
+        np.matmul(block, planes.reshape(shape), out=spare.reshape(shape))
+    return spare, planes
 
 
 def _phase_run(gates: tuple[Gate, ...], n_qubits: int) -> tuple | None:
@@ -385,43 +389,49 @@ def _trig(factors: tuple, n_qubits: int, start: int, stop: int) -> tuple | None:
     return tuple(np.broadcast_to(t, t.shape[:1] + grid).reshape(len(t), -1) for t in (c, s))
 
 
-def _apply_phase(amps: np.ndarray, trig, index) -> None:
-    """Gather a (rows, 2**n) array by ``index``, then multiply it by e^{i phi} in place.
+def _apply_phase(planes: np.ndarray, spare: np.ndarray, trig,
+                 index) -> tuple[np.ndarray, np.ndarray]:
+    """Gather (rows, 2, 2**n) planes by ``index``, then multiply them by e^{i phi}.
 
-    The complex multiply is spelled out in float64, one rounding per
-    operation, so no row's bits depend on which loop NumPy picks.
+    Each operation writes into the other array; returns (state, spare) after
+    the step.  The complex multiply is spelled out in float64, one rounding
+    per operation, so no row's bits depend on which loop NumPy picks.
     """
-    if trig is None:
-        amps[...] = amps[:, index]
-        return
-    c, s = trig
-    view = amps.view(np.float64).reshape(amps.shape[0], -1, 2)
-    re, im = view[:, :, 0], view[:, :, 1]
     if index is not None:
-        re, im = re[:, index], im[:, index]
-    out_re = re * c - im * s
-    view[:, :, 1] = re * s + im * c
-    view[:, :, 0] = out_re
+        # mode="clip" writes straight into ``out``; "raise" would buffer a copy.
+        np.take(planes, index, axis=2, out=spare, mode="clip")
+        planes, spare = spare, planes
+    if trig is None:
+        return planes, spare
+    c, s = trig
+    re, im = planes[:, 0], planes[:, 1]
+    out_re, out_im = spare[:, 0], spare[:, 1]
+    np.multiply(re, c, out=out_re)
+    np.multiply(im, s, out=out_im)
+    np.subtract(out_re, out_im, out=out_re)
+    np.multiply(re, s, out=out_im)
+    np.multiply(im, c, out=re)
+    np.add(out_im, re, out=out_im)
+    return spare, planes
 
 
 def _start(steps: list[tuple], n_qubits: int, rows: int) -> tuple[np.ndarray, list[tuple]]:
     """|0...0> on ``rows`` rows with the plan's leading blocks applied, and the steps left.
 
-    A block maps |0> of its window to its first column: row 0's even entries
-    of kron(M.T, I2) for the lowest window, column 0 of M above it.  While
-    the leading blocks act on ascending windows, the state is therefore the
-    outer product of those columns (e_0 for a window they leave alone), low
-    window first, each higher window multiplying on the left.  Each amplitude
-    a block matmul would give is one such product plus exact zeros, so the
-    real parts are its bits once a -0.0 becomes +0.0; the imaginary parts
-    are +0.
+    A block maps |0> of its window to its first column: row 0 of M.T for
+    the lowest window, column 0 of M above it.  While the leading blocks act
+    on ascending windows, the state is therefore the outer product of those
+    columns (e_0 for a window they leave alone), low window first, each
+    higher window multiplying on the left.  Each amplitude a block matmul
+    would give is one such product plus exact zeros, so the real parts are
+    its bits once a -0.0 becomes +0.0; the imaginary parts are +0.
     """
     columns: dict[int, np.ndarray] = {}
     for kind, *args in steps:
         if kind != "block" or (columns and args[0] <= max(columns)):
             break
         low, block = args
-        columns[low] = block[0, 0::2] if low == 0 else block[:, 0]
+        columns[low] = block[0] if low == 0 else block[:, 0]
     state = np.ones(1)
     for low in range(0, n_qubits, _BLOCK_QUBITS):
         column = columns.get(low)
@@ -434,6 +444,34 @@ def _start(steps: list[tuple], n_qubits: int, rows: int) -> tuple[np.ndarray, li
     return amps, steps[len(columns):]
 
 
+def _apply_steps(source: np.ndarray, out: np.ndarray, steps: list[tuple], n_qubits: int) -> None:
+    """Apply ``steps`` to the (rows, 2**n) complex rows of ``source`` and write them to ``out``.
+
+    Rows go in chunks of at most ``_CHUNK_AMPLITUDES`` amplitudes, which keep
+    a chunk in cache.  Each chunk is copied once into a (rows, 2, 2**n)
+    float64 array of real and imaginary planes; every step reads one such
+    array and writes a second of the same shape, so steps allocate no
+    chunk-sized temporaries, and the result goes back to ``out``, which may
+    be ``source``.
+    """
+    step = max(1, _CHUNK_AMPLITUDES >> n_qubits)
+    planes = np.empty((min(step, len(source)), 2, 1 << n_qubits))
+    spare = np.empty_like(planes)
+    for start in range(0, len(source), step):
+        stop = start + step
+        chunk = source[start:stop]
+        a, b = planes[:len(chunk)], spare[:len(chunk)]
+        a[:, 0], a[:, 1] = chunk.real, chunk.imag
+        for kind, *args in steps:
+            if kind == "block":
+                a, b = _apply_block(a, b, n_qubits, *args)
+            else:
+                factors, index = args
+                a, b = _apply_phase(a, b, _trig(factors, n_qubits, start, stop), index)
+        dest = out[start:stop]
+        dest.real, dest.imag = a[:, 0], a[:, 1]
+
+
 def run(circuit: Circuit, state: StateVector | None = None) -> StateVector:
     """Run a circuit on |0...0>, or on a copy of ``state``.
 
@@ -441,9 +479,7 @@ def run(circuit: Circuit, state: StateVector | None = None) -> StateVector:
     angle, each row the state that circuit with that row's angles gives.
     ``state`` may hold one state (1-D amplitudes) or a batch (2-D), and a
     batch circuit needs as many rows as it has.  The result has the shape of
-    ``state``, or is 1-D for a float-angle circuit on |0...0>.  Rows are
-    simulated in chunks of at most ``_CHUNK_AMPLITUDES`` amplitudes, which
-    keep each step's temporaries in cache.
+    ``state``, or is 1-D for a float-angle circuit on |0...0>.
     """
     n = circuit.n_qubits
     lengths = {len(g.angle) for g in circuit.gates if isinstance(g.angle, np.ndarray)}
@@ -452,6 +488,7 @@ def run(circuit: Circuit, state: StateVector | None = None) -> StateVector:
     if state is None:
         rows = lengths.pop() if lengths else None
         amps, steps = _start(_plan(circuit), n, 1 if rows is None else rows)
+        source = amps
         shape = (1 << n,) if rows is None else amps.shape
     else:
         if state.n_qubits != n:
@@ -459,22 +496,14 @@ def run(circuit: Circuit, state: StateVector | None = None) -> StateVector:
                 f"a {n}-qubit circuit cannot run on a {state.n_qubits}-qubit state"
             )
         shape = state.amplitudes.shape
-        amps = np.array(state.amplitudes, dtype=np.complex128).reshape(-1, 1 << n)
-        if lengths and lengths != {amps.shape[0]}:
+        source = np.asarray(state.amplitudes, dtype=np.complex128).reshape(-1, 1 << n)
+        if lengths and lengths != {len(source)}:
             raise ValidationError(
-                f"per-row angles for {lengths.pop()} rows on a batch of {amps.shape[0]}"
+                f"per-row angles for {lengths.pop()} rows on a batch of {len(source)}"
             )
+        amps = np.empty(source.shape, dtype=np.complex128)
         steps = _plan(circuit)
-    step = max(1, _CHUNK_AMPLITUDES >> n)
-    for start in range(0, amps.shape[0], step):
-        stop = start + step
-        chunk = amps[start:stop]
-        for kind, *args in steps:
-            if kind == "block":
-                _apply_block(chunk, n, *args)
-            else:
-                factors, index = args
-                _apply_phase(chunk, _trig(factors, n, start, stop), index)
+    _apply_steps(source, amps, steps, n)
     return StateVector(n, amps.reshape(shape))
 
 

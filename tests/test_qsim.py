@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +323,26 @@ class TestBatchRun:
             one = run(Circuit(12, build_feature_map(spec, x).gates + ansatz.gates))
             assert_bitwise(batch.amplitudes[r], one.amplitudes)
 
+    def test_steps_allocate_nothing_chunk_sized(self):
+        # 48 rows of 12 qubits run in 6 chunks of 8 rows.  Beyond the output,
+        # the two scratch arrays of planes and the plan's blocks, the run may
+        # allocate 128 KiB (the gather's index copy and small arrays): a
+        # quarter of the 512 KiB of one chunk's planes.
+        rng = np.random.default_rng(17)
+        n = 12
+        circ = bind_ansatz(build_ansatz(AnsatzSpec(n, reps=2)), rng.uniform(-3, 3, 3 * n))
+        start = StateVector(n, random_states(rng, 48, n))
+        run(circ, start)  # fills the phase-structure cache
+        tracemalloc.start()
+        try:
+            out = run(circ, start).amplitudes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scratch = 2 * (core._CHUNK_AMPLITUDES * 16)
+        blocks = sum(step[2].nbytes for step in core._plan(circ) if step[0] == "block")
+        assert peak <= out.nbytes + scratch + blocks + (128 << 10)
+
     def test_input_states_untouched(self):
         rng = np.random.default_rng(16)
         start = random_states(rng, 3, 2)
@@ -349,8 +370,9 @@ class TestBatchRun:
 
     @pytest.mark.parametrize("kind, angle", [
         ("ry", "theta"), ("p", "theta"), ("ry", True), ("p", False), ("ry", [0.5]),
-        ("p", np.array(["a", "b"])),
-    ], ids=["ry-str", "p-str", "ry-bool", "p-bool", "ry-list", "p-str-array"])
+        ("p", np.array(["a", "b"])), ("p", np.array([1 + 2j])), ("p", np.array([1 + 0j])),
+    ], ids=["ry-str", "p-str", "ry-bool", "p-bool", "ry-list", "p-str-array",
+            "p-complex-array", "p-complex-array-real-values"])
     def test_non_numeric_angle_names_gate_kind(self, kind, angle):
         with pytest.raises(ValidationError, match=f"^{kind} angle"):
             Gate(kind, (0,), angle)
@@ -608,6 +630,23 @@ class TestFusion:
             one = row_circuit(circ, r)
             assert_bitwise(out[r], run(one, StateVector(n, start[r])).amplitudes)
 
+    def test_narrow_high_window_matches_reference(self):
+        # At 13 qubits the real windows are [0, 6), [6, 12) and [12, 13), and
+        # 5 rows are more than one chunk (4 rows of 2**13 amplitudes).
+        rng = np.random.default_rng(24)
+        n, rows = 13, 5
+        layers = ([Gate("h", (q,)) for q in range(n)]
+                  + [Gate("ry", (q,), float(rng.uniform(-4, 4))) for q in range(n)])
+        tail = [Gate("ry", (12,), 0.3), Gate("cx", (12, 0)),
+                Gate("p", (12,), rng.uniform(-4, 4, rows)), Gate("cx", (5, 12)),
+                Gate("ry", (12,), -1.1), Gate("h", (6,))]
+        middle = random_batch_circuit(rng, n, 60, rows).gates
+        circ = Circuit(n, tuple(layers) + middle + tuple(tail))
+        assert {step[1] for step in core._plan(circ) if step[0] == "block"} == {0, 6, 12}
+        start = random_states(rng, rows, n)
+        out = run(circ, StateVector(n, start)).amplitudes
+        assert np.max(np.abs(out - reference_run(circ, start))) <= 1e-14
+
     def test_ansatz_layers_match_reference(self):
         rng = np.random.default_rng(22)
         for n in (5, 6, 7, 12, 13):
@@ -619,19 +658,11 @@ class TestFusion:
 
 def planned_run(circuit: Circuit, rows: int) -> np.ndarray:
     """Every step of the circuit's plan applied to |0...0> on ``rows`` rows,
-    chunk by chunk as ``run`` applies them to a given batch."""
+    chunk by chunk on real and imaginary planes, as ``run`` applies them to a
+    given batch."""
     n = circuit.n_qubits
     amps = np.tile(run(Circuit(n)).amplitudes, (rows, 1))
-    step = max(1, core._CHUNK_AMPLITUDES >> n)
-    steps = core._plan(circuit)
-    for start in range(0, rows, step):
-        chunk = amps[start:start + step]
-        for kind, *args in steps:
-            if kind == "block":
-                core._apply_block(chunk, n, *args)
-            else:
-                factors, index = args
-                core._apply_phase(chunk, core._trig(factors, n, start, start + step), index)
+    core._apply_steps(amps, amps, core._plan(circuit), n)
     return amps
 
 
