@@ -37,7 +37,7 @@ from .errors import (
     read_json, write_json,
 )
 from .optimizer import OptimizerConfig, check_budget, write_trace_csv
-from .qsim import check_sampling
+from .qsim import MAX_QUBITS, check_sampling
 
 _FEATURE_MAPS = ("z", "zz")
 
@@ -187,6 +187,9 @@ def cmd_preprocess(args, cfg: dict) -> None:
 
 
 def cmd_reduce(args, cfg: dict) -> None:
+    with _options(cfg, "components"):
+        if cfg["components"] > MAX_QUBITS:  # before the stage is read
+            raise ValidationError(f"one qubit per component, at most MAX_QUBITS = {MAX_QUBITS}")
     stage = load_stage(os.path.join(args.workdir, "tfidf"), expect_stage="tfidf")
     with _options(cfg, "components"):
         pca = reduce_mod.fit_pca(stage.features, cfg["components"])

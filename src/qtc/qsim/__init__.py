@@ -1,6 +1,7 @@
 """Statevector simulation substrate: circuits, gates, exact states, sampling."""
 
 from .core import (
+    MAX_QUBITS,
     MAX_SHOTS,
     Circuit,
     Gate,
@@ -15,6 +16,7 @@ from .core import (
 )
 
 __all__ = [
+    "MAX_QUBITS",
     "MAX_SHOTS",
     "Circuit",
     "Gate",

@@ -65,6 +65,7 @@ import numpy as np
 from ..errors import ValidationError
 
 __all__ = [
+    "MAX_QUBITS",
     "MAX_SHOTS",
     "check_sampling",
     "Gate",
@@ -85,6 +86,9 @@ _REAL = ("h", "ry")
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # The largest count NumPy's binomial and multinomial draws accept (a C long).
 MAX_SHOTS = 2**63 - 1
+# The most qubits a circuit may act on.  A state is 2**n complex128
+# amplitudes of 16 B, and one state may take at most 16 MiB: 2**20 x 16 B.
+MAX_QUBITS = 20
 # Rows per chunk in ``run`` times 2**n_qubits; 2**15 amplitudes (512 KiB of
 # float64 planes, in each of the two arrays a step reads and writes) keep a
 # chunk in cache.
@@ -170,6 +174,10 @@ class Circuit:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValidationError("circuit needs at least one qubit")
+        if self.n_qubits > MAX_QUBITS:
+            raise ValidationError(
+                f"a circuit has at most MAX_QUBITS = {MAX_QUBITS} qubits, got {self.n_qubits}"
+            )
         for g in self.gates:
             if max(g.qubits) >= self.n_qubits:
                 raise ValidationError(
@@ -523,6 +531,7 @@ def probabilities(state: StateVector) -> np.ndarray:
     return np.abs(state.amplitudes) ** 2
 
 
+# No pipeline stage calls this; perfbench/tracing.py wraps it by name, so it stays until that goes.
 def sample(state: StateVector, shots: int, seed) -> dict[int, int]:
     """Multinomial draw of measurement outcomes.
 

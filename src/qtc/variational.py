@@ -14,9 +14,11 @@ cached state at a cut between the simulator's plan steps, and a later
 evaluation whose angles before that cut are theta0's, bitwise, resumes
 from it; a resumed run is bitwise the whole run.  Outcome distributions
 are folded onto classes a block of rows at a time.  Exact mode uses
-statevector probabilities and is fully deterministic;
-sampled mode draws ``shots`` measurement outcomes with a seed derived from
-(master seed, sample bytes, parameter bytes) so repeated runs reproduce.
+statevector probabilities and is fully deterministic.  Sampled mode is the
+exact class probabilities plus one seeded draw: every row's class counts
+come from one multinomial call over ``shots`` measurements, seeded by
+(master seed, crc32 of theta's bytes, crc32 of X's bytes).  Repeated calls on
+the same rows reproduce, but a row's draw depends on the whole batch X.
 A training run serializes to the ``model.json`` fields with
 ``TrainingResult.to_dict`` (the model's own fields from
 ``VariationalModel.to_dict``, plus how the run ended) and reads back with
@@ -33,7 +35,7 @@ import numpy as np
 from .circuits import AnsatzSpec, FeatureMapSpec, bind_ansatz, build_ansatz, build_feature_map
 from .errors import NUMBER, ParseError, ValidationError, json_field
 from .optimizer import STOPS, OptimizerConfig, OptimizationTrace, minimize
-from .qsim import Circuit, StateVector, check_sampling, probabilities, run, sample, split
+from .qsim import Circuit, StateVector, check_sampling, probabilities, run, split
 
 __all__ = [
     "VariationalModel",
@@ -168,29 +170,27 @@ def _fold(model: VariationalModel, X: np.ndarray, output: StateVector) -> np.nda
     """Class probabilities of the rows of X from the bound ansatz's output states.
 
     The outcome distribution is built and folded a block of rows at a time,
-    so no (rows, 2**n) distribution is held beside the amplitudes.
+    so no (rows, 2**n) distribution is held beside the amplitudes.  Sampled
+    mode then draws every row's class counts in one multinomial call.
     """
     amps = output.amplitudes
     folded = np.zeros((len(amps), model.n_classes))
-    theta_bytes = model.theta.astype("<f8").tobytes()
     step = max(1, _FOLD_AMPLITUDES >> model.n_qubits)
     for start in range(0, len(amps), step):
-        block = amps[start:start + step]
-        if model.shots == 0:
-            dist = probabilities(StateVector(model.n_qubits, block))
-        else:
-            dist = np.zeros(block.shape)
-            for r, (x, row) in enumerate(zip(X[start:start + step], block)):
-                digest = zlib.crc32(x.astype("<f8").tobytes() + theta_bytes)
-                state = StateVector(model.n_qubits, row)
-                for idx, c in sample(state, model.shots, (model.seed, digest)).items():
-                    dist[r, idx] = c / model.shots
+        dist = probabilities(StateVector(model.n_qubits, amps[start:start + step]))
         # Outcome i counts for class i mod n_classes.  A running sum over each
         # class's outcomes adds them in index order, as a per-row np.bincount
         # does, so every row's fold is bitwise the one-state fold.
         for c in range(min(model.n_classes, dist.shape[1])):
             folded[start:start + step, c] = np.cumsum(dist[:, c::model.n_classes], axis=1)[:, -1]
-    return folded
+    if model.shots == 0:
+        return folded
+    # A multinomial over the 2**n outcomes, summed over each class's outcomes,
+    # is a multinomial over the folded probabilities: one draw has its law.
+    seed = (model.seed, zlib.crc32(model.theta.astype("<f8").tobytes()),
+            zlib.crc32(X.astype("<f8").tobytes()))
+    pvals = folded / folded.sum(axis=1, keepdims=True)
+    return np.random.default_rng(seed).multinomial(model.shots, pvals) / model.shots
 
 
 def cross_entropy(probs: np.ndarray, y) -> float:

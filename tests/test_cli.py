@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from qtc import kernel as kernel_mod
 from qtc.circuits import FeatureMapSpec
 from qtc.cli import OPTIONS, main
 from qtc.corpus import (
-    Document, FeatureMatrix, encode_labels, fit_tfidf, load_stage, transform_tfidf,
+    Document, FeatureMatrix, encode_labels, fit_tfidf, load_stage, save_stage, transform_tfidf,
 )
+from qtc.qsim import MAX_QUBITS
 from qtc.reduce import fit_pca, transform_pca
 from qtc.svm import MulticlassSvm, decision, predict_multiclass, train_multiclass
 
@@ -476,6 +478,55 @@ class TestPipeline:
         assert run_cli(argv[0], "--workdir", pipeline_dir, *argv[1:]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "must be one of" in err
+
+
+def traced_run(*args):
+    """Exit code of one CLI call and the peak memory traced during it."""
+    tracemalloc.start()
+    try:
+        code = run_cli(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+# One state at MAX_QUBITS + 1 qubits is 2**21 x 16 B = 32 MiB.
+SMALL_PEAK = 1 << 20
+
+
+class TestQubitBound:
+    @pytest.mark.parametrize("components", [MAX_QUBITS + 1, 70])
+    def test_components_above_max_qubits_rejected(self, tmp_path, capsys, components):
+        corpus, work = tmp_path / "corpus.csv", tmp_path / "work"
+        assert run_cli("synth", "--vocab-size", 200, "--out", corpus) == 0
+        assert run_cli("preprocess", "--corpus", corpus, "--workdir", work,
+                       "--max-features", 90) == 0
+        capsys.readouterr()
+        code, peak = traced_run("reduce", "--workdir", work, "--components", components)
+        err = capsys.readouterr().err
+        assert code == 1 and peak < SMALL_PEAK
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: --components {components}: ") and "MAX_QUBITS" in err
+        assert not (work / "reduce").exists()
+
+    @pytest.mark.parametrize("argv", [("kernel",), ("train", "--model", "qsvc"),
+                                      ("train", "--model", "vqc", "--iters", 50)],
+                             ids=["kernel", "qsvc", "vqc"])
+    def test_wider_stage_rejected_by_the_circuit(self, pipeline_dir, capsys, argv):
+        # A reduce stage with one column too many, as no reduce run writes it.
+        stage = load_stage(pipeline_dir / "reduce")
+        wide = FeatureMatrix(stage.features.ids, [f"pc{i + 1}" for i in range(MAX_QUBITS + 1)],
+                             np.tile(stage.features.values[:, :1], MAX_QUBITS + 1))
+        save_stage(pipeline_dir / "reduce", wide, stage.labels, stage.encoding, stage.split,
+                   stage="reduce")
+        before = _file_bytes(pipeline_dir)
+        capsys.readouterr()
+        code, peak = traced_run(*argv, "--workdir", pipeline_dir)
+        err = capsys.readouterr().err
+        assert code == 1 and peak < SMALL_PEAK
+        assert err.count("\n") == 1 and "MAX_QUBITS" in err
+        assert _file_bytes(pipeline_dir) == before
 
 
 class TestConfigPrecedence:

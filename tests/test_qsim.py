@@ -17,6 +17,7 @@ from qtc.kernel import encoded_state
 from qtc.qsim import core
 from qtc.variational import VariationalModel, encode
 from qtc.qsim import (
+    MAX_QUBITS,
     Circuit,
     Gate,
     StateVector,
@@ -111,6 +112,11 @@ class TestApplyGate:
     def test_invalid_target(self):
         with pytest.raises(ValidationError):
             run(Circuit(1, (Gate("h", (1,)),)), run(Circuit(1)))
+
+    def test_qubit_count_bounded(self):
+        Circuit(MAX_QUBITS)
+        with pytest.raises(ValidationError, match="MAX_QUBITS"):
+            Circuit(MAX_QUBITS + 1, (Gate("h", (MAX_QUBITS,)),))
 
     def test_cx_same_qubit_rejected(self):
         with pytest.raises(ValidationError):

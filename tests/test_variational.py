@@ -14,7 +14,7 @@ import qtc.variational
 from qtc.circuits import AnsatzSpec, FeatureMapSpec, bind_ansatz, build_ansatz, build_feature_map, compose
 from qtc.errors import ParseError, ValidationError
 from qtc.optimizer import OptimizerConfig, minimize
-from qtc.qsim import probabilities, run, sample
+from qtc.qsim import probabilities, run
 from qtc.variational import (
     VariationalModel,
     class_probabilities,
@@ -94,22 +94,29 @@ class TestClassProbabilities:
                 probs = class_probabilities(make_model(theta=bumped), x)
                 assert np.max(np.abs(probs - base)) <= 1e-5
 
-    def test_sampled_converges_to_exact(self):
+    # With one draw per call, rows after the first come later from the stream.
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_sampled_converges_to_exact(self, rows):
         rng = np.random.default_rng(5)
         theta = rng.uniform(-math.pi, math.pi, 4)
-        x = rng.uniform(0, math.pi, (1, 2))
-        exact = class_probabilities(make_model(theta=theta), x)[0]
+        x = rng.uniform(0, math.pi, (rows, 2))
+        exact = class_probabilities(make_model(theta=theta), x)
         shots = 10**5
-        sampled = class_probabilities(make_model(theta=theta, shots=shots, seed=6), x)[0]
-        for c in range(3):
-            p = exact[c]
-            bound = 5 * math.sqrt(max(p * (1 - p), 1e-12) / shots)
-            assert abs(sampled[c] - p) <= bound
+        sampled = class_probabilities(make_model(theta=theta, shots=shots, seed=6), x)
+        for r in range(rows):
+            for c in range(3):
+                p = exact[r, c]
+                bound = 5 * math.sqrt(max(p * (1 - p), 1e-12) / shots)
+                assert abs(sampled[r, c] - p) <= bound
 
     def test_sampled_mode_reproducible(self):
         model = make_model(theta=np.array([0.4, -0.2, 0.9, 1.3]), shots=512, seed=7)
-        x = [[0.5, 1.5]]
-        assert np.array_equal(class_probabilities(model, x), class_probabilities(model, x))
+        x = [[0.5, 1.5], [2.0, 0.1], [1.2, 2.9], [0.0, 3.0]]
+        probs = class_probabilities(model, x)
+        assert probs.tobytes() == class_probabilities(model, x).tobytes()
+        counts = probs * 512
+        assert np.array_equal(counts, np.round(counts))
+        assert np.array_equal(counts.sum(axis=1), np.full(4, 512.0))
 
 
 def outcome_probabilities(model, X):
@@ -258,22 +265,22 @@ class TestTrain:
 
 def per_point_probabilities(model, X):
     """Class probabilities one point at a time: map(x) and ansatz composed into
-    one circuit, run from |0...0>, drawn with the (seed, crc32(x || theta))
-    seed in sampled mode, and folded with np.bincount."""
+    one circuit, run from |0...0> and folded with np.bincount.  In sampled mode
+    the stacked rows then get one multinomial draw, seeded by (seed,
+    crc32(theta), crc32(X))."""
+    X = np.asarray(X, dtype=float)
     ansatz = bind_ansatz(build_ansatz(model.ansatz), model.theta)
     folds = np.arange(1 << model.n_qubits) % model.n_classes
     rows = np.empty((len(X), model.n_classes))
-    for r, x in enumerate(np.asarray(X, dtype=float)):
+    for r, x in enumerate(X):
         state = run(compose(build_feature_map(model.feature_map, x), ansatz))
-        if model.shots == 0:
-            dist = probabilities(state)
-        else:
-            digest = zlib.crc32(x.astype("<f8").tobytes() + model.theta.astype("<f8").tobytes())
-            dist = np.zeros(1 << model.n_qubits)
-            for idx, c in sample(state, model.shots, (model.seed, digest)).items():
-                dist[idx] = c / model.shots
-        rows[r] = np.bincount(folds, weights=dist, minlength=model.n_classes)
-    return rows
+        rows[r] = np.bincount(folds, weights=probabilities(state), minlength=model.n_classes)
+    if model.shots == 0:
+        return rows
+    seed = (model.seed, zlib.crc32(model.theta.astype("<f8").tobytes()),
+            zlib.crc32(X.astype("<f8").tobytes()))
+    pvals = rows / rows.sum(axis=1, keepdims=True)
+    return np.random.default_rng(seed).multinomial(model.shots, pvals) / model.shots
 
 
 def per_point_loss(model, X, y):
