@@ -25,6 +25,7 @@ from .errors import ValidationError, json_field
 from .qsim import Circuit, Gate
 
 __all__ = [
+    "MAX_GATES",
     "FeatureMapSpec",
     "AnsatzSpec",
     "build_feature_map",
@@ -32,6 +33,19 @@ __all__ = [
     "bind_ansatz",
     "compose",
 ]
+
+# The most gates a feature map or an ansatz may have.  Each trainable angle
+# sits on its own RY gate, so an ansatz of G gates has d <= G angles, and the
+# optimizer's simplex of d + 1 points takes (d + 1) d x 8 B.  Within the
+# 16 MiB that one state may take (qsim.MAX_QUBITS), G <= 1,447.  At 2 qubits
+# that allows zz reps <= 206 and ansatz reps <= 481; at 20 qubits, zz reps
+# <= 14 and ansatz reps <= 36.
+MAX_GATES = 1447
+
+
+def _check_gates(what: str, n_gates: int) -> None:
+    if n_gates > MAX_GATES:
+        raise ValidationError(f"{what} has at most MAX_GATES = {MAX_GATES} gates, got {n_gates}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +66,13 @@ class FeatureMapSpec:
             raise ValidationError("reps must be >= 1")
         if self.entanglement != "linear":
             raise ValidationError("only linear entanglement is supported")
+        _check_gates("a feature map", self.n_gates)
+
+    @property
+    def n_gates(self) -> int:
+        """H and P on every qubit, plus a CX / P / CX sandwich per pair for zz."""
+        pairs = self.n_qubits - 1 if self.kind == "zz" else 0
+        return self.reps * (2 * self.n_qubits + 3 * pairs)
 
     def to_dict(self) -> dict:
         return {
@@ -79,6 +100,12 @@ class AnsatzSpec:
             raise ValidationError("ansatz needs at least one qubit")
         if self.reps < 1:
             raise ValidationError("reps must be >= 1")
+        _check_gates("an ansatz", self.n_gates)
+
+    @property
+    def n_gates(self) -> int:
+        """One RY layer, then a CX chain and an RY layer per repetition."""
+        return self.n_qubits + self.reps * (2 * self.n_qubits - 1)
 
     @property
     def n_parameters(self) -> int:

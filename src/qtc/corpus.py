@@ -350,12 +350,17 @@ def save_stage(
 ) -> dict:
     """Persist a stage as features.csv, labels.csv, and manifest.json.
 
-    Returns the manifest that was written.
+    The old manifest is removed first and the new one written last, so a save
+    that fails or is interrupted leaves a stage that reads as missing, never
+    an old manifest over new files.  Returns the manifest that was written.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != len(features.ids):
         raise ValidationError("labels length does not match feature rows")
     os.makedirs(directory, exist_ok=True)
+    manifest_path = os.path.join(directory, "manifest.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(manifest_path)
 
     with open(os.path.join(directory, "features.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(map(_csv_field, ["id"] + features.feature_names)) + "\n")
@@ -383,7 +388,7 @@ def save_stage(
         "upstream_hash": upstream_hash,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    write_json(os.path.join(directory, "manifest.json"), manifest)
+    write_json(manifest_path, manifest)
     return manifest
 
 

@@ -34,7 +34,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .arrays import mapped_empty
 from .circuits import FeatureMapSpec, build_feature_map
 from .errors import ParseError, ValidationError, json_field, read_json, write_json
 from .qsim import check_sampling, run
@@ -112,15 +111,11 @@ def gram(
     if X.ndim != 2 or Ym.ndim != 2 or X.shape[1] != Ym.shape[1]:
         raise ValidationError("gram expects 2-D inputs with matching feature counts")
 
-    m, mp = X.shape[0], Ym.shape[0]
-    K = mapped_empty((m, mp))
+    m = X.shape[0]
     SX = encoded_state(spec, X)
     SY = SX if square else encoded_state(spec, Ym)
-    # In place in K: the only other m x mp array is the complex overlap.
-    overlap = mapped_empty((m, mp), dtype=np.complex128)
-    np.matmul(SX.conj(), SY.T, out=overlap)
-    np.abs(overlap, out=K)
-    del overlap
+    # The complex overlap is freed once K holds its modulus.
+    K = np.abs(SX.conj() @ SY.T)
     np.square(K, out=K)
     if square:
         _mirror_upper(K)
@@ -380,11 +375,10 @@ def _write_csv(path, values: np.ndarray) -> None:
     starts = range(0, rows, step)
     workers = max(1, min(_cpu_count(), len(starts), _MAX_CSV_WORKERS))
     window = 2 * workers
-    # One private mapping, unmapped once the call's last view of it goes.
     # Block k encodes into row k % window, and block k + window is submitted
     # only after block k is written, so no row is reused while in flight.
-    scratch = mapped_empty((min(window, len(starts)), min(step, rows) * cols * _SCRATCH_BYTES_PER_VALUE),
-                           np.uint8)
+    scratch = np.empty((min(window, len(starts)), min(step, rows) * cols * _SCRATCH_BYTES_PER_VALUE),
+                       np.uint8)
 
     todo = queue.SimpleQueue()  # block indices; None stops a thread
     done = [queue.SimpleQueue() for _ in range(window)]  # block k's bytes or error, at k % window
@@ -487,7 +481,7 @@ def _read_npy_matrix(path, rows: int, cols: int) -> np.ndarray:
             raise ParseError(f"{path}: bytes beyond the manifest shape {[rows, cols]}")
         if shape != (rows, cols):
             raise ParseError(f"{path}: shape {list(shape)}, manifest says {[rows, cols]}")
-        values = mapped_empty((rows, cols))
+        values = np.empty((rows, cols))
         if fh.readinto(memoryview(values).cast("B")) != nbytes:
             raise ParseError(f"{path}: changed while being read")
     return values
@@ -533,7 +527,7 @@ def load_gram_manifest(directory) -> dict:
         raise ParseError(f"{manifest_path}: mode {mode!r} contradicts shots {shots} and seed {seed}")
     try:
         FeatureMapSpec.from_dict(manifest["feature_map"])
-    except ParseError as exc:
+    except ValidationError as exc:
         raise ParseError(f"{manifest_path}: malformed feature_map ({exc})") from exc
     return manifest
 

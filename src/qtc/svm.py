@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import mapped_empty
 from .errors import NUMBER, ParseError, ValidationError, json_field
 
 __all__ = [
@@ -332,8 +331,7 @@ def poly_gram(X, Y=None, *, spec: PolyKernelSpec) -> np.ndarray:
     """Polynomial kernel matrix over rows of X (or X versus Y)."""
     X = np.asarray(X, dtype=float)
     Ym = X if Y is None else np.asarray(Y, dtype=float)
-    G = mapped_empty((X.shape[0], Ym.shape[0]))
-    np.matmul(X, Ym.T, out=G)
+    G = X @ Ym.T
     G *= spec.gamma
     G += spec.coef0
     G **= spec.degree

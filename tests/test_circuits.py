@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qtc.circuits import (
+    MAX_GATES,
     AnsatzSpec,
     FeatureMapSpec,
     bind_ansatz,
@@ -114,6 +115,37 @@ class TestAnsatz:
         circ = bind_ansatz(build_ansatz(AnsatzSpec(2, reps=1)), [-0.0, 0.0, -0.0, 1.0])
         signs = [math.copysign(1.0, g.angle) for g in circ.gates if g.kind == "ry"]
         assert signs == [-1.0, 1.0, -1.0, 1.0]
+
+
+class TestGateBound:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("reps", [1, 3])
+    def test_gate_counts_match_built_circuits(self, n, reps):
+        for kind in ("z", "zz"):
+            spec = FeatureMapSpec(kind, n, reps)
+            assert len(build_feature_map(spec, np.zeros(n)).gates) == spec.n_gates
+        assert len(build_ansatz(AnsatzSpec(n, reps)).gates) == AnsatzSpec(n, reps).n_gates
+
+    @pytest.mark.parametrize("n, zz_reps, z_reps, ansatz_reps",
+                             [(2, 206, 361, 481), (20, 14, 36, 36)])
+    def test_largest_reps_within_max_gates(self, n, zz_reps, z_reps, ansatz_reps):
+        for make, reps in [(lambda r: FeatureMapSpec("zz", n, r), zz_reps),
+                           (lambda r: FeatureMapSpec("z", n, r), z_reps),
+                           (lambda r: AnsatzSpec(n, r), ansatz_reps)]:
+            assert make(reps).n_gates <= MAX_GATES
+            with pytest.raises(ValidationError, match=f"MAX_GATES = {MAX_GATES} gates"):
+                make(reps + 1)
+
+    def test_simplex_of_an_ansatz_at_max_gates_fits_one_state(self):
+        # Every angle is one RY gate, so d <= MAX_GATES.
+        assert (MAX_GATES + 1) * MAX_GATES * 8 <= 16 << 20 < (MAX_GATES + 2) * (MAX_GATES + 1) * 8
+
+    def test_huge_reps_rejected_before_any_allocation(self):
+        with pytest.raises(ValidationError, match="got 7696581394432"):
+            FeatureMapSpec.from_dict({"kind": "zz", "n_qubits": 2, "reps": 2**40,
+                                      "entanglement": "linear"})
+        with pytest.raises(ValidationError, match="an ansatz has at most"):
+            AnsatzSpec.from_dict({"n_qubits": 2, "reps": 2**40})
 
 
 class TestCompose:

@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 import qtc
 
 from qtc import kernel as kernel_mod
-from qtc.circuits import FeatureMapSpec
+from qtc.circuits import MAX_GATES, AnsatzSpec, FeatureMapSpec
 from qtc.cli import OPTIONS, main
 from qtc.corpus import (
     Document, FeatureMatrix, encode_labels, fit_tfidf, load_stage, save_stage, transform_tfidf,
 )
+from qtc.errors import ValidationError
 from qtc.qsim import MAX_QUBITS
 from qtc.reduce import fit_pca, transform_pca
 from qtc.svm import MulticlassSvm, decision, predict_multiclass, train_multiclass
@@ -332,6 +333,18 @@ class TestPipeline:
         assert (pipeline_dir / "gram.npy").read_bytes() == reps2_npy
         assert (pipeline_dir / "model.json").read_bytes() == reps2_model
 
+    def test_interrupted_stage_save_reads_as_missing(self, pipeline_dir, capsys):
+        # labels.csv cannot be written, so the 3-component save fails after features.csv.
+        (pipeline_dir / "reduce" / "labels.csv").unlink()
+        (pipeline_dir / "reduce" / "labels.csv").mkdir()
+        assert run_cli("reduce", "--workdir", pipeline_dir, "--components", 3) == 1
+        assert not (pipeline_dir / "reduce" / "manifest.json").exists()
+        capsys.readouterr()
+        assert run_cli("kernel", "--workdir", pipeline_dir) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: missing stage manifest: ")
+        assert not list(pipeline_dir.glob("gram*"))
+
     def test_train_never_reads_gram_csv(self, pipeline_dir, capsys):
         assert run_cli("kernel", "--workdir", pipeline_dir) == 0
         assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
@@ -527,6 +540,76 @@ class TestQubitBound:
         assert code == 1 and peak < SMALL_PEAK
         assert err.count("\n") == 1 and "MAX_QUBITS" in err
         assert _file_bytes(pipeline_dir) == before
+
+
+def _largest_reps(spec):
+    """The most repetitions ``spec(reps)`` accepts."""
+    reps = 1
+    while True:
+        try:
+            spec(reps + 1)
+        except ValidationError:
+            return reps
+        reps += 1
+
+
+class TestGateBound:
+    """Repetitions that would build more than MAX_GATES gates fail with one
+    line before anything is built or written."""
+
+    @pytest.mark.parametrize("argv, flag, spec", [
+        (("kernel",), "--reps", lambda r: FeatureMapSpec("zz", 2, r)),
+        (("train", "--model", "vqc", "--iters", 10**9), "--ansatz-reps",
+         lambda r: AnsatzSpec(2, r)),
+    ], ids=["kernel_reps", "vqc_ansatz_reps"])
+    def test_flag_one_above_the_bound_rejected(self, pipeline_dir, capsys, argv, flag, spec):
+        reps = _largest_reps(spec)  # the bound: 206 for the map, 481 for the ansatz
+        before = _file_bytes(pipeline_dir)
+        capsys.readouterr()
+        code, peak = traced_run(*argv, flag, reps + 1, "--workdir", pipeline_dir)
+        err = capsys.readouterr().err
+        assert code == 1 and peak < SMALL_PEAK
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"error: {flag} {reps + 1}: ") and f"MAX_GATES = {MAX_GATES}" in err
+        assert _file_bytes(pipeline_dir) == before
+
+    @pytest.mark.parametrize("model, damage", [
+        ("vqc", lambda d: d["feature_map"].update(reps=2**40)),
+        ("vqc", lambda d: d["ansatz"].update(reps=2**40)),
+        ("qsvc", lambda d: d["kernel"]["feature_map"].update(reps=2**40)),
+    ], ids=["vqc_feature_map", "vqc_ansatz", "qsvc_feature_map"])
+    def test_model_json_reps_rejected(self, trained_models, tmp_path, capsys, model, damage):
+        work = shutil.copytree(trained_models[0], tmp_path / "work")
+        payload = json.loads(json.dumps(trained_models[1][model]))
+        damage(payload)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        before = _file_bytes(work)
+        capsys.readouterr()
+        code, peak = traced_run("evaluate", "--workdir", work, "--model", path)
+        err = capsys.readouterr().err
+        assert code == 1 and peak < SMALL_PEAK
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: ") and f"MAX_GATES = {MAX_GATES}" in err
+        assert _file_bytes(work) == before
+
+    def test_gram_manifest_reps_is_a_damaged_cache(self, pipeline_dir, capsys):
+        """A gram manifest is a cache: one past the bound is damaged, and train
+        recomputes it instead of reading it, as for any damaged manifest."""
+        assert run_cli("kernel", "--workdir", pipeline_dir) == 0
+        npy = (pipeline_dir / "gram.npy").read_bytes()
+        path = pipeline_dir / "gram.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["feature_map"]["reps"] = 2**40
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match=f"{path}: malformed feature_map .*MAX_GATES"):
+            kernel_mod.load_gram_manifest(pipeline_dir)
+        capsys.readouterr()
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
+        out, err = capsys.readouterr()
+        assert err == "" and f"gram cache: miss, damaged ({path}: malformed feature_map (" in out
+        assert json.loads(path.read_text())["feature_map"]["reps"] == 2
+        assert (pipeline_dir / "gram.npy").read_bytes() == npy
 
 
 class TestConfigPrecedence:

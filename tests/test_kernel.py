@@ -7,6 +7,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,35 @@ def test_square_grams_are_bitwise_symmetric(build, rows):
     else:
         K = gram(ZZ2, X, shots=16 if build == "sampled" else 0, seed=3).values
     assert bitwise_symmetric(K)
+
+
+def _traced_peak(call) -> int:
+    """Bytes traced at the peak of ``call()``, after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+GRAM_ROWS = 600
+
+
+@pytest.mark.parametrize("build, bytes_per_entry", [("gram", 24), ("load_gram", 8),
+                                                    ("poly_gram", 8)])
+def test_gram_memory_shape(build, bytes_per_entry, tmp_path):
+    """The complex overlap plus K in gram, K alone in load_gram and poly_gram:
+    no other Gram-sized array is allocated."""
+    X = np.random.default_rng(600).uniform(0, math.pi, (GRAM_ROWS, 2))
+    save_gram(tmp_path, gram(ZZ2, X), data_hash="h")
+    calls = {
+        "gram": lambda: gram(ZZ2, X),
+        "load_gram": lambda: load_gram(tmp_path),
+        "poly_gram": lambda: poly_gram(X, spec=PolyKernelSpec(degree=3, gamma=0.7, coef0=0.3)),
+    }
+    assert _traced_peak(calls[build]) <= bytes_per_entry * GRAM_ROWS**2 + (1 << 20)
 
 
 class TestPsdProject:

@@ -585,7 +585,7 @@ class TestPolyKernel:
                 assert G[i, j] == pytest.approx(poly_kernel(X[i], X[j], spec), abs=1e-9)
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
-    @pytest.mark.parametrize("rows", [6, 400])  # 400 x 400 floats fill a separate mapping
+    @pytest.mark.parametrize("rows", [6, 400])  # a tiny Gram and one of 1.28 MB
     def test_gram_bitwise_equals_formula(self, degree, rows):
         rng = np.random.default_rng(16)
         X, Y = rng.normal(size=(rows, 3)), rng.normal(size=(rows // 2, 3))
