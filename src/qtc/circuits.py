@@ -50,12 +50,11 @@ def _check_gates(what: str, n_gates: int) -> None:
 
 @dataclass(frozen=True)
 class FeatureMapSpec:
-    """Encoder shape: kind 'z' or 'zz', qubit count = feature count, depth."""
+    """Encoder shape: kind 'z' or 'zz', qubit count = feature count, depth; linear entanglement."""
 
     kind: str
     n_qubits: int
     reps: int = 2
-    entanglement: str = "linear"
 
     def __post_init__(self):
         if self.kind not in ("z", "zz"):
@@ -64,8 +63,6 @@ class FeatureMapSpec:
             raise ValidationError("feature map needs at least one qubit")
         if self.reps < 1:
             raise ValidationError("reps must be >= 1")
-        if self.entanglement != "linear":
-            raise ValidationError("only linear entanglement is supported")
         _check_gates("a feature map", self.n_gates)
 
     @property
@@ -79,13 +76,15 @@ class FeatureMapSpec:
             "kind": self.kind,
             "n_qubits": self.n_qubits,
             "reps": self.reps,
-            "entanglement": self.entanglement,
+            "entanglement": "linear",
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureMapSpec":
+        if json_field(d, "entanglement", str) != "linear":
+            raise ValidationError("only linear entanglement is supported")
         return cls(json_field(d, "kind", str), json_field(d, "n_qubits", int),
-                   json_field(d, "reps", int), json_field(d, "entanglement", str))
+                   json_field(d, "reps", int))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ default.  The resolved configuration is echoed by every command.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import math
@@ -34,7 +33,7 @@ from .circuits import AnsatzSpec, FeatureMapSpec
 from .corpus import load_stage, manifest_hash, save_stage, stratified_split
 from .errors import (
     NUMBER, NumericalError, ParseError, SchemaError, ValidationError, VersioningError, json_field,
-    read_json, write_json,
+    naming, read_json, write_json,
 )
 from .optimizer import OptimizerConfig, check_budget, write_trace_csv
 from .qsim import MAX_QUBITS, check_sampling
@@ -102,10 +101,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         if value is None and key in file_cfg:
             # An int may stand in for a float; a bool never counts as a number.
             kind = NUMBER if isinstance(default, float) else type(default)
-            try:
+            with naming(args.config):
                 value = json_field(file_cfg, key, kind)
-            except ParseError as exc:
-                raise SchemaError(f"{args.config}: {exc}") from exc
         elif value is None:
             value = default
         if allowed is not None and value not in allowed:
@@ -118,18 +115,13 @@ def _resolve(args: argparse.Namespace) -> dict:
     return resolved
 
 
-@contextlib.contextmanager
 def _options(cfg: dict, *names: str):
     """Name the given options and their values in a ValidationError raised inside.
 
     The specs and fitters name their own fields ("reps", "k"); the user set
     those through these options.
     """
-    try:
-        yield
-    except ValidationError as exc:
-        given = ", ".join(f"--{name.replace('_', '-')} {cfg[name]}" for name in names)
-        raise type(exc)(f"{given}: {exc}") from exc
+    return naming(", ".join(f"--{name.replace('_', '-')} {cfg[name]}" for name in names))
 
 
 def _feature_map(cfg: dict, n_qubits: int) -> FeatureMapSpec:
@@ -194,8 +186,6 @@ def cmd_reduce(args, cfg: dict) -> None:
     with _options(cfg, "components"):
         pca = reduce_mod.fit_pca(stage.features, cfg["components"])
     projected = reduce_mod.transform_pca(pca, stage.features)
-    if stage.split is None:
-        raise VersioningError("tfidf stage has no split; rerun preprocess")
     train_rows = projected.rows_for(stage.split.train_ids)
     train_matrix = corpus_mod.FeatureMatrix(
         list(stage.split.train_ids), list(projected.feature_names), train_rows
@@ -218,8 +208,6 @@ def cmd_reduce(args, cfg: dict) -> None:
 
 def _split_arrays(stage, part: str):
     """Ids, feature rows and labels of the stage's "train" or "test" split."""
-    if stage.split is None:
-        raise VersioningError("reduce stage has no split; rerun preprocess")
     ids = getattr(stage.split, f"{part}_ids")
     pos = {d: i for i, d in enumerate(stage.features.ids)}
     return ids, stage.features.rows_for(ids), stage.labels[[pos[d] for d in ids]]
@@ -321,17 +309,19 @@ def cmd_train(args, cfg: dict) -> None:
 
 
 def cmd_evaluate(args, cfg: dict) -> None:
-    stage = load_stage(os.path.join(args.workdir, "reduce"), expect_stage="reduce")
+    stage_dir = os.path.join(args.workdir, "reduce")
+    stage = load_stage(stage_dir, expect_stage="reduce")
     model_path = args.model or os.path.join(args.workdir, "model.json")
     payload = read_json(model_path)
     _, X_test, y_test = _split_arrays(stage, "test")
     n_classes = len(stage.encoding.classes)
 
-    try:
+    with naming(model_path):
         kind = json_field(payload, "type", str)
         if json_field(payload, "upstream_hash", str) != manifest_hash(stage.manifest):
             raise VersioningError(
-                f"{model_path} was trained against different stage artifacts; rerun train"
+                f"trained against a stage other than {os.path.join(stage_dir, 'manifest.json')}; "
+                "rerun train"
             )
         if kind in ("svc", "qsvc"):
             model, support_ids = svm_mod.MulticlassSvm.from_dict(payload)
@@ -341,7 +331,7 @@ def cmd_evaluate(args, cfg: dict) -> None:
             raise ParseError(f"unknown model type {kind!r}")
         if model.n_classes != n_classes:
             raise VersioningError(
-                f"{model_path} has {model.n_classes} classes, the reduce stage has {n_classes}"
+                f"model has {model.n_classes} classes, the reduce stage has {n_classes}"
             )
         if kind in ("vqc", "qnnc"):
             y_pred = var_mod.predict(model, X_test)
@@ -365,8 +355,6 @@ def cmd_evaluate(args, cfg: dict) -> None:
                     raise ParseError(f"kernel mode {mode!r} contradicts shots {shots}")
                 K = g.values
             y_pred = svm_mod.predict_multiclass(model, K)
-    except ParseError as exc:
-        raise ParseError(f"{model_path}: {exc}") from exc
 
     matrix = metrics_mod.confusion(y_test, y_pred, n_classes)
     rep = metrics_mod.report(matrix, stage.encoding.classes)
@@ -431,10 +419,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import NUMBER, ParseError, SchemaError, ValidationError, VersioningError, json_field
-from .errors import read_json, write_json
+from .errors import naming, read_json, write_json
 
 __all__ = [
     "Document",
@@ -151,10 +151,11 @@ class DatasetSplit:
 def _csv_reader(path, make=csv.reader):
     """``make`` over the UTF-8 text of the CSV file at ``path``.
 
-    Bytes that are not UTF-8, and rows csv rejects (such as a field over its
-    size limit), raise ParseError naming the file and the line.
+    A ValidationError raised inside names the file.  Bytes that are not
+    UTF-8, and rows csv rejects (such as a field over its size limit), raise
+    ParseError naming the file and the line.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with naming(path), open(path, encoding="utf-8", newline="") as fh:
         reader = make(fh)
         try:
             yield reader
@@ -169,11 +170,11 @@ def _csv_reader(path, make=csv.reader):
             except UnicodeDecodeError as first:
                 start = first.start
             line = data.count(b"\n", 0, start) + 1
-            raise ParseError(f"{path}: line {line}: not UTF-8 text") from exc
+            raise ParseError(f"line {line}: not UTF-8 text") from exc
         except csv.Error as exc:
             # A DictReader's own line count lags by the row being read.
             line = getattr(reader, "reader", reader).line_num
-            raise ParseError(f"{path}: line {line}: {exc}") from exc
+            raise ParseError(f"line {line}: {exc}") from exc
 
 
 def load_corpus(
@@ -185,26 +186,26 @@ def load_corpus(
     """Read a labeled corpus from a CSV file with a header row."""
     with _csv_reader(path, csv.DictReader) as reader:
         if reader.fieldnames is None:
-            raise ValidationError(f"{path}: empty file")
+            raise ValidationError("empty file")
         for col in (id_col, text_col, label_col):
             if col not in reader.fieldnames:
-                raise SchemaError(f"{path}: missing column {col!r}")
+                raise SchemaError(f"missing column {col!r}")
         docs: list[Document] = []
         seen: set[str] = set()
         for rowno, row in enumerate(reader, start=2):
             doc_id = row[id_col]
             if doc_id is None or row[text_col] is None or row[label_col] is None:
-                raise ParseError(f"{path}: short row at line {rowno}")
+                raise ParseError(f"short row at line {rowno}")
             if not doc_id:
-                raise ValidationError(f"{path}: empty id at line {rowno}")
+                raise ValidationError(f"empty id at line {rowno}")
             if not row[text_col].strip():
-                raise ValidationError(f"{path}: empty text at line {rowno}")
+                raise ValidationError(f"empty text at line {rowno}")
             if doc_id in seen:
-                raise ValidationError(f"{path}: duplicate id {doc_id!r} at line {rowno}")
+                raise ValidationError(f"duplicate id {doc_id!r} at line {rowno}")
             seen.add(doc_id)
             docs.append(Document(doc_id, row[text_col], row[label_col]))
-    if not docs:
-        raise ValidationError(f"{path}: no data rows")
+        if not docs:
+            raise ValidationError("no data rows")
     return docs
 
 
@@ -312,7 +313,7 @@ class StageData:
     features: FeatureMatrix
     labels: np.ndarray
     encoding: LabelEncoding
-    split: DatasetSplit | None
+    split: DatasetSplit
     manifest: dict
 
 
@@ -342,7 +343,7 @@ def save_stage(
     features: FeatureMatrix,
     labels,
     encoding: LabelEncoding,
-    split: DatasetSplit | None = None,
+    split: DatasetSplit,
     *,
     stage: str,
     parameters: dict | None = None,
@@ -375,11 +376,9 @@ def save_stage(
     manifest = {
         "stage": stage,
         "classes": list(encoding.classes),
-        "seed": None if split is None else split.seed,
+        "seed": split.seed,
         "parameters": parameters or {},
-        "split": None
-        if split is None
-        else {
+        "split": {
             "train_ids": list(split.train_ids),
             "test_ids": list(split.test_ids),
             "test_fraction": split.test_fraction,
@@ -393,62 +392,70 @@ def save_stage(
 
 
 def load_stage(directory, expect_stage: str | None = None) -> StageData:
-    """Load a stage saved by save_stage; verifies the stage name if given."""
+    """Load a stage saved by save_stage; verifies the stage name if given.
+
+    Every split id must have a feature row, and every feature row a label
+    that indexes the manifest's classes.
+    """
     manifest_path = os.path.join(directory, "manifest.json")
     try:
         manifest = read_json(manifest_path)
     except OSError as exc:
         raise VersioningError(f"missing stage manifest: {manifest_path}") from exc
-    if expect_stage is not None and manifest.get("stage") != expect_stage:
-        raise VersioningError(
-            f"{directory}: expected stage {expect_stage!r}, found {manifest.get('stage')!r}"
-        )
-    try:
+    with naming(manifest_path):
+        if expect_stage is not None and manifest.get("stage") != expect_stage:
+            raise VersioningError(
+                f"expected stage {expect_stage!r}, found {manifest.get('stage')!r}"
+            )
         encoding = LabelEncoding(json_field(manifest, "classes", list, items=str))
-        s = json_field(manifest, "split", (dict, type(None)))
-        split = None if s is None else DatasetSplit(
+        s = json_field(manifest, "split", dict)
+        split = DatasetSplit(
             train_ids=json_field(s, "train_ids", list, items=str),
             test_ids=json_field(s, "test_ids", list, items=str),
             test_fraction=float(json_field(s, "test_fraction", NUMBER)),
             seed=json_field(s, "seed", int),
         )
-    except ParseError as exc:
-        raise ParseError(f"{manifest_path}: {exc}") from exc
 
-    feat_path = os.path.join(directory, "features.csv")
     ids: list[str] = []
     rows: list[list[float]] = []
-    with _csv_reader(feat_path) as reader:
+    with _csv_reader(os.path.join(directory, "features.csv")) as reader:
         header = next(reader, None)
         if not header or header[0] != "id":
-            raise ParseError(f"{feat_path}: malformed header")
+            raise ParseError("malformed header")
         names = header[1:]
         for rowno, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise ParseError(f"{feat_path}: wrong field count at row {rowno}")
+                raise ParseError(f"wrong field count at row {rowno}")
             ids.append(row[0])
             try:
                 rows.append([float(v) for v in row[1:]])
             except ValueError as exc:
-                raise ParseError(f"{feat_path}: bad value at row {rowno}") from exc
-    features = FeatureMatrix(ids, names, np.asarray(rows, dtype=float).reshape(len(ids), len(names)))
+                raise ParseError(f"bad value at row {rowno}") from exc
+        values = np.asarray(rows, dtype=float).reshape(len(ids), len(names))
+        features = FeatureMatrix(ids, names, values)
+        known = set(ids)
+        absent = next((d for d in split.train_ids + split.test_ids if d not in known), None)
+        if absent is not None:
+            raise ParseError(f"no row for split id {absent!r}")
 
-    lab_path = os.path.join(directory, "labels.csv")
     label_by_id: dict[str, int] = {}
-    with _csv_reader(lab_path) as reader:
+    with _csv_reader(os.path.join(directory, "labels.csv")) as reader:
         header = next(reader, None)
         if header != ["id", "label_index"]:
-            raise ParseError(f"{lab_path}: malformed header")
+            raise ParseError("malformed header")
         for rowno, row in enumerate(reader, start=2):
             if len(row) != 2:
-                raise ParseError(f"{lab_path}: wrong field count at row {rowno}")
+                raise ParseError(f"wrong field count at row {rowno}")
             try:
-                label_by_id[row[0]] = int(row[1])
+                index = int(row[1])
             except ValueError as exc:
-                raise ParseError(f"{lab_path}: bad label at row {rowno}") from exc
-    try:
-        labels = np.array([label_by_id[i] for i in ids], dtype=np.int64)
-    except KeyError as exc:
-        raise ParseError(f"{lab_path}: missing label for id {exc.args[0]!r}") from exc
+                raise ParseError(f"bad label at row {rowno}") from exc
+            if not 0 <= index < len(encoding.classes):
+                raise ParseError(f"label index {index} out of range at row {rowno}")
+            label_by_id[row[0]] = index
+        try:
+            labels = np.array([label_by_id[i] for i in ids], dtype=np.int64)
+        except KeyError as exc:
+            raise ParseError(f"missing label for id {exc.args[0]!r}") from exc
 
     return StageData(features, labels, encoding, split, manifest)

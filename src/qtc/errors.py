@@ -4,9 +4,11 @@ Validation-type failures map to process exit code 1, numerical aborts to
 exit code 2 (see qtc.cli).  Every JSON file qtc reads goes through
 ``read_json`` and every one it writes through ``write_json``.  ``read_json``
 and ``json_field`` turn a damaged file or field into a ParseError that names
-it, instead of a ValueError, KeyError or TypeError.
+it, instead of a ValueError, KeyError or TypeError.  ``naming`` is how an
+error says what it is about: the file it was read from, or the flags given.
 """
 
+import contextlib
 import json
 import math
 
@@ -36,6 +38,16 @@ class NumericalError(QtcError):
 
 
 NUMBER = (int, float)
+
+
+@contextlib.contextmanager
+def naming(prefix):
+    """Re-raise a ValidationError raised inside as the same class, with
+    ``"{prefix}: "`` in front of its message."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise type(exc)(f"{prefix}: {exc}") from exc
 
 
 def read_json(path) -> dict:

@@ -35,7 +35,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .circuits import FeatureMapSpec, build_feature_map
-from .errors import ParseError, ValidationError, json_field, read_json, write_json
+from .errors import ParseError, ValidationError, json_field, naming, read_json, write_json
 from .qsim import check_sampling, run
 
 __all__ = [
@@ -462,28 +462,28 @@ def _read_npy_matrix(path, rows: int, cols: int) -> np.ndarray:
     before the matrix is allocated, so a damaged file cannot ask for more
     memory than it holds.  A missing file raises OSError.
     """
-    with open(path, "rb") as fh:
+    with naming(path), open(path, "rb") as fh:
         try:
             version = np.lib.format.read_magic(fh)
             if version != (1, 0):
-                raise ParseError(f"{path}: .npy format version {version}, expected (1, 0)")
+                raise ParseError(f".npy format version {version}, expected (1, 0)")
             shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
         except ValueError as exc:
-            raise ParseError(f"{path}: not a .npy array ({exc})") from exc
+            raise ParseError(f"not a .npy array ({exc})") from exc
         if dtype != np.dtype("<f8") or fortran_order:
-            raise ParseError(f"{path}: holds {dtype.str} in {'F' if fortran_order else 'C'} "
+            raise ParseError(f"holds {dtype.str} in {'F' if fortran_order else 'C'} "
                              f"order, expected <f8 in C order")
         nbytes = rows * cols * 8
         stored = os.fstat(fh.fileno()).st_size - fh.tell()
         if stored < nbytes:
-            raise ParseError(f"{path}: too short for the manifest shape {[rows, cols]}")
+            raise ParseError(f"too short for the manifest shape {[rows, cols]}")
         if stored > nbytes:
-            raise ParseError(f"{path}: bytes beyond the manifest shape {[rows, cols]}")
+            raise ParseError(f"bytes beyond the manifest shape {[rows, cols]}")
         if shape != (rows, cols):
-            raise ParseError(f"{path}: shape {list(shape)}, manifest says {[rows, cols]}")
+            raise ParseError(f"shape {list(shape)}, manifest says {[rows, cols]}")
         values = np.empty((rows, cols))
         if fh.readinto(memoryview(values).cast("B")) != nbytes:
-            raise ParseError(f"{path}: changed while being read")
+            raise ParseError("changed while being read")
     return values
 
 
@@ -513,22 +513,18 @@ def load_gram_manifest(directory) -> dict:
     """
     manifest_path = os.path.join(directory, "gram.manifest.json")
     manifest = read_json(manifest_path)
-    try:
+    with naming(manifest_path):
         for key, kind in _MANIFEST_FIELDS.items():
             json_field(manifest, key, kind)
-    except ParseError as exc:
-        raise ParseError(f"{manifest_path}: {exc}") from exc
-    shape = manifest["shape"]
-    if len(shape) != 2 or not all(type(n) is int and n >= 0 for n in shape):
-        raise ParseError(f"{manifest_path}: field 'shape' must hold two counts")
-    mode, shots, seed = manifest["mode"], manifest["shots"], manifest["seed"]
-    if not (mode == "exact" and shots is None and seed is None
-            or mode == "sampled" and shots is not None and shots >= 1 and seed is not None):
-        raise ParseError(f"{manifest_path}: mode {mode!r} contradicts shots {shots} and seed {seed}")
-    try:
-        FeatureMapSpec.from_dict(manifest["feature_map"])
-    except ValidationError as exc:
-        raise ParseError(f"{manifest_path}: malformed feature_map ({exc})") from exc
+        shape = manifest["shape"]
+        if len(shape) != 2 or not all(type(n) is int and n >= 0 for n in shape):
+            raise ParseError("field 'shape' must hold two counts")
+        mode, shots, seed = manifest["mode"], manifest["shots"], manifest["seed"]
+        if not (mode == "exact" and shots is None and seed is None
+                or mode == "sampled" and shots is not None and shots >= 1 and seed is not None):
+            raise ParseError(f"mode {mode!r} contradicts shots {shots} and seed {seed}")
+        with naming("malformed feature_map"):
+            FeatureMapSpec.from_dict(manifest["feature_map"])
     return manifest
 
 

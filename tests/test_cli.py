@@ -345,6 +345,19 @@ class TestPipeline:
         assert err.count("\n") == 1 and err.startswith("error: missing stage manifest: ")
         assert not list(pipeline_dir.glob("gram*"))
 
+    @pytest.mark.parametrize("name", ["features.csv", "labels.csv"])
+    def test_stage_file_without_whole_rows_named(self, pipeline_dir, capsys, name):
+        """A stage file cut after its first 60 lines ends in one line naming it,
+        not in an unknown sample id."""
+        path = pipeline_dir / "reduce" / name
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:60]))
+        before = _file_bytes(pipeline_dir)
+        capsys.readouterr()
+        assert run_cli("kernel", "--workdir", pipeline_dir) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}: "), err
+        assert _file_bytes(pipeline_dir) == before
+
     def test_train_never_reads_gram_csv(self, pipeline_dir, capsys):
         assert run_cli("kernel", "--workdir", pipeline_dir) == 0
         assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
@@ -590,7 +603,7 @@ class TestGateBound:
         err = capsys.readouterr().err
         assert code == 1 and peak < SMALL_PEAK
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert err.startswith("error: ") and f"MAX_GATES = {MAX_GATES}" in err
+        assert err.startswith(f"error: {path}: ") and f"MAX_GATES = {MAX_GATES}" in err
         assert _file_bytes(work) == before
 
     def test_gram_manifest_reps_is_a_damaged_cache(self, pipeline_dir, capsys):
@@ -602,12 +615,12 @@ class TestGateBound:
         manifest = json.loads(path.read_text())
         manifest["feature_map"]["reps"] = 2**40
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ValidationError, match=f"{path}: malformed feature_map .*MAX_GATES"):
+        with pytest.raises(ValidationError, match=f"{path}: malformed feature_map: .*MAX_GATES"):
             kernel_mod.load_gram_manifest(pipeline_dir)
         capsys.readouterr()
         assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
         out, err = capsys.readouterr()
-        assert err == "" and f"gram cache: miss, damaged ({path}: malformed feature_map (" in out
+        assert err == "" and f"gram cache: miss, damaged ({path}: malformed feature_map: " in out
         assert json.loads(path.read_text())["feature_map"]["reps"] == 2
         assert (pipeline_dir / "gram.npy").read_bytes() == npy
 
@@ -821,7 +834,7 @@ class TestDamagedModel:
         payload["kernel"].update(mode="sampled", shots=16, seed=-1)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(payload))
-        assert evaluate_quietly(work, path) == (1, "error: seed must be >= 0, got -1\n")
+        assert evaluate_quietly(work, path) == (1, f"error: {path}: seed must be >= 0, got -1\n")
 
     def test_negative_vqc_sampling_seed_is_one_line(self, trained_models, tmp_path):
         work, payloads = trained_models
@@ -829,7 +842,7 @@ class TestDamagedModel:
         payload["mode"].update(shots=16, seed=-1)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(payload))
-        assert evaluate_quietly(work, path) == (1, "error: seed must be >= 0, got -1\n")
+        assert evaluate_quietly(work, path) == (1, f"error: {path}: seed must be >= 0, got -1\n")
 
     @pytest.mark.parametrize("model, damage, message", [
         ("vqc", lambda d: d["theta"].__setitem__(0, float("inf")), "'theta' holds a non-finite"),
@@ -862,6 +875,19 @@ class TestDamagedModel:
         assert code == 1
         assert err.count("\n") == 1 and message in err
         assert not (work / "report.json").exists() and not (work / "report.txt").exists()
+
+    @pytest.mark.parametrize("model, damage", [
+        ("vqc", lambda d: d["feature_map"].update(kind="zzz")),
+        ("qsvc", lambda d: d["kernel"]["feature_map"].update(kind="zzz")),
+    ], ids=["vqc", "qsvc"])
+    def test_feature_map_kind_names_the_model(self, trained_models, tmp_path, model, damage):
+        work, payloads = trained_models
+        payload = json.loads(json.dumps(payloads[model]))
+        damage(payload)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        assert evaluate_quietly(work, path) == (
+            1, f"error: {path}: feature map kind must be 'z' or 'zz', got 'zzz'\n")
 
     def test_unknown_type_names_only_the_type(self, trained_models, tmp_path):
         work, payloads = trained_models

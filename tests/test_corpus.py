@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qtc.corpus import (
+    DatasetSplit,
     Document,
     FeatureMatrix,
     LabelEncoding,
@@ -27,6 +28,11 @@ from qtc.errors import ParseError, SchemaError, ValidationError, VersioningError
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _split(ids):
+    """A split over every id: the last one tested, the rest trained."""
+    return DatasetSplit(list(ids[:-1]), list(ids[-1:]), 0.5, 0)
 
 
 TOY = [
@@ -244,18 +250,19 @@ class TestStageRoundTrip:
 
     def test_exact_round_trip(self, tmp_path):
         fm, labels, enc = self._stage()
-        save_stage(tmp_path, fm, labels, enc, stage="tfidf")
+        save_stage(tmp_path, fm, labels, enc, _split(fm.ids), stage="tfidf")
         back = load_stage(tmp_path, expect_stage="tfidf")
         assert np.array_equal(back.features.values, fm.values)
         assert back.features.ids == fm.ids
         assert back.features.feature_names == fm.feature_names
         assert np.array_equal(back.labels, labels)
         assert back.encoding.classes == enc.classes
+        assert back.split == _split(fm.ids)
 
     def test_ids_with_commas_and_quotes_round_trip(self, tmp_path):
         fm, labels, enc = self._stage(n=3)
         fm = FeatureMatrix(['a,"b"', "plain", "x\ny"], fm.feature_names, fm.values)
-        save_stage(tmp_path, fm, labels, enc, stage="tfidf")
+        save_stage(tmp_path, fm, labels, enc, _split(fm.ids), stage="tfidf")
         back = load_stage(tmp_path)
         assert back.features.ids == fm.ids
         assert np.array_equal(back.labels, labels)
@@ -263,7 +270,7 @@ class TestStageRoundTrip:
     def test_ids_with_carriage_returns_round_trip(self, tmp_path):
         fm, labels, enc = self._stage(n=4)
         fm = FeatureMatrix(["x\r1", "\r", "a\r\nb", 'q"\r'], fm.feature_names, fm.values)
-        save_stage(tmp_path, fm, labels, enc, stage="tfidf")
+        save_stage(tmp_path, fm, labels, enc, _split(fm.ids), stage="tfidf")
         back = load_stage(tmp_path)
         assert back.features.ids == fm.ids
         assert np.array_equal(back.labels, labels)
@@ -272,7 +279,7 @@ class TestStageRoundTrip:
         fm, labels, enc = self._stage(n=5)
         ids = ['a,"b"', "plain", "x\ny", " pad ", "é"]
         fm = FeatureMatrix(ids, fm.feature_names, fm.values)
-        save_stage(tmp_path, fm, labels, enc, stage="tfidf")
+        save_stage(tmp_path, fm, labels, enc, _split(fm.ids), stage="tfidf")
         with open(tmp_path / "expected.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["id"] + fm.feature_names)
@@ -286,20 +293,20 @@ class TestStageRoundTrip:
 
     def test_stage_mismatch(self, tmp_path):
         fm, labels, enc = self._stage()
-        save_stage(tmp_path, fm, labels, enc, stage="tfidf")
+        save_stage(tmp_path, fm, labels, enc, _split(fm.ids), stage="tfidf")
         with pytest.raises(VersioningError, match="pca"):
             load_stage(tmp_path, expect_stage="pca")
 
     def test_paper_scale_round_trip(self, tmp_path):
         fm, labels, enc = self._stage(n=96, d=20, seed=4)
-        save_stage(tmp_path, fm, labels, enc, stage="tfidf")
+        save_stage(tmp_path, fm, labels, enc, _split(fm.ids), stage="tfidf")
         back = load_stage(tmp_path)
         assert back.features.feature_names == fm.feature_names
         assert np.array_equal(back.features.values, fm.values)
 
     def test_corrupted_csv_reports_row(self, tmp_path):
         fm, labels, enc = self._stage()
-        save_stage(tmp_path, fm, labels, enc, stage="tfidf")
+        save_stage(tmp_path, fm, labels, enc, _split(fm.ids), stage="tfidf")
         feat = tmp_path / "features.csv"
         lines = feat.read_text().splitlines()
         lines[2] = lines[2].rsplit(",", 1)[0] + ",notanumber"
@@ -310,7 +317,7 @@ class TestStageRoundTrip:
     @pytest.mark.parametrize("name", ["features.csv", "labels.csv", "manifest.json"])
     def test_undecodable_byte_names_file(self, tmp_path, name):
         fm, labels, enc = self._stage()
-        save_stage(tmp_path, fm, labels, enc, stage="tfidf")
+        save_stage(tmp_path, fm, labels, enc, _split(fm.ids), stage="tfidf")
         path = tmp_path / name
         lines = path.read_bytes().split(b"\n")
         lines[2] = b"\xff" + lines[2]
@@ -333,7 +340,7 @@ def test_property_stage_round_trip_any_ids_and_labels(ids, classes, data):
                                 min_size=len(ids), max_size=len(ids)))
     fm = FeatureMatrix(ids, ["f0", "f1"], values)
     with tempfile.TemporaryDirectory() as directory:
-        save_stage(directory, fm, labels, LabelEncoding(classes), stage="tfidf")
+        save_stage(directory, fm, labels, LabelEncoding(classes), _split(ids), stage="tfidf")
         back = load_stage(directory, expect_stage="tfidf")
     assert back.features.ids == ids
     assert back.features.values.tobytes() == values.tobytes()

@@ -1,0 +1,202 @@
+"""Damaged-artifact sweep: every file the quickstart writes, damaged, then
+read by every command that reads it, in-process through qtc.cli.main.
+
+A damage ends in exit 1 with exactly one stderr line.  That line starts with
+"error: " and the damaged file's path, names the file only once and holds no
+traceback, and no file under the run's directory changes.  EXCEPTIONS lists
+the other outcomes: a damaged Gram cache is a miss that train recomputes, a
+damage that leaves a valid file exits 0, and a stage manifest that no longer
+hashes as the model's stage makes evaluate name the model first.
+"""
+
+import contextlib
+import io
+import json
+import shutil
+
+import pytest
+
+from qtc.cli import main
+
+STAGE_FIELDS = ("classes", "created_utc", "parameters", "seed", "split", "stage", "upstream_hash")
+
+# Each file, relative to the run's directory, with the top-level fields of a
+# JSON file (each is deleted in turn) and the commands that read it.  In a
+# command, "{base}" is the run's directory and "{work}" its workdir.
+REDUCE = ("reduce",)
+KERNEL = ("kernel",)
+TRAIN_QSVC = ("train", "--model", "qsvc")
+TRAIN_VQC = ("train", "--model", "vqc", "--iters", 6)
+EVALUATE_QSVC = ("evaluate",)
+EVALUATE_VQC = ("evaluate", "--model", "{work}/vqc_model.json")
+REDUCE_READERS = (KERNEL, TRAIN_QSVC, TRAIN_VQC, EVALUATE_QSVC, EVALUATE_VQC)
+FILES = {
+    "corpus.csv": ((), [("preprocess", "--corpus", "{base}/corpus.csv")]),
+    "work/tfidf/features.csv": ((), [REDUCE]),
+    "work/tfidf/labels.csv": ((), [REDUCE]),
+    "work/tfidf/manifest.json": (STAGE_FIELDS, [REDUCE]),
+    "work/reduce/features.csv": ((), REDUCE_READERS),
+    "work/reduce/labels.csv": ((), REDUCE_READERS),
+    "work/reduce/manifest.json": (STAGE_FIELDS, REDUCE_READERS),
+    "work/gram.npy": ((), [TRAIN_QSVC]),
+    "work/gram.manifest.json": (
+        ("data_hash", "feature_map", "mode", "seed", "shape", "shots", "upstream_hash"),
+        [TRAIN_QSVC]),
+    "work/model.json": (
+        ("C", "classes", "config", "kernel", "per_class", "tol", "type", "upstream_hash"),
+        [EVALUATE_QSVC]),
+    "work/vqc_model.json": (
+        ("ansatz", "classes", "config", "converged", "evaluations", "feature_map", "final_loss",
+         "interpret", "loss", "mode", "n_classes", "stop", "theta", "type", "upstream_hash"),
+        [EVALUATE_VQC]),
+}
+
+
+def _json_edit(edit):
+    """A damage that parses the JSON, changes it in place with ``edit`` and writes it."""
+    def damage(data):
+        value = json.loads(data)
+        edit(value)
+        return json.dumps(value).encode()
+    return damage
+
+
+def _drop(key):
+    return _json_edit(lambda d: d.pop(key))
+
+
+def _ff_at_line_3(data):
+    """``data`` with a 0xff byte inserted where its third line starts."""
+    start = data.index(b"\n", data.index(b"\n") + 1) + 1
+    return data[:start] + b"\xff" + data[start:]
+
+
+def _damages(name, fields):
+    yield "empty", lambda data: b""
+    yield "half", lambda data: data[:len(data) // 2]
+    yield "0xff at line 3", _ff_at_line_3
+    if name.endswith(".json"):
+        yield "list", lambda data: json.dumps([json.loads(data)]).encode()
+        for key in fields:
+            yield f"drop {key}", _drop(key)
+
+
+def _label(index):
+    """A damage that sets the label index of a labels.csv's second row."""
+    def damage(data):
+        lines = data.split(b"\n")
+        lines[2] = lines[2].rsplit(b",", 1)[0] + b",%d" % index
+        return b"\n".join(lines)
+    return damage
+
+
+# Inputs that no qtc writer produces, and readers reject.
+EXTRA = {
+    "work/reduce/labels.csv": [("label index 99", _label(99)),
+                               ("label index 2**70", _label(2**70))],
+    "work/reduce/manifest.json": [("split null", _json_edit(lambda d: d.update(split=None)))],
+    "work/model.json": [("entanglement full", _json_edit(
+        lambda d: d["kernel"]["feature_map"].update(entanglement="full")))],
+    "work/vqc_model.json": [("entanglement full", _json_edit(
+        lambda d: d["feature_map"].update(entanglement="full")))],
+}
+
+# Outcomes other than a one-line error about the file, by (file, damage,
+# command); "*" stands for every damage.  "miss" and "hit" are Gram cache
+# reads, reported on stdout; they and "valid" exit 0 with nothing on stderr.
+EXCEPTIONS = {
+    # A damaged cache is recomputed.  data_hash is part of the cache key, so
+    # without it the cache is stale: a miss too.
+    ("work/gram.npy", "*", TRAIN_QSVC): "miss",
+    ("work/gram.manifest.json", "*", TRAIN_QSVC): "miss",
+    # upstream_hash is not part of the cache key.
+    ("work/gram.manifest.json", "drop upstream_hash", TRAIN_QSVC): "hit",
+    # Fields that evaluate does not read.
+    ("work/model.json", "drop classes", EVALUATE_QSVC): "valid",
+    ("work/model.json", "drop config", EVALUATE_QSVC): "valid",
+    ("work/vqc_model.json", "drop classes", EVALUATE_VQC): "valid",
+    ("work/vqc_model.json", "drop config", EVALUATE_VQC): "valid",
+    ("work/vqc_model.json", "drop final_loss", EVALUATE_VQC): "valid",
+    # created_utc is not hashed, so no reader sees it go.
+    **{(f"work/{stage}/manifest.json", "drop created_utc", command): "valid"
+       for stage, commands in (("tfidf", [REDUCE]), ("reduce", REDUCE_READERS))
+       for command in commands},
+    # load_stage does not read these fields.  Without them the stage hashes
+    # differently, which only a model's upstream_hash check sees: evaluate's
+    # error is about the model, trained against a stage other than this one.
+    **{(f"work/{stage}/manifest.json", f"drop {key}", command): outcome
+       for key in ("parameters", "seed", "upstream_hash")
+       for stage, commands, outcome in (
+           ("tfidf", [REDUCE], "valid"),
+           ("reduce", (KERNEL, TRAIN_QSVC, TRAIN_VQC), "valid"),
+           ("reduce", (EVALUATE_QSVC, EVALUATE_VQC), "stale"))
+       for command in commands},
+}
+
+CASES = [
+    pytest.param(name, damage, how, command,
+                 EXCEPTIONS.get((name, damage, command),
+                                EXCEPTIONS.get((name, "*", command), "error")),
+                 id=f"{name}-{damage}-{' '.join(map(str, command)).replace('{work}/', '')}")
+    for name, (fields, commands) in FILES.items()
+    for damage, how in [*_damages(name, fields), *EXTRA.get(name, [])]
+    for command in commands
+]
+
+
+@pytest.fixture(scope="module")
+def quickstart(tmp_path_factory):
+    """A directory holding corpus.csv and a workdir with every artifact."""
+    base = tmp_path_factory.mktemp("quickstart")
+    work = base / "work"
+    for argv in [
+        ("synth", "--per-class", 10, "--out", base / "corpus.csv"),
+        ("preprocess", "--corpus", base / "corpus.csv", "--workdir", work),
+        ("reduce", "--workdir", work),
+        ("kernel", "--workdir", work),
+        ("train", "--model", "qsvc", "--workdir", work),
+        ("train", "--model", "vqc", "--iters", 6, "--workdir", work,
+         "--model-out", work / "vqc_model.json"),
+    ]:
+        assert _run(argv)[0] == 0, argv
+    return base
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _snapshot(base):
+    return {p.relative_to(base): p.read_bytes() for p in sorted(base.rglob("*")) if p.is_file()}
+
+
+def test_table_lists_every_top_level_field(quickstart):
+    for name, (fields, _) in FILES.items():
+        if name.endswith(".json"):
+            assert tuple(sorted(json.loads((quickstart / name).read_text()))) == fields, name
+
+
+@pytest.mark.parametrize("name, damage, how, command, outcome", CASES)
+def test_damaged_file(quickstart, tmp_path, name, damage, how, command, outcome):
+    base = shutil.copytree(quickstart, tmp_path / "run")
+    work, path = base / "work", base / name
+    path.write_bytes(how(path.read_bytes()))
+    before = _snapshot(base)
+    argv = [str(a).format(base=base, work=work) for a in command] + ["--workdir", work]
+    code, out, err = _run(argv)
+    if outcome in ("error", "stale"):
+        assert code == 1, out
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        if outcome == "stale":
+            assert f"model.json: trained against a stage other than {path};" in err
+        else:
+            assert err.startswith(f"error: {path}: "), err
+        assert err.count(str(path)) == 1, err
+        assert _snapshot(base) == before
+    else:
+        assert (code, err) == (0, "")
+        if outcome != "valid":
+            assert f"gram cache: {outcome}" in out
