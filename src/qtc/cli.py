@@ -98,15 +98,18 @@ def _resolve(args: argparse.Namespace) -> dict:
     resolved = {}
     for key, (default, _, allowed) in OPTIONS[args.command].items():
         value = getattr(args, key)
+        source = f"--{key.replace('_', '-')} {value}"  # where a disallowed value came from
         if value is None and key in file_cfg:
             # An int may stand in for a float; a bool never counts as a number.
             kind = NUMBER if isinstance(default, float) else type(default)
             with naming(args.config):
                 value = json_field(file_cfg, key, kind)
+            source = args.config
         elif value is None:
             value = default
         if allowed is not None and value not in allowed:
-            raise ValidationError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
+            raise ValidationError(
+                f"{source}: {key} must be one of {', '.join(allowed)}, got {value!r}")
         resolved[key] = value
     check_sampling(resolved.get("shots", 0), resolved.get("seed", 0))
     if resolved.get("init_seed", 0) < 0:

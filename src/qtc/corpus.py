@@ -395,7 +395,7 @@ def load_stage(directory, expect_stage: str | None = None) -> StageData:
     """Load a stage saved by save_stage; verifies the stage name if given.
 
     Every split id must have a feature row, and every feature row a label
-    that indexes the manifest's classes.
+    that indexes the manifest's classes; no id may have two rows in a file.
     """
     manifest_path = os.path.join(directory, "manifest.json")
     try:
@@ -434,6 +434,12 @@ def load_stage(directory, expect_stage: str | None = None) -> StageData:
         values = np.asarray(rows, dtype=float).reshape(len(ids), len(names))
         features = FeatureMatrix(ids, names, values)
         known = set(ids)
+        if len(known) < len(ids):
+            seen = set()
+            for rowno, doc_id in enumerate(ids, start=2):
+                if doc_id in seen:
+                    raise ParseError(f"id {doc_id!r} repeated at row {rowno}")
+                seen.add(doc_id)
         absent = next((d for d in split.train_ids + split.test_ids if d not in known), None)
         if absent is not None:
             raise ParseError(f"no row for split id {absent!r}")
@@ -452,6 +458,8 @@ def load_stage(directory, expect_stage: str | None = None) -> StageData:
                 raise ParseError(f"bad label at row {rowno}") from exc
             if not 0 <= index < len(encoding.classes):
                 raise ParseError(f"label index {index} out of range at row {rowno}")
+            if row[0] in label_by_id:
+                raise ParseError(f"id {row[0]!r} repeated at row {rowno}")
             label_by_id[row[0]] = index
         try:
             labels = np.array([label_by_id[i] for i in ids], dtype=np.int64)

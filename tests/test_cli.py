@@ -505,6 +505,11 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "must be one of" in err
 
+    def test_flag_value_outside_allowed_set_names_the_flag(self, pipeline_dir, capsys):
+        capsys.readouterr()
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "knn") == 1
+        assert capsys.readouterr().err.startswith("error: --model knn: model must be one of ")
+
 
 def traced_run(*args):
     """Exit code of one CLI call and the peak memory traced during it."""
@@ -673,6 +678,13 @@ class TestConfigPrecedence:
         assert run_cli("train", "--config", cfgfile, "--workdir", pipeline_dir) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "must be one of" in err
+
+    def test_config_value_outside_allowed_set_names_the_file(self, pipeline_dir, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"model": "knn"}))
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfgfile, "--workdir", pipeline_dir) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfgfile}: model must be one of ")
 
     @pytest.mark.parametrize("command", sorted(OPTIONS))
     def test_help_lists_every_option_with_its_default(self, capsys, command):

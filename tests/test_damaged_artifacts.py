@@ -90,10 +90,20 @@ def _label(index):
     return damage
 
 
+def _repeat_last_row(data):
+    """``data`` with its last row written again, so that row's id has two rows."""
+    return data + data.rstrip(b"\n").rsplit(b"\n", 1)[1] + b"\n"
+
+
+REPEAT = [("last row's id repeated", _repeat_last_row)]
+
 # Inputs that no qtc writer produces, and readers reject.
 EXTRA = {
+    "work/tfidf/features.csv": REPEAT,
+    "work/tfidf/labels.csv": REPEAT,
+    "work/reduce/features.csv": REPEAT,
     "work/reduce/labels.csv": [("label index 99", _label(99)),
-                               ("label index 2**70", _label(2**70))],
+                               ("label index 2**70", _label(2**70)), *REPEAT],
     "work/reduce/manifest.json": [("split null", _json_edit(lambda d: d.update(split=None)))],
     "work/model.json": [("entanglement full", _json_edit(
         lambda d: d["kernel"]["feature_map"].update(entanglement="full")))],

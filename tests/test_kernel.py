@@ -582,6 +582,18 @@ class TestCsvWorkers:
         assert not (tmp_path / "gram.manifest.json").exists()
 
 
+def test_csv_writer_memory_bound(monkeypatch, tmp_path):
+    """One scratch buffer per thread, plus the bytes of the blocks in flight
+    (2 per thread) and of the block being written."""
+    monkeypatch.setattr(kernel_mod, "_cpu_count", lambda: 2)
+    X = np.random.default_rng(601).uniform(0, math.pi, (GRAM_ROWS, 2))
+    g = gram(ZZ2, X)
+    workers, block = 2, _CSV_BLOCK_VALUES // GRAM_ROWS * GRAM_ROWS
+    bound = (workers * block * kernel_mod._SCRATCH_BYTES_PER_VALUE
+             + (2 * workers + 1) * block * kernel_mod._SLOT_BYTES + (1 << 20))
+    assert _traced_peak(lambda: save_gram(tmp_path, g, data_hash="h")) <= bound
+
+
 class TestBatchedEncoding:
     def test_rows_equal_single_point_states_bitwise(self):
         X = np.random.default_rng(43).uniform(0, math.pi, (7, 2))
