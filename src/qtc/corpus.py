@@ -6,9 +6,9 @@ nonzero row L2-normalized afterward.  The vocabulary keeps the
 ``max_features`` terms with the highest corpus-wide raw frequency (ties
 broken lexicographically ascending) and is stored sorted lexicographically.
 
-Stage artifacts are plain CSV plus a JSON manifest so every intermediate is
-diffable and reproduces bit-for-bit: floats are written with 17 significant
-digits, which round-trips IEEE doubles exactly.
+Stage artifacts are one CSV file plus a JSON manifest so every intermediate
+is diffable and reproduces bit-for-bit: floats are written with 17
+significant digits, which round-trips IEEE doubles exactly.
 """
 
 from __future__ import annotations
@@ -349,9 +349,11 @@ def save_stage(
     parameters: dict | None = None,
     upstream_hash: str | None = None,
 ) -> dict:
-    """Persist a stage as features.csv, labels.csv, and manifest.json.
+    """Persist a stage as features.csv and manifest.json.
 
-    The old manifest is removed first and the new one written last, so a save
+    features.csv has the header ``id,label_index,<feature names>`` and one row
+    per document: its id, its label index and its feature values.  The old
+    manifest is removed first and the new one written last, so a save
     that fails or is interrupted leaves a stage that reads as missing, never
     an old manifest over new files.  Returns the manifest that was written.
     """
@@ -364,14 +366,9 @@ def save_stage(
         os.unlink(manifest_path)
 
     with open(os.path.join(directory, "features.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(map(_csv_field, ["id"] + features.feature_names)) + "\n")
-        for doc_id, row in zip(features.ids, features.values.tolist()):
-            fh.write(",".join([_csv_field(doc_id)] + [f"{v:.17g}" for v in row]) + "\n")
-
-    with open(os.path.join(directory, "labels.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("id,label_index\n")
-        for doc_id, lab in zip(features.ids, labels.tolist()):
-            fh.write(f"{_csv_field(doc_id)},{lab}\n")
+        fh.write(",".join(map(_csv_field, ["id", "label_index"] + features.feature_names)) + "\n")
+        for doc_id, lab, row in zip(features.ids, labels.tolist(), features.values.tolist()):
+            fh.write(",".join([_csv_field(doc_id), str(lab)] + [f"{v:.17g}" for v in row]) + "\n")
 
     manifest = {
         "stage": stage,
@@ -394,8 +391,8 @@ def save_stage(
 def load_stage(directory, expect_stage: str | None = None) -> StageData:
     """Load a stage saved by save_stage; verifies the stage name if given.
 
-    Every split id must have a feature row, and every feature row a label
-    that indexes the manifest's classes; no id may have two rows in a file.
+    Every split id must have a row in features.csv, and every row a label
+    index into the manifest's classes; no id may have two rows.
     """
     manifest_path = os.path.join(directory, "manifest.json")
     try:
@@ -417,18 +414,26 @@ def load_stage(directory, expect_stage: str | None = None) -> StageData:
         )
 
     ids: list[str] = []
+    labels: list[int] = []
     rows: list[list[float]] = []
     with _csv_reader(os.path.join(directory, "features.csv")) as reader:
         header = next(reader, None)
-        if not header or header[0] != "id":
+        if not header or header[:2] != ["id", "label_index"]:
             raise ParseError("malformed header")
-        names = header[1:]
+        names = header[2:]
         for rowno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ParseError(f"wrong field count at row {rowno}")
-            ids.append(row[0])
             try:
-                rows.append([float(v) for v in row[1:]])
+                index = int(row[1])
+            except ValueError as exc:
+                raise ParseError(f"bad label at row {rowno}") from exc
+            if not 0 <= index < len(encoding.classes):
+                raise ParseError(f"label index {index} out of range at row {rowno}")
+            ids.append(row[0])
+            labels.append(index)
+            try:
+                rows.append([float(v) for v in row[2:]])
             except ValueError as exc:
                 raise ParseError(f"bad value at row {rowno}") from exc
         values = np.asarray(rows, dtype=float).reshape(len(ids), len(names))
@@ -444,26 +449,4 @@ def load_stage(directory, expect_stage: str | None = None) -> StageData:
         if absent is not None:
             raise ParseError(f"no row for split id {absent!r}")
 
-    label_by_id: dict[str, int] = {}
-    with _csv_reader(os.path.join(directory, "labels.csv")) as reader:
-        header = next(reader, None)
-        if header != ["id", "label_index"]:
-            raise ParseError("malformed header")
-        for rowno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise ParseError(f"wrong field count at row {rowno}")
-            try:
-                index = int(row[1])
-            except ValueError as exc:
-                raise ParseError(f"bad label at row {rowno}") from exc
-            if not 0 <= index < len(encoding.classes):
-                raise ParseError(f"label index {index} out of range at row {rowno}")
-            if row[0] in label_by_id:
-                raise ParseError(f"id {row[0]!r} repeated at row {rowno}")
-            label_by_id[row[0]] = index
-        try:
-            labels = np.array([label_by_id[i] for i in ids], dtype=np.int64)
-        except KeyError as exc:
-            raise ParseError(f"missing label for id {exc.args[0]!r}") from exc
-
-    return StageData(features, labels, encoding, split, manifest)
+    return StageData(features, np.array(labels, dtype=np.int64), encoding, split, manifest)

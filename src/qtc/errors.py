@@ -63,10 +63,14 @@ def read_json(path) -> dict:
 
 
 def write_json(path, payload: dict) -> None:
-    """Write ``payload`` as JSON with 2-space indent, sorted keys and a final newline."""
+    """Write ``payload`` as JSON with 2-space indent, sorted keys and a final
+    newline.  A NaN or infinity raises NumericalError before the file opens."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path}: holds a non-finite number") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _holds(value, kind) -> bool:

@@ -459,22 +459,27 @@ def _read_npy_matrix(path, rows: int, cols: int) -> np.ndarray:
     return values
 
 
-# Rows per band of the symmetry check.  At m = 2,001 that is 32 bands, so
+# Rows per band of the damage check.  At m = 2,001 that is 32 bands, so
 # NumPy rather than the Python loop holds the time, and each band's boolean
-# comparison temporary is at most 64 x 2,001 bytes (~128 KB).
+# temporaries are at most 64 x 2,001 bytes (~128 KB).
 _SYMMETRY_BAND = 64
 
 
-def _bitwise_symmetric(K: np.ndarray) -> bool:
-    """Whether square K equals its transpose bit for bit.  A band of rows is
-    compared with the matching band of columns from the diagonal on, so each
-    pair is read about once and the temporaries stay small."""
+def _damage(K: np.ndarray) -> str | None:
+    """Why Gram values K are damaged, or None: a non-finite value, or a square
+    K that is not bitwise symmetric.  Square K is read in bands of rows from
+    the diagonal on, each checked finite and bitwise equal to its band of
+    columns, which leaves no entry unchecked and keeps temporaries small."""
+    if K.shape[0] != K.shape[1]:
+        return None if np.isfinite(K).all() else "holds a non-finite value"
     bits = K.view(np.uint64)
     for i0 in range(0, K.shape[0], _SYMMETRY_BAND):
         i1 = i0 + _SYMMETRY_BAND
+        if not np.isfinite(K[i0:i1, i0:]).all():
+            return "holds a non-finite value"
         if not np.array_equal(bits[i0:i1, i0:], bits[i0:, i0:i1].T):
-            return False
-    return True
+            return "square but not symmetric"
+    return None
 
 
 def load_gram_manifest(directory) -> dict:
@@ -505,15 +510,17 @@ def load_gram(directory, manifest: dict | None = None) -> tuple[GramMatrix, dict
 
     The values come from gram.npy; gram.csv is never read.  ``manifest`` is
     one already returned by load_gram_manifest for this directory; without
-    it the manifest is read here.  A square Gram that is not bitwise
-    symmetric is damaged: the SVM solver reads its rows as columns.
+    it the manifest is read here.  A Gram with a non-finite value is damaged,
+    and so is a square one that is not bitwise symmetric: the SVM solver
+    reads its rows as columns.
     """
     if manifest is None:
         manifest = load_gram_manifest(directory)
     path = os.path.join(directory, "gram.npy")
     values = _read_npy_matrix(path, *manifest["shape"])
-    if values.shape[0] == values.shape[1] and not _bitwise_symmetric(values):
-        raise ParseError(f"{path}: square but not symmetric")
+    damage = _damage(values)
+    if damage:
+        raise ParseError(f"{path}: {damage}")
     g = GramMatrix(
         values=values,
         mode=manifest["mode"],

@@ -34,7 +34,6 @@ __all__ = [
     "decision",
     "train_multiclass",
     "predict_multiclass",
-    "poly_kernel",
     "poly_gram",
     "default_gamma",
     "dual_objective",
@@ -316,15 +315,6 @@ def predict_multiclass(clf: MulticlassSvm, K):
     """Argmax of per-class decision values per kernel row; ties go to the lowest class."""
     values = np.stack([decision(m, K) for m in clf.models], axis=-1)
     return np.argmax(values, axis=-1).astype(np.int64)
-
-
-def poly_kernel(x, y, spec: PolyKernelSpec) -> float:
-    """(gamma <x, y> + coef0) ** degree."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValidationError("poly kernel inputs must have equal dimension")
-    return float((spec.gamma * float(x @ y) + spec.coef0) ** spec.degree)
 
 
 def poly_gram(X, Y=None, *, spec: PolyKernelSpec) -> np.ndarray:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import qtc
 
+from qtc import corpus as corpus_mod
 from qtc import kernel as kernel_mod
 from qtc.circuits import MAX_GATES, AnsatzSpec, FeatureMapSpec
 from qtc.cli import OPTIONS, main
@@ -97,7 +98,6 @@ class TestPipeline:
         assert run_cli("evaluate", "--workdir", pipeline_dir) == 0
         for name in (
             "tfidf/features.csv",
-            "tfidf/labels.csv",
             "tfidf/manifest.json",
             "reduce/features.csv",
             "reduce/manifest.json",
@@ -252,22 +252,30 @@ class TestPipeline:
             assert code == 1 and err.count("\n") == 1
             assert err.startswith(f"error: {path}: {message}")
 
-    def test_asymmetric_gram_cache_recomputed_by_train(self, pipeline_dir, capsys):
+    @pytest.mark.parametrize("entries, value, message", [
+        ([(5, 17)], 0.5, "square but not symmetric"),
+        ([(0, 1), (1, 0)], np.nan, "holds a non-finite value"),
+        ([(3, 3)], np.inf, "holds a non-finite value"),
+    ], ids=["asymmetric", "nan_pair", "inf_diagonal"])
+    def test_damaged_gram_values_recomputed_by_train(self, pipeline_dir, capsys, entries, value,
+                                                     message):
         assert run_cli("kernel", "--workdir", pipeline_dir) == 0
         assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
         model = (pipeline_dir / "model.json").read_bytes()
         path = pipeline_dir / "gram.npy"
         npy = path.read_bytes()
         values = np.load(path)
-        values[5, 17] += 0.25
+        for entry in entries:
+            values[entry] = value
         with open(path, "wb") as fh:
             np.lib.format.write_array(fh, values, version=(1, 0))
         capsys.readouterr()
         assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
-        assert (f"gram cache: miss, damaged ({path}: square but not symmetric); recomputed\n"
+        assert (f"gram cache: miss, damaged ({path}: {message}); recomputed\n"
                 in capsys.readouterr().out)
         assert path.read_bytes() == npy
         assert (pipeline_dir / "model.json").read_bytes() == model
+        assert run_cli("evaluate", "--workdir", pipeline_dir) == 0
 
     def test_cache_hit_and_miss_reported(self, pipeline_dir, capsys):
         assert run_cli("kernel", "--workdir", pipeline_dir) == 0
@@ -333,11 +341,16 @@ class TestPipeline:
         assert (pipeline_dir / "gram.npy").read_bytes() == reps2_npy
         assert (pipeline_dir / "model.json").read_bytes() == reps2_model
 
-    def test_interrupted_stage_save_reads_as_missing(self, pipeline_dir, capsys):
-        # labels.csv cannot be written, so the 3-component save fails after features.csv.
-        (pipeline_dir / "reduce" / "labels.csv").unlink()
-        (pipeline_dir / "reduce" / "labels.csv").mkdir()
+    def test_interrupted_stage_save_reads_as_missing(self, pipeline_dir, capsys, monkeypatch):
+        def fail(path, payload):
+            raise OSError("No space left on device")
+
+        # The 3-component save fails after features.csv, when it writes the manifest.
+        monkeypatch.setattr(corpus_mod, "write_json", fail)
         assert run_cli("reduce", "--workdir", pipeline_dir, "--components", 3) == 1
+        monkeypatch.undo()
+        header = (pipeline_dir / "reduce" / "features.csv").read_text().split("\n", 1)[0]
+        assert header == "id,label_index,pc1,pc2,pc3"
         assert not (pipeline_dir / "reduce" / "manifest.json").exists()
         capsys.readouterr()
         assert run_cli("kernel", "--workdir", pipeline_dir) == 1
@@ -345,17 +358,36 @@ class TestPipeline:
         assert err.count("\n") == 1 and err.startswith("error: missing stage manifest: ")
         assert not list(pipeline_dir.glob("gram*"))
 
-    @pytest.mark.parametrize("name", ["features.csv", "labels.csv"])
-    def test_stage_file_without_whole_rows_named(self, pipeline_dir, capsys, name):
+    def test_stage_file_without_whole_rows_named(self, pipeline_dir, capsys):
         """A stage file cut after its first 60 lines ends in one line naming it,
         not in an unknown sample id."""
-        path = pipeline_dir / "reduce" / name
+        path = pipeline_dir / "reduce" / "features.csv"
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:60]))
         before = _file_bytes(pipeline_dir)
         capsys.readouterr()
         assert run_cli("kernel", "--workdir", pipeline_dir) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {path}: "), err
+        assert _file_bytes(pipeline_dir) == before
+
+    @pytest.mark.parametrize("stage, argv", [
+        ("tfidf", ("reduce",)),
+        ("reduce", ("kernel",)),
+        ("reduce", ("train", "--model", "qsvc")),
+        ("reduce", ("evaluate",)),
+    ], ids=["reduce", "kernel", "train", "evaluate"])
+    def test_stage_without_label_column_named(self, pipeline_dir, capsys, stage, argv):
+        """A features.csv without its label_index column, as stages were once
+        written, ends in one line naming it; the fix is to rerun the stages."""
+        assert run_cli("kernel", "--workdir", pipeline_dir) == 0
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
+        path = pipeline_dir / stage / "features.csv"
+        lines = [line.split(",") for line in path.read_text().splitlines(keepends=True)]
+        path.write_text("".join(",".join(fields[:1] + fields[2:]) for fields in lines))
+        before = _file_bytes(pipeline_dir)
+        capsys.readouterr()
+        assert run_cli(*argv, "--workdir", pipeline_dir) == 1
+        assert capsys.readouterr().err == f"error: {path}: malformed header\n"
         assert _file_bytes(pipeline_dir) == before
 
     def test_train_never_reads_gram_csv(self, pipeline_dir, capsys):
@@ -1013,8 +1045,7 @@ def test_property_damaged_stage_manifest_exits_one(reduced_stage, tmp_path_facto
         text = json.dumps(manifest)
     work = tmp_path_factory.mktemp("damaged")
     (work / "reduce").mkdir()
-    for name in ("features.csv", "labels.csv"):
-        (work / "reduce" / name).write_bytes((stage / name).read_bytes())
+    (work / "reduce" / "features.csv").write_bytes((stage / "features.csv").read_bytes())
     (work / "reduce" / "manifest.json").write_text(text)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -282,13 +282,10 @@ class TestStageRoundTrip:
         save_stage(tmp_path, fm, labels, enc, _split(fm.ids), stage="tfidf")
         with open(tmp_path / "expected.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["id"] + fm.feature_names)
-            for doc_id, row in zip(ids, fm.values.tolist()):
-                writer.writerow([doc_id] + [f"{v:.17g}" for v in row])
-            writer.writerow(["id", "label_index"])
-            for doc_id, lab in zip(ids, labels):
-                writer.writerow([doc_id, int(lab)])
-        written = (tmp_path / "features.csv").read_bytes() + (tmp_path / "labels.csv").read_bytes()
+            writer.writerow(["id", "label_index"] + fm.feature_names)
+            for doc_id, lab, row in zip(ids, labels, fm.values.tolist()):
+                writer.writerow([doc_id, int(lab)] + [f"{v:.17g}" for v in row])
+        written = (tmp_path / "features.csv").read_bytes()
         assert written == (tmp_path / "expected.csv").read_bytes()
 
     def test_stage_mismatch(self, tmp_path):
@@ -304,17 +301,25 @@ class TestStageRoundTrip:
         assert back.features.feature_names == fm.feature_names
         assert np.array_equal(back.features.values, fm.values)
 
-    def test_corrupted_csv_reports_row(self, tmp_path):
+    @pytest.mark.parametrize("field, text, message", [
+        (-1, "notanumber", "bad value at row 3"),
+        (1, "P", "bad label at row 3"),
+        (1, "2", "label index 2 out of range at row 3"),
+        (1, "-1", "label index -1 out of range at row 3"),
+    ], ids=["value", "label", "label_past_classes", "label_negative"])
+    def test_corrupted_csv_reports_row(self, tmp_path, field, text, message):
         fm, labels, enc = self._stage()
         save_stage(tmp_path, fm, labels, enc, _split(fm.ids), stage="tfidf")
         feat = tmp_path / "features.csv"
         lines = feat.read_text().splitlines()
-        lines[2] = lines[2].rsplit(",", 1)[0] + ",notanumber"
+        fields = lines[2].split(",")
+        fields[field] = text
+        lines[2] = ",".join(fields)
         feat.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match="row 3"):
+        with pytest.raises(ParseError, match=f"features.csv: {message}"):
             load_stage(tmp_path)
 
-    @pytest.mark.parametrize("name", ["features.csv", "labels.csv", "manifest.json"])
+    @pytest.mark.parametrize("name", ["features.csv", "manifest.json"])
     def test_undecodable_byte_names_file(self, tmp_path, name):
         fm, labels, enc = self._stage()
         save_stage(tmp_path, fm, labels, enc, _split(fm.ids), stage="tfidf")

@@ -14,11 +14,16 @@ import io
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from qtc.cli import main
 
 STAGE_FIELDS = ("classes", "created_utc", "parameters", "seed", "split", "stage", "upstream_hash")
+SVM_FIELDS = ("C", "classes", "config", "kernel", "per_class", "tol", "type", "upstream_hash")
+VARIATIONAL_FIELDS = (
+    "ansatz", "classes", "config", "converged", "evaluations", "feature_map", "final_loss",
+    "interpret", "loss", "mode", "n_classes", "stop", "theta", "type", "upstream_hash")
 
 # Each file, relative to the run's directory, with the top-level fields of a
 # JSON file (each is deleted in turn) and the commands that read it.  In a
@@ -29,26 +34,23 @@ TRAIN_QSVC = ("train", "--model", "qsvc")
 TRAIN_VQC = ("train", "--model", "vqc", "--iters", 6)
 EVALUATE_QSVC = ("evaluate",)
 EVALUATE_VQC = ("evaluate", "--model", "{work}/vqc_model.json")
+EVALUATE_SVC = ("evaluate", "--model", "{work}/svc_model.json")
+EVALUATE_QNNC = ("evaluate", "--model", "{work}/qnnc_model.json")
 REDUCE_READERS = (KERNEL, TRAIN_QSVC, TRAIN_VQC, EVALUATE_QSVC, EVALUATE_VQC)
 FILES = {
     "corpus.csv": ((), [("preprocess", "--corpus", "{base}/corpus.csv")]),
     "work/tfidf/features.csv": ((), [REDUCE]),
-    "work/tfidf/labels.csv": ((), [REDUCE]),
     "work/tfidf/manifest.json": (STAGE_FIELDS, [REDUCE]),
     "work/reduce/features.csv": ((), REDUCE_READERS),
-    "work/reduce/labels.csv": ((), REDUCE_READERS),
     "work/reduce/manifest.json": (STAGE_FIELDS, REDUCE_READERS),
     "work/gram.npy": ((), [TRAIN_QSVC]),
     "work/gram.manifest.json": (
         ("data_hash", "feature_map", "mode", "seed", "shape", "shots", "upstream_hash"),
         [TRAIN_QSVC]),
-    "work/model.json": (
-        ("C", "classes", "config", "kernel", "per_class", "tol", "type", "upstream_hash"),
-        [EVALUATE_QSVC]),
-    "work/vqc_model.json": (
-        ("ansatz", "classes", "config", "converged", "evaluations", "feature_map", "final_loss",
-         "interpret", "loss", "mode", "n_classes", "stop", "theta", "type", "upstream_hash"),
-        [EVALUATE_VQC]),
+    "work/model.json": (SVM_FIELDS, [EVALUATE_QSVC]),
+    "work/svc_model.json": (SVM_FIELDS, [EVALUATE_SVC]),
+    "work/vqc_model.json": (VARIATIONAL_FIELDS, [EVALUATE_VQC]),
+    "work/qnnc_model.json": (VARIATIONAL_FIELDS, [EVALUATE_QNNC]),
 }
 
 
@@ -82,12 +84,22 @@ def _damages(name, fields):
 
 
 def _label(index):
-    """A damage that sets the label index of a labels.csv's second row."""
+    """A damage that sets the label index, the second field, of a features.csv's second row."""
     def damage(data):
         lines = data.split(b"\n")
-        lines[2] = lines[2].rsplit(b",", 1)[0] + b",%d" % index
+        doc_id, _, values = lines[2].split(b",", 2)
+        lines[2] = b"%s,%d,%s" % (doc_id, index, values)
         return b"\n".join(lines)
     return damage
+
+
+def _nan_at_symmetric_pair(data):
+    """gram.npy bytes with NaN at K[0, 1] and K[1, 0], so the Gram stays bitwise symmetric."""
+    K = np.load(io.BytesIO(data))
+    K[0, 1] = K[1, 0] = np.nan
+    out = io.BytesIO()
+    np.lib.format.write_array(out, K, version=(1, 0))
+    return out.getvalue()
 
 
 def _repeat_last_row(data):
@@ -100,10 +112,9 @@ REPEAT = [("last row's id repeated", _repeat_last_row)]
 # Inputs that no qtc writer produces, and readers reject.
 EXTRA = {
     "work/tfidf/features.csv": REPEAT,
-    "work/tfidf/labels.csv": REPEAT,
-    "work/reduce/features.csv": REPEAT,
-    "work/reduce/labels.csv": [("label index 99", _label(99)),
-                               ("label index 2**70", _label(2**70)), *REPEAT],
+    "work/reduce/features.csv": [("label index 99", _label(99)),
+                                 ("label index 2**70", _label(2**70)), *REPEAT],
+    "work/gram.npy": [("NaN at a symmetric pair", _nan_at_symmetric_pair)],
     "work/reduce/manifest.json": [("split null", _json_edit(lambda d: d.update(split=None)))],
     "work/model.json": [("entanglement full", _json_edit(
         lambda d: d["kernel"]["feature_map"].update(entanglement="full")))],
@@ -122,11 +133,14 @@ EXCEPTIONS = {
     # upstream_hash is not part of the cache key.
     ("work/gram.manifest.json", "drop upstream_hash", TRAIN_QSVC): "hit",
     # Fields that evaluate does not read.
-    ("work/model.json", "drop classes", EVALUATE_QSVC): "valid",
-    ("work/model.json", "drop config", EVALUATE_QSVC): "valid",
-    ("work/vqc_model.json", "drop classes", EVALUATE_VQC): "valid",
-    ("work/vqc_model.json", "drop config", EVALUATE_VQC): "valid",
+    **{(name, f"drop {key}", command): "valid"
+       for name, command in (("work/model.json", EVALUATE_QSVC),
+                             ("work/svc_model.json", EVALUATE_SVC),
+                             ("work/vqc_model.json", EVALUATE_VQC),
+                             ("work/qnnc_model.json", EVALUATE_QNNC))
+       for key in ("classes", "config")},
     ("work/vqc_model.json", "drop final_loss", EVALUATE_VQC): "valid",
+    ("work/qnnc_model.json", "drop final_loss", EVALUATE_QNNC): "valid",
     # created_utc is not hashed, so no reader sees it go.
     **{(f"work/{stage}/manifest.json", "drop created_utc", command): "valid"
        for stage, commands in (("tfidf", [REDUCE]), ("reduce", REDUCE_READERS))
@@ -167,6 +181,9 @@ def quickstart(tmp_path_factory):
         ("train", "--model", "qsvc", "--workdir", work),
         ("train", "--model", "vqc", "--iters", 6, "--workdir", work,
          "--model-out", work / "vqc_model.json"),
+        ("train", "--model", "svc", "--workdir", work, "--model-out", work / "svc_model.json"),
+        ("train", "--model", "qnnc", "--iters", 6, "--workdir", work,
+         "--model-out", work / "qnnc_model.json"),
     ]:
         assert _run(argv)[0] == 0, argv
     return base

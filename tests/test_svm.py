@@ -18,12 +18,20 @@ from qtc.svm import (
     default_gamma,
     dual_objective,
     poly_gram,
-    poly_kernel,
     predict_multiclass,
     _bias_of,
     train_binary,
     train_multiclass,
 )
+
+
+def poly_kernel(x, y, spec: PolyKernelSpec) -> float:
+    """(gamma <x, y> + coef0) ** degree for one pair of points: the oracle for poly_gram."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    assert x.shape == y.shape
+    return float((spec.gamma * float(x @ y) + spec.coef0) ** spec.degree)
+
 
 TWO_POINT_G = np.array([[1.0, -1.0], [-1.0, 1.0]])  # linear kernel on x = -1, +1
 TWO_POINT_Y = np.array([-1.0, 1.0])
