@@ -157,8 +157,9 @@ def cmd_preprocess(args, cfg: dict) -> None:
     docs = corpus_mod.load_corpus(
         args.corpus, id_col=cfg["id_col"], text_col=cfg["text_col"], label_col=cfg["label_col"]
     )
-    model = corpus_mod.fit_tfidf(docs, cfg["max_features"])
-    features = corpus_mod.transform_tfidf(model, docs)
+    counts = corpus_mod.count_terms(docs)
+    model = corpus_mod.fit_tfidf(counts, cfg["max_features"])
+    features = corpus_mod.transform_tfidf(model, counts)
     encoding, labels = corpus_mod.encode_labels(docs)
     split = stratified_split(labels, features.ids, cfg["test_fraction"], cfg["seed"])
     save_stage(
@@ -212,8 +213,8 @@ def cmd_reduce(args, cfg: dict) -> None:
 def _split_arrays(stage, part: str):
     """Ids, feature rows and labels of the stage's "train" or "test" split."""
     ids = getattr(stage.split, f"{part}_ids")
-    pos = {d: i for i, d in enumerate(stage.features.ids)}
-    return ids, stage.features.rows_for(ids), stage.labels[[pos[d] for d in ids]]
+    rows = stage.features.positions(ids)
+    return ids, stage.features.values[rows], stage.labels[rows]
 
 
 def cmd_kernel(args, cfg: dict) -> None:

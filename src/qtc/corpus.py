@@ -6,9 +6,20 @@ nonzero row L2-normalized afterward.  The vocabulary keeps the
 ``max_features`` terms with the highest corpus-wide raw frequency (ties
 broken lexicographically ascending) and is stored sorted lexicographically.
 
+Each document is tokenized once, into a TermCounts table: the distinct
+terms of every document with their in-document counts, held as flat term-id
+and count arrays with per-document offsets.  fit_tfidf and transform_tfidf
+both work from that table, so a caller that counts once can fit and
+transform without tokenizing again; given documents, each counts them
+itself.  The TF-IDF matrix is filled by one scatter over the table.
+
 Stage artifacts are one CSV file plus a JSON manifest so every intermediate
 is diffable and reproduces bit-for-bit: floats are written with 17
-significant digits, which round-trips IEEE doubles exactly.
+significant digits, which round-trips IEEE doubles exactly.  load_stage
+reads features.csv column by column: one set of row lengths, the label
+column through int() with one range check, each value column through
+float().  Only when one of those checks fails does it walk the rows, so the
+error names the first damaged row, as a row-by-row read would.
 """
 
 from __future__ import annotations
@@ -20,9 +31,12 @@ import json
 import math
 import os
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -31,6 +45,7 @@ from .errors import naming, read_json, write_json
 
 __all__ = [
     "Document",
+    "TermCounts",
     "TfidfModel",
     "FeatureMatrix",
     "LabelEncoding",
@@ -39,6 +54,7 @@ __all__ = [
     "STOPWORDS",
     "load_corpus",
     "preprocess",
+    "count_terms",
     "fit_tfidf",
     "transform_tfidf",
     "encode_labels",
@@ -109,13 +125,20 @@ class FeatureMatrix:
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("feature matrix contains non-finite values")
 
-    def rows_for(self, ids) -> np.ndarray:
-        pos = {d: i for i, d in enumerate(self.ids)}
+    @cached_property
+    def row_index(self) -> dict[str, int]:
+        """Each id's row number, built once; a repeated id maps to its last row."""
+        return {d: i for i, d in enumerate(self.ids)}
+
+    def positions(self, ids) -> list[int]:
+        """The row numbers of ``ids``, in their order."""
         try:
-            sel = [pos[d] for d in ids]
+            return [self.row_index[d] for d in ids]
         except KeyError as exc:
             raise ValidationError(f"unknown sample id {exc.args[0]!r}") from exc
-        return self.values[sel]
+
+    def rows_for(self, ids) -> np.ndarray:
+        return self.values[self.positions(ids)]
 
 
 @dataclass
@@ -219,48 +242,91 @@ def preprocess(text: str) -> list[str]:
     ]
 
 
-def fit_tfidf(docs: list[Document], max_features: int) -> TfidfModel:
-    """Fit vocabulary and idf weights on a corpus."""
-    if not docs:
+@dataclass(frozen=True)
+class TermCounts:
+    """Every document's distinct terms and their in-document counts, in one table.
+
+    Document r's term ids are ``term_ids[offsets[r]:offsets[r + 1]]``, in the
+    order the terms first occur in it, and ``counts`` holds each one's count
+    at the same position.  ``terms[t]`` is the text of term id t; ids number
+    the terms in the order they first occur in the corpus.
+    """
+
+    ids: list[str]
+    terms: list[str]
+    term_ids: np.ndarray  # intc
+    counts: np.ndarray  # intc
+    offsets: np.ndarray  # int64, one more than there are documents
+
+
+def count_terms(docs: list[Document]) -> TermCounts:
+    """Tokenize each document once and count its terms into a TermCounts table."""
+    index: dict[str, int] = {}
+    term_ids, counts, offsets = array("i"), array("i"), array("q", [0])
+    for doc in docs:
+        found = Counter(preprocess(doc.text))
+        term_ids.extend([index.setdefault(term, len(index)) for term in found])
+        counts.extend(found.values())
+        offsets.append(len(term_ids))
+    return TermCounts(
+        ids=[d.id for d in docs],
+        terms=list(index),
+        term_ids=np.frombuffer(term_ids, np.intc),
+        counts=np.frombuffer(counts, np.intc),
+        offsets=np.frombuffer(offsets, np.int64),
+    )
+
+
+def _counted(docs) -> TermCounts:
+    return docs if isinstance(docs, TermCounts) else count_terms(docs)
+
+
+def fit_tfidf(docs: list[Document] | TermCounts, max_features: int) -> TfidfModel:
+    """Fit vocabulary and idf weights on a corpus, given as documents or their TermCounts."""
+    table = _counted(docs)
+    if not table.ids:
         raise ValidationError("cannot fit TF-IDF on an empty corpus")
     if max_features < 1:
         raise ValidationError("max_features must be >= 1")
-    total = Counter()
-    doc_freq = Counter()
-    for doc in docs:
-        counts = Counter(preprocess(doc.text))
-        total.update(counts)
-        doc_freq.update(counts.keys())
-    if not total:
+    if not table.term_ids.size:
         raise ValidationError("empty vocabulary after preprocessing")
+    n_terms = len(table.terms)
+    # Float sums of integer counts are exact below 2**53 tokens.
+    total = np.bincount(table.term_ids, table.counts, n_terms).astype(np.int64).tolist()
+    doc_freq = np.bincount(table.term_ids, minlength=n_terms).tolist()
     # Highest corpus frequency first, ties lexicographically ascending.
-    ranked = sorted(total.items(), key=lambda kv: (-kv[1], kv[0]))
-    vocab = sorted(term for term, _ in ranked[:max_features])
-    n = len(docs)
-    idf = np.array(
-        [math.log((1 + n) / (1 + doc_freq[t])) + 1.0 for t in vocab], dtype=float
-    )
+    ranked = sorted(range(n_terms), key=lambda t: (-total[t], table.terms[t]))
+    kept = sorted(ranked[:max_features], key=table.terms.__getitem__)
+    n = len(table.ids)
+    frequency = [doc_freq[t] for t in kept]
+    idf = np.array([math.log((1 + n) / (1 + df)) + 1.0 for df in frequency], dtype=float)
     return TfidfModel(
-        vocabulary=vocab,
-        document_frequency=[doc_freq[t] for t in vocab],
+        vocabulary=[table.terms[t] for t in kept],
+        document_frequency=frequency,
         idf=idf,
         max_features=max_features,
         corpus_size=n,
     )
 
 
-def transform_tfidf(model: TfidfModel, docs: list[Document]) -> FeatureMatrix:
-    """Count-times-idf rows, L2-normalized; out-of-vocabulary terms ignored."""
-    values = np.zeros((len(docs), len(model.vocabulary)), dtype=float)
-    for r, doc in enumerate(docs):
-        for term, count in Counter(preprocess(doc.text)).items():
-            col = model.index.get(term)
-            if col is not None:
-                values[r, col] = count * model.idf[col]
-        norm = np.linalg.norm(values[r])
-        if norm > 0.0:
-            values[r] /= norm
-    return FeatureMatrix([d.id for d in docs], list(model.vocabulary), values)
+def transform_tfidf(model: TfidfModel, docs: list[Document] | TermCounts) -> FeatureMatrix:
+    """Count-times-idf rows, L2-normalized; out-of-vocabulary terms ignored.
+
+    ``docs`` are documents or their TermCounts.  Each row is divided by its
+    own norm, np.linalg.norm's sqrt(row . row), unless that is 0.
+    """
+    table = _counted(docs)
+    n = len(table.ids)
+    column = np.array([model.index.get(term, -1) for term in table.terms], dtype=np.intp)
+    cols = column[table.term_ids]
+    rows = np.repeat(np.arange(n), np.diff(table.offsets))
+    known = cols >= 0
+    cols = cols[known]
+    values = np.zeros((n, len(model.vocabulary)), dtype=float)
+    values[rows[known], cols] = table.counts[known] * model.idf[cols]
+    norms = np.sqrt([row.dot(row) for row in values])
+    values /= np.where(norms > 0.0, norms, 1.0)[:, None]
+    return FeatureMatrix(list(table.ids), list(model.vocabulary), values)
 
 
 def encode_labels(docs: list[Document]) -> tuple[LabelEncoding, np.ndarray]:
@@ -388,6 +454,42 @@ def save_stage(
     return manifest
 
 
+def _stage_rows(rows: list[list[str]], width: int, n_classes: int):
+    """The ids, label indices and values of features.csv's data rows.
+
+    The rows are read column by column.  When a check fails, they are walked
+    one by one instead, and ParseError names the first damaged row and its
+    first damage: a wrong field count, then a bad label, then a label index
+    out of range, then a bad value.
+    """
+    try:
+        if rows and set(map(len, rows)) != {width}:
+            raise ValueError("wrong field count")
+        ids, labels, *columns = zip(*rows) if rows else [()] * width
+        labels = list(map(int, labels))
+        if labels and not (0 <= min(labels) and max(labels) < n_classes):
+            raise ValueError("label index out of range")
+        values = np.empty((len(rows), width - 2))
+        for j, column in enumerate(columns):
+            values[:, j] = np.fromiter(map(float, column), float, len(rows))
+    except ValueError:
+        for rowno, row in enumerate(rows, start=2):
+            if len(row) != width:
+                raise ParseError(f"wrong field count at row {rowno}")
+            try:
+                index = int(row[1])
+            except ValueError as exc:
+                raise ParseError(f"bad label at row {rowno}") from exc
+            if not 0 <= index < n_classes:
+                raise ParseError(f"label index {index} out of range at row {rowno}")
+            try:
+                [float(v) for v in row[2:]]
+            except ValueError as exc:
+                raise ParseError(f"bad value at row {rowno}") from exc
+        raise  # not reached: the walk meets every damage the column read met
+    return list(ids), np.array(labels, dtype=np.int64), values
+
+
 def load_stage(directory, expect_stage: str | None = None) -> StageData:
     """Load a stage saved by save_stage; verifies the stage name if given.
 
@@ -398,7 +500,7 @@ def load_stage(directory, expect_stage: str | None = None) -> StageData:
     try:
         manifest = read_json(manifest_path)
     except OSError as exc:
-        raise VersioningError(f"missing stage manifest: {manifest_path}") from exc
+        raise VersioningError(f"{manifest_path}: missing stage manifest") from exc
     with naming(manifest_path):
         if expect_stage is not None and manifest.get("stage") != expect_stage:
             raise VersioningError(
@@ -413,40 +515,21 @@ def load_stage(directory, expect_stage: str | None = None) -> StageData:
             seed=json_field(s, "seed", int),
         )
 
-    ids: list[str] = []
-    labels: list[int] = []
-    rows: list[list[float]] = []
     with _csv_reader(os.path.join(directory, "features.csv")) as reader:
         header = next(reader, None)
         if not header or header[:2] != ["id", "label_index"]:
             raise ParseError("malformed header")
-        names = header[2:]
-        for rowno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"wrong field count at row {rowno}")
-            try:
-                index = int(row[1])
-            except ValueError as exc:
-                raise ParseError(f"bad label at row {rowno}") from exc
-            if not 0 <= index < len(encoding.classes):
-                raise ParseError(f"label index {index} out of range at row {rowno}")
-            ids.append(row[0])
-            labels.append(index)
-            try:
-                rows.append([float(v) for v in row[2:]])
-            except ValueError as exc:
-                raise ParseError(f"bad value at row {rowno}") from exc
-        values = np.asarray(rows, dtype=float).reshape(len(ids), len(names))
-        features = FeatureMatrix(ids, names, values)
-        known = set(ids)
-        if len(known) < len(ids):
+        ids, labels, values = _stage_rows(list(reader), len(header), len(encoding.classes))
+        features = FeatureMatrix(ids, header[2:], values)
+        index = features.row_index
+        if len(index) < len(ids):
             seen = set()
             for rowno, doc_id in enumerate(ids, start=2):
                 if doc_id in seen:
                     raise ParseError(f"id {doc_id!r} repeated at row {rowno}")
                 seen.add(doc_id)
-        absent = next((d for d in split.train_ids + split.test_ids if d not in known), None)
+        absent = next((d for d in chain(split.train_ids, split.test_ids) if d not in index), None)
         if absent is not None:
             raise ParseError(f"no row for split id {absent!r}")
 
-    return StageData(features, np.array(labels, dtype=np.int64), encoding, split, manifest)
+    return StageData(features, labels, encoding, split, manifest)

@@ -73,26 +73,33 @@ def write_json(path, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def _holds(value, kind) -> bool:
-    """Whether a JSON value is of ``kind``; a bool never counts as a number."""
-    return isinstance(value, kind) and (not isinstance(value, bool) or kind is bool)
+def _holds(value_type: type, kind) -> bool:
+    """Whether a JSON value of type ``value_type`` is of ``kind``; a bool never
+    counts as a number."""
+    return issubclass(value_type, kind) and (not issubclass(value_type, bool) or kind is bool)
 
 
 def json_field(d, key: str, kind, items=None):
     """``d[key]`` from a parsed JSON object, checked to be of ``kind``.
 
     ``items``, when given, is the kind every element of the (list) value
-    must be.  A missing key, a value of another kind or a NaN or infinity
-    (which Python's ``json`` parses) where a number belongs raises ParseError.
+    must be; the element types are collected in one pass and each distinct
+    type checked once.  A missing key, a value of another kind or a NaN or
+    infinity (which Python's ``json`` parses) where a number belongs raises
+    ParseError.
     """
     if not isinstance(d, dict):
         raise ParseError(f"expected a JSON object holding {key!r}, got {type(d).__name__}")
     if key not in d:
         raise ParseError(f"missing field {key!r}")
     value = d[key]
-    if not _holds(value, kind) or (items is not None and not all(_holds(v, items) for v in value)):
+    if not _holds(type(value), kind):
         raise ParseError(f"field {key!r} has the wrong type")
-    numbers = value if items is not None else [value]
-    if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
+    values = value if items is not None else [value]
+    types = set(map(type, values))
+    if items is not None and not all(_holds(t, items) for t in types):
+        raise ParseError(f"field {key!r} has the wrong type")
+    if any(issubclass(t, float) for t in types) and any(
+            isinstance(v, float) and not math.isfinite(v) for v in values):
         raise ParseError(f"field {key!r} holds a non-finite number")
     return value

@@ -355,7 +355,8 @@ class TestPipeline:
         capsys.readouterr()
         assert run_cli("kernel", "--workdir", pipeline_dir) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: missing stage manifest: ")
+        manifest = pipeline_dir / "reduce" / "manifest.json"
+        assert err == f"error: {manifest}: missing stage manifest\n"
         assert not list(pipeline_dir.glob("gram*"))
 
     def test_stage_file_without_whole_rows_named(self, pipeline_dir, capsys):
@@ -399,6 +400,15 @@ class TestPipeline:
         assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
         assert "gram cache: hit\n" in capsys.readouterr().out
         assert (pipeline_dir / "model.json").read_bytes() == intact
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the encoding overflows first
+    def test_non_finite_gram_is_a_numerical_error_and_not_saved(self, pipeline_dir, capsys):
+        assert run_cli("reduce", "--workdir", pipeline_dir, "--scale-hi", "1e308") == 0
+        capsys.readouterr()
+        assert run_cli("kernel", "--workdir", pipeline_dir) == 2
+        err = capsys.readouterr().err
+        assert err == "numerical error: Gram rows 0 to 95 hold a non-finite value\n"
+        assert not list(pipeline_dir.glob("gram*"))
 
     # 2**63 is one more than the largest count NumPy's binomial and multinomial accept.
     @pytest.mark.parametrize("command, shots", [

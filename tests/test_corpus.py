@@ -1,10 +1,13 @@
 import csv
 import math
+import os
 import tempfile
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,6 +16,7 @@ from qtc.corpus import (
     Document,
     FeatureMatrix,
     LabelEncoding,
+    count_terms,
     encode_labels,
     fit_tfidf,
     load_corpus,
@@ -23,6 +27,7 @@ from qtc.corpus import (
     transform_tfidf,
 )
 from qtc.errors import ParseError, SchemaError, ValidationError, VersioningError
+from qtc.synth import synthesize_corpus
 
 
 def _write(path, text):
@@ -172,6 +177,84 @@ class TestTfidf:
     def test_empty_vocabulary_rejected(self):
         with pytest.raises(ValidationError, match="vocabulary"):
             fit_tfidf([Document("d", "the a of", "A")], max_features=5)
+
+    def test_term_counts_table(self):
+        docs = TOY + [Document("d4", "the sat cat sat", "B"), Document("d5", "of", "B")]
+        table = count_terms(docs)
+        assert table.ids == ["d1", "d2", "d3", "d4", "d5"]
+        assert table.terms == ["cat", "sat", "ran", "dog"]
+        assert table.term_ids.tolist() == [0, 1, 0, 2, 3, 2, 1, 0]
+        assert table.counts.tolist() == [1, 1, 1, 1, 1, 1, 2, 1]
+        assert table.offsets.tolist() == [0, 2, 4, 6, 8, 8]
+
+
+def _counter_tfidf(fit_docs, docs, max_features):
+    """TF-IDF from one Counter per document, as qtc computed it before the
+    term-count table: (vocabulary, document frequencies, idf, rows of docs)."""
+    total, doc_freq = Counter(), Counter()
+    for doc in fit_docs:
+        counts = Counter(preprocess(doc.text))
+        total.update(counts)
+        doc_freq.update(counts.keys())
+    ranked = sorted(total.items(), key=lambda kv: (-kv[1], kv[0]))
+    vocab = sorted(term for term, _ in ranked[:max_features])
+    n = len(fit_docs)
+    idf = np.array([math.log((1 + n) / (1 + doc_freq[t])) + 1.0 for t in vocab], dtype=float)
+    index = {t: i for i, t in enumerate(vocab)}
+    values = np.zeros((len(docs), len(vocab)), dtype=float)
+    for r, doc in enumerate(docs):
+        for term, count in Counter(preprocess(doc.text)).items():
+            col = index.get(term)
+            if col is not None:
+                values[r, col] = count * idf[col]
+        norm = np.linalg.norm(values[r])
+        if norm > 0.0:
+            values[r] /= norm
+    return vocab, [doc_freq[t] for t in vocab], idf, values
+
+
+WORDS = ["cat", "Cat", "dog", "ran", "sat-on", "the", "a", "of", "2010", "x7", "7x", "é", "zebra",
+         "quux", "b"]
+TEXTS = st.lists(st.sampled_from(WORDS), max_size=12).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(TEXTS, min_size=1, max_size=8), st.lists(TEXTS, max_size=4), st.integers(1, 9))
+def test_property_term_count_tfidf_equals_counter_tfidf_bitwise(fit_texts, other_texts,
+                                                                max_features):
+    """fit_tfidf and transform_tfidf, given TermCounts or the documents, equal
+    the per-document Counter path bit for bit, for the fitted documents and
+    for unseen ones."""
+    fit_docs = [Document(f"f{i}", t, "A") for i, t in enumerate(fit_texts)]
+    docs = fit_docs + [Document(f"o{i}", t, "A") for i, t in enumerate(other_texts)]
+    if not any(preprocess(t) for t in fit_texts):
+        with pytest.raises(ValidationError, match="empty vocabulary"):
+            fit_tfidf(count_terms(fit_docs), max_features)
+        return
+    vocab, doc_freq, idf, values = _counter_tfidf(fit_docs, docs, max_features)
+    table = count_terms(fit_docs)
+    for model in (fit_tfidf(fit_docs, max_features), fit_tfidf(table, max_features)):
+        assert model.vocabulary == vocab and model.document_frequency == doc_freq
+        assert model.idf.tobytes() == idf.tobytes()
+    for features in (transform_tfidf(model, count_terms(docs)), transform_tfidf(model, docs)):
+        assert features.ids == [d.id for d in docs]
+        assert features.values.tobytes() == values.tobytes()
+
+
+def test_term_counts_of_the_large_corpus_stay_under_1_mb():
+    """The 2,502 documents of perfbench's large workload, counted: the table
+    and every temporary stay under 1 MiB.  One Counter per document held
+    2.9 MB."""
+    docs = synthesize_corpus(per_class=834)
+    count_terms(docs[:10])
+    tracemalloc.start()
+    try:
+        table = count_terms(docs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.ids) == 2502 and table.offsets[-1] == table.term_ids.size
+    assert peak <= 1 << 20
 
 
 class TestLabels:
@@ -351,3 +434,98 @@ def test_property_stage_round_trip_any_ids_and_labels(ids, classes, data):
     assert back.features.values.tobytes() == values.tobytes()
     assert back.labels.tolist() == labels
     assert back.encoding.classes == classes
+
+
+def _row_loop_rows(path, n_classes: int):
+    """features.csv read one row at a time, as load_stage read it before its
+    column read: (ids, labels, values), or ParseError naming the first
+    damaged row."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        ids, labels, rows = [], [], []
+        for rowno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ParseError(f"wrong field count at row {rowno}")
+            try:
+                index = int(row[1])
+            except ValueError as exc:
+                raise ParseError(f"bad label at row {rowno}") from exc
+            if not 0 <= index < n_classes:
+                raise ParseError(f"label index {index} out of range at row {rowno}")
+            ids.append(row[0])
+            labels.append(index)
+            try:
+                rows.append([float(v) for v in row[2:]])
+            except ValueError as exc:
+                raise ParseError(f"bad value at row {rowno}") from exc
+    values = np.asarray(rows, dtype=float).reshape(len(ids), len(header) - 2)
+    return ids, np.array(labels, dtype=np.int64), values
+
+
+CLASSES = ["A", "B", "C"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.text(st.sampled_from('ab,"\r\n é'), min_size=1), max_size=6, unique=True),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_property_column_read_equals_row_loop_bitwise(ids, width, data):
+    """Ids with commas, quotes and carriage returns, 0 rows, 1 feature."""
+    values = data.draw(hnp.arrays(np.float64, (len(ids), width),
+                                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=len(ids), max_size=len(ids)))
+    fm = FeatureMatrix(ids, [f"f{j}" for j in range(width)], values)
+    with tempfile.TemporaryDirectory() as directory:
+        save_stage(directory, fm, labels, LabelEncoding(CLASSES),
+                   DatasetSplit(list(ids), [], 0.5, 0), stage="tfidf")
+        back = load_stage(directory)
+        oracle = _row_loop_rows(os.path.join(directory, "features.csv"), len(CLASSES))
+    assert back.features.ids == oracle[0] == ids
+    assert back.labels.dtype == oracle[1].dtype and back.labels.tobytes() == oracle[1].tobytes()
+    assert back.features.values.shape == oracle[2].shape == (len(ids), width)
+    assert back.features.values.tobytes() == oracle[2].tobytes()
+    assert back.features.values.flags.c_contiguous
+
+
+DAMAGES = {
+    "short": lambda fields: fields[:-1],
+    "long": lambda fields: fields + ["0.5"],
+    "label": lambda fields: [fields[0], "B"] + fields[2:],
+    "label_past_classes": lambda fields: [fields[0], "3"] + fields[2:],
+    "label_2**70": lambda fields: [fields[0], str(2**70)] + fields[2:],
+    "label_negative": lambda fields: [fields[0], "-1"] + fields[2:],
+    "value": lambda fields: fields[:2] + ["1.2.3"] + fields[3:],
+    "last_value": lambda fields: fields[:-1] + ["x"],
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.tuples(st.integers(2, 13), st.sampled_from(sorted(DAMAGES))),
+                min_size=1, max_size=3))
+@example([(5, "value"), (9, "label")])
+@example([(9, "label"), (5, "value")])
+@example([(4, "label_2**70"), (4, "value")])
+def test_property_damaged_rows_raise_the_row_loop_error(damages):
+    """Each (row, damage) changes that row of a 12-row, 2-feature features.csv;
+    load_stage names the same first damage as the row loop."""
+    rng = np.random.default_rng(7)
+    ids = [f"d{i}" for i in range(12)]
+    fm = FeatureMatrix(ids, ["f0", "f1"], rng.normal(size=(12, 2)))
+    with tempfile.TemporaryDirectory() as directory:
+        save_stage(directory, fm, rng.integers(0, 3, 12), LabelEncoding(CLASSES), _split(ids),
+                   stage="tfidf")
+        path = os.path.join(directory, "features.csv")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        for row, damage in damages:
+            lines[row - 1] = ",".join(DAMAGES[damage](lines[row - 1].split(",")))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as expected:
+            _row_loop_rows(path, len(CLASSES))
+        with pytest.raises(ParseError) as raised:
+            load_stage(directory)
+    assert str(raised.value) == f"{path}: {expected.value}"

@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from qtc import kernel as kernel_mod
 from qtc.circuits import FeatureMapSpec, build_feature_map, compose
-from qtc.errors import ParseError, ValidationError
+from qtc.errors import NumericalError, ParseError, ValidationError
 from qtc.kernel import (
     _CSV_BLOCK_VALUES,
     GramMatrix,
@@ -237,6 +237,64 @@ def test_gram_memory_shape(build, bytes_per_entry, tmp_path):
         "poly_gram": lambda: poly_gram(X, spec=PolyKernelSpec(degree=3, gamma=0.7, coef0=0.3)),
     }
     assert _traced_peak(calls[build]) <= bytes_per_entry * GRAM_ROWS**2 + (1 << 20)
+
+
+@pytest.mark.parametrize("qubits, rows, block_rows", [(2, 1000, None), (12, 96, 48)],
+                         ids=["2_qubits_default_blocks", "12_qubits_48_row_blocks"])
+def test_gram_peak_is_states_gram_and_one_block(monkeypatch, qubits, rows, block_rows):
+    """gram holds the encoded states, K, and one row block's conjugated states
+    and complex overlap: no other Gram- or batch-sized array."""
+    if block_rows:
+        monkeypatch.setattr(kernel_mod, "_GRAM_BLOCK_BYTES", block_rows * rows * 16)
+    blocks = kernel_mod._row_blocks(rows, rows * 16)
+    block = max(end - start for start, end in blocks)
+    assert len(blocks) == 2 and block == (block_rows or 524)
+    spec = FeatureMapSpec("zz", qubits, reps=2)
+    X = np.random.default_rng(602).uniform(0, math.pi, (rows, qubits))
+    bound = 16 * rows * 2**qubits + 8 * rows**2 + 16 * block * (2**qubits + rows)
+    assert _traced_peak(lambda: gram(spec, X)) <= bound + (1 << 18)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("rows", range(1, 40))
+    @pytest.mark.parametrize("step", [2, 3, 5, 8])
+    def test_blocks_cover_rows_without_a_one_row_block(self, monkeypatch, rows, step):
+        monkeypatch.setattr(kernel_mod, "_GRAM_BLOCK_BYTES", step * 16)
+        blocks = kernel_mod._row_blocks(rows, 16)
+        assert blocks[0][0] == 0 and blocks[-1][1] == rows
+        assert all(end == start for (_, end), (start, _) in zip(blocks, blocks[1:]))
+        sizes = [end - start for start, end in blocks]
+        assert max(sizes) <= step + 1
+        assert min(sizes) >= 2 or rows == 1
+
+    @pytest.mark.parametrize("rows", [9, 17, 33])
+    @pytest.mark.parametrize("qubits", [2, 6])
+    def test_blocked_gram_equals_one_matmul_bitwise(self, monkeypatch, rows, qubits):
+        """Blocks of 4 rows, the last one 5, against one matmul over all rows."""
+        spec = FeatureMapSpec("zz", qubits, reps=2)
+        rng = np.random.default_rng(rows + qubits)
+        X, Y = rng.uniform(0, math.pi, (rows, qubits)), rng.uniform(0, math.pi, (7, qubits))
+        whole = {"square": gram(spec, X).values, "rectangular": gram(spec, X, Y).values}
+        monkeypatch.setattr(kernel_mod, "_GRAM_BLOCK_BYTES", 4 * 16 * rows)
+        assert gram(spec, X).values.tobytes() == whole["square"].tobytes()
+        monkeypatch.setattr(kernel_mod, "_GRAM_BLOCK_BYTES", 4 * 16 * 7)
+        assert gram(spec, X, Y).values.tobytes() == whole["rectangular"].tobytes()
+        SX, SY = encoded_state(spec, X), encoded_state(spec, Y)
+        assert np.array_equal(whole["rectangular"], np.abs(SX.conj() @ SY.T) ** 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("shots", [0, 16])
+    def test_non_finite_state_raises_numerical_error(self, monkeypatch, bad, shots):
+        X = np.random.default_rng(603).uniform(0, math.pi, (9, 2))
+        states = encoded_state(ZZ2, X)
+        states[6, 1] = bad
+        monkeypatch.setattr(kernel_mod, "_GRAM_BLOCK_BYTES", 4 * 16 * 9)
+        monkeypatch.setattr(kernel_mod, "encoded_state", lambda spec, x: states[:len(x)])
+        # Row 6 enters every row through column 6, so the first block fails.  inf
+        # times a zero amplitude is NaN: NumPy warns, and gram raises.
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericalError, match="Gram rows 0 to 3 hold a non-finite value"):
+            gram(ZZ2, X, shots=shots, seed=1)
 
 
 class TestPsdProject:
@@ -534,10 +592,11 @@ class TestCsvWorkers:
     ], ids=["column", "many_blocks", "wide_rows"])
     def test_bytes_equal_savetxt(self, monkeypatch, workers, shape):
         monkeypatch.setattr(kernel_mod, "_cpu_count", lambda: workers)
-        threads = set()
+        threads, buffers = set(), set()
 
         def encode(block, scratch=None):
             threads.add(threading.current_thread().name)
+            buffers.add(scratch.ctypes.data)
             return _csv_bytes(block, scratch)
 
         monkeypatch.setattr(kernel_mod, "_csv_bytes", encode)
@@ -551,7 +610,7 @@ class TestCsvWorkers:
         finally:
             sys.setswitchinterval(interval)
         assert written == savetxt_csv(values)
-        assert len(threads) <= workers
+        assert len(threads) <= workers and len(buffers) <= workers
         assert all(name.startswith("gram-csv") for name in threads)
 
     def test_failing_block_stops_the_pool(self, monkeypatch, tmp_path):
