@@ -19,7 +19,16 @@ import numpy as np
 from .corpus import FeatureMatrix
 from .errors import ValidationError
 
-__all__ = ["PcaModel", "RangeScaler", "fit_pca", "transform_pca", "fit_scaler", "transform_scale"]
+__all__ = ["MAX_SCALE_EDGE", "PcaModel", "RangeScaler", "fit_pca", "transform_pca", "fit_scaler",
+           "transform_scale"]
+
+# The largest magnitude a scale edge may have.  Scaled features x lie within
+# the edges, so |x| <= E.  A zz feature-map angle 2(pi - x_i)(pi - x_j) then
+# has magnitude at most 2(pi + E)**2, and the simulator fuses at most
+# circuits.MAX_GATES = 1,447 such angles into one phase sum.  That sum stays
+# below the largest float64 (1.8e308) while 1,447 * 2(pi + E)**2 does, that
+# is for E < 2.4e152.  At E = 1e150 the bound is 2.9e303.
+MAX_SCALE_EDGE = 1e150
 
 
 @dataclass
@@ -85,8 +94,10 @@ def transform_pca(model: PcaModel, X: FeatureMatrix) -> FeatureMatrix:
 
 def fit_scaler(X: FeatureMatrix, lo: float, hi: float) -> RangeScaler:
     """Per-column min/max from training data, mapping onto [lo, hi]."""
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValidationError(f"scaler bounds must be finite, got [{lo}, {hi}]")
+    if not (abs(lo) <= MAX_SCALE_EDGE and abs(hi) <= MAX_SCALE_EDGE):
+        raise ValidationError(
+            f"scaler bounds must be finite and lie in [-MAX_SCALE_EDGE, MAX_SCALE_EDGE]"
+            f" = [-{MAX_SCALE_EDGE:g}, {MAX_SCALE_EDGE:g}], got [{lo}, {hi}]")
     if not lo < hi:
         raise ValidationError("scaler needs lo < hi")
     return RangeScaler(

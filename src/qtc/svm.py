@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NUMBER, ParseError, ValidationError, json_field
+from .errors import NUMBER, NumericalError, ParseError, ValidationError, json_field
 
 __all__ = [
+    "MAX_POLY_DEGREE",
     "SvmBinaryModel",
     "MulticlassSvm",
     "PolyKernelSpec",
@@ -40,6 +41,11 @@ __all__ = [
 ]
 
 SUPPORT_EPS = 1e-12
+# The highest polynomial kernel degree.  poly_gram raises a float64 Gram to
+# the degree as a float64, and 2**53 is the last integer below which every
+# integer is one, so the power taken is the degree the model names.  qtc
+# trains degree 3; a larger degree comes only from an edited model.json.
+MAX_POLY_DEGREE = 2**53
 STOPS = ("tolerance", "budget", "no_pair")  # why an SMO solve stopped
 
 
@@ -114,6 +120,9 @@ class MulticlassSvm:
         for entry in entries:
             support = np.array([columns[sid] for sid in entry["support_ids"]], dtype=np.intp)
             dual_coef = np.asarray(entry["dual_coefs"], dtype=float)
+            # Each alpha_i = |alpha_i y_i| lies in the box [0, C] that SMO keeps.
+            if np.any(np.abs(dual_coef) > C):
+                raise ParseError(f"dual_coefs must lie in [-C, C] for C = {C}")
             alpha, y = np.zeros(len(columns)), np.ones(len(columns))
             alpha[support], y[support] = np.abs(dual_coef), np.where(dual_coef < 0, -1.0, 1.0)
             bias, converged = json_field(entry, "bias", NUMBER), json_field(entry, "converged", bool)
@@ -138,8 +147,10 @@ class PolyKernelSpec:
     coef0: float = 0.0
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValidationError("polynomial degree must be >= 1")
+        if not 1 <= self.degree <= MAX_POLY_DEGREE:
+            raise ValidationError(
+                f"polynomial degree must lie in [1, MAX_POLY_DEGREE = {MAX_POLY_DEGREE}],"
+                f" got {self.degree}")
         if self.gamma <= 0:
             raise ValidationError("gamma must be positive")
 
@@ -288,14 +299,19 @@ def decision(model: SvmBinaryModel, K):
     """f = sum over support of alpha_i y_i k(x_i, .) + bias, per kernel row.
 
     ``K`` is one kernel row or a 2-D block of them, with one column per
-    training point; the result is a float or one value per row.
+    training point; the result is a float or one value per row.  An
+    overflow or an invalid value raises NumericalError.
     """
     K = np.asarray(K, dtype=float)
     if K.shape[-1] != model.alpha.shape[0]:
         raise ValidationError(
             f"kernel row length {K.shape[-1]} does not match training size {model.alpha.shape[0]}"
         )
-    return K[..., model.support] @ model.dual_coef + model.bias
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            return K[..., model.support] @ model.dual_coef + model.bias
+        except FloatingPointError as exc:
+            raise NumericalError(f"decision values: {exc}") from exc
 
 
 def train_multiclass(G, labels, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_000) -> MulticlassSvm:
@@ -318,13 +334,21 @@ def predict_multiclass(clf: MulticlassSvm, K):
 
 
 def poly_gram(X, Y=None, *, spec: PolyKernelSpec) -> np.ndarray:
-    """Polynomial kernel matrix over rows of X (or X versus Y)."""
+    """Polynomial kernel matrix over rows of X (or X versus Y).
+
+    An overflow or an invalid value raises NumericalError.  Underflow, even
+    to a subnormal, is a small kernel entry and passes.
+    """
     X = np.asarray(X, dtype=float)
     Ym = X if Y is None else np.asarray(Y, dtype=float)
-    G = X @ Ym.T
-    G *= spec.gamma
-    G += spec.coef0
-    G **= spec.degree
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            G = X @ Ym.T
+            G *= spec.gamma
+            G += spec.coef0
+            G **= spec.degree
+        except FloatingPointError as exc:
+            raise NumericalError(f"polynomial kernel: {exc}") from exc
     return G
 
 

@@ -6,10 +6,17 @@ generated corpus has the statistical shape of a balanced multi-class text
 dataset without imitating any real text.  Everything is driven by one seed
 and reproduces byte-for-byte; ``tests/test_synth.py`` pins the bytes.
 
+Draws come from ``_Draws``, which reads PCG64's raw 64-bit words and turns
+them into exactly what ``np.random.default_rng(seed).random()`` and
+``.integers(low, high)`` return for the same calls in the same order.
+NumPy's RNG policy (NEP 19) keeps bit-generator streams stable across
+versions, but not the algorithms inside ``Generator``'s methods, so the
+corpus bytes depend only on the stable part.  One scalar ``Generator`` call
+also costs more than the Python arithmetic that replaces it.
+
 A keyword token is drawn by bisecting the normalized cumulative keyword
-weights on one ``rng.random()``.  That is the draw
-``Generator.choice(k, p=w)`` makes, on the same stream, without its
-per-call validation of ``p``.
+weights on one ``random()``.  That is the draw ``Generator.choice(k, p=w)``
+makes, on the same stream, without its per-call validation of ``p``.
 
 Words are two or three onset-vowel syllables, so at most
 ``MAX_VOCAB_SIZE`` distinct non-stopwords exist.
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import itertools
 import os
 
 import numpy as np
@@ -58,14 +66,62 @@ KEYWORD_SHARE = 0.6  # fraction of tokens drawn from the class keyword set
 DOC_LEN_RANGE = (25, 40)
 
 
-def _make_words(rng: np.random.Generator, count: int) -> list[str]:
+_WORDS_PER_READ = 1024  # raw words pulled from PCG64 at a time
+
+
+class _Draws:
+    """``random()`` and ``integers(low, high)`` of ``np.random.default_rng(seed)``.
+
+    Both read PCG64's raw 64-bit words.  ``random()`` takes the top 53 bits
+    of a word.  A 32-bit draw takes the low half of a fresh word and keeps
+    the high half for the next 32-bit draw, as PCG64's ``has_uint32`` buffer
+    does; ``random()`` never touches that half.  ``integers`` maps a 32-bit
+    draw onto the range by Lemire's multiply-shift with NumPy's rejection
+    rule.
+    """
+
+    def __init__(self, seed: int):
+        bits = np.random.PCG64(seed)
+        self._words = itertools.chain.from_iterable(
+            iter(lambda: bits.random_raw(_WORDS_PER_READ).tolist(), None))
+        self._half = None  # the high half a 32-bit draw left, if any
+
+    def random(self) -> float:
+        return (next(self._words) >> 11) * 2.0**-53
+
+    def integers(self, low: int, high: int) -> int:
+        n = high - low
+        if n == 1:
+            return low
+        if not 1 < n <= 1 << 32:
+            raise ValueError(f"range {n} is outside 1..2**32")
+        m = self._uint32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = ((1 << 32) - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * n
+        return low + (m >> 32)
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is None:
+            word = next(self._words)
+            self._half = word >> 32
+            return word & 0xFFFFFFFF
+        self._half = None
+        return half
+
+
+def _make_words(rng: _Draws, count: int) -> list[str]:
     """Distinct pronounceable pseudo-words that survive tokenization."""
+    integers = rng.integers
+    n_onsets, n_vowels = len(_ONSETS), len(_VOWELS)
     words: list[str] = []
     seen: set[str] = set()
     while len(words) < count:
-        syllables = int(rng.integers(2, 4))
+        syllables = integers(2, 4)
         word = "".join(
-            _ONSETS[rng.integers(len(_ONSETS))] + _VOWELS[rng.integers(len(_VOWELS))]
+            _ONSETS[integers(0, n_onsets)] + _VOWELS[integers(0, n_vowels)]
             for _ in range(syllables)
         )
         if word in seen or word in STOPWORDS:
@@ -107,7 +163,7 @@ def synthesize_corpus(
             f" words), got {vocab_size}"
         )
 
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     keywords_per_class = max(2, vocab_size // (classes + 1))
     n_filler = vocab_size - classes * keywords_per_class
     if n_filler < 2:
@@ -131,13 +187,13 @@ def synthesize_corpus(
     for c in range(classes):
         keywords = class_words[c]
         for _ in range(per_class):
-            length = int(integers(*DOC_LEN_RANGE))
+            length = integers(*DOC_LEN_RANGE)
             tokens = []
             for _ in range(length):
                 if random() < KEYWORD_SHARE:
                     tokens.append(keywords[bisect_right(kw_cdf, random())])
                 else:
-                    tokens.append(filler[integers(n_filler)])
+                    tokens.append(filler[integers(0, n_filler)])
             serial += 1
             docs.append(Document(str(serial), " ".join(tokens), CLASS_NAMES[c]))
     return docs

@@ -174,15 +174,11 @@ def _fold(model: VariationalModel, X: np.ndarray, output: StateVector) -> np.nda
     mode then draws every row's class counts in one multinomial call.
     """
     amps = output.amplitudes
-    folded = np.zeros((len(amps), model.n_classes))
+    folded = np.empty((len(amps), model.n_classes))
     step = max(1, _FOLD_AMPLITUDES >> model.n_qubits)
     for start in range(0, len(amps), step):
         dist = probabilities(StateVector(model.n_qubits, amps[start:start + step]))
-        # Outcome i counts for class i mod n_classes.  A running sum over each
-        # class's outcomes adds them in index order, as a per-row np.bincount
-        # does, so every row's fold is bitwise the one-state fold.
-        for c in range(min(model.n_classes, dist.shape[1])):
-            folded[start:start + step, c] = np.cumsum(dist[:, c::model.n_classes], axis=1)[:, -1]
+        folded[start:start + step] = _class_sums(dist, model.n_classes)
     if model.shots == 0:
         return folded
     # A multinomial over the 2**n outcomes, summed over each class's outcomes,
@@ -191,6 +187,23 @@ def _fold(model: VariationalModel, X: np.ndarray, output: StateVector) -> np.nda
             zlib.crc32(X.astype("<f8").tobytes()))
     pvals = folded / folded.sum(axis=1, keepdims=True)
     return np.random.default_rng(seed).multinomial(model.shots, pvals) / model.shots
+
+
+def _class_sums(dist: np.ndarray, k: int) -> np.ndarray:
+    """(rows, k) sums of a (rows, outcomes) distribution; outcome i counts for class i mod k.
+
+    Each class's outcomes are added in index order, as a per-row running sum
+    or np.bincount adds them, so every row's sums are bitwise its one-row
+    sums.  The whole groups of k outcomes are reduced over the outer axis of
+    a C-ordered (groups, k, rows) copy, which adds one group after another;
+    the last outcomes % k then add one to each of the first classes.
+    """
+    rows, outcomes = dist.shape
+    whole = outcomes - outcomes % k
+    groups = np.ascontiguousarray(dist.T[:whole]).reshape(whole // k, k, rows)
+    sums = np.add.reduce(groups, axis=0).T
+    sums[:, :outcomes - whole] += dist[:, whole:]
+    return sums
 
 
 def cross_entropy(probs: np.ndarray, y) -> float:

@@ -401,14 +401,25 @@ class TestPipeline:
         assert "gram cache: hit\n" in capsys.readouterr().out
         assert (pipeline_dir / "model.json").read_bytes() == intact
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the encoding overflows first
-    def test_non_finite_gram_is_a_numerical_error_and_not_saved(self, pipeline_dir, capsys):
-        assert run_cli("reduce", "--workdir", pipeline_dir, "--scale-hi", "1e308") == 0
+    @pytest.mark.parametrize("flags", [("--scale-hi", "1e308"), ("--scale-lo=-1e300",),
+                                       ("--scale-lo=-1e300", "--scale-hi", "1e300")],
+                             ids=["hi_1e308", "lo_-1e300", "both_1e300"])
+    def test_scale_edge_that_overflows_an_angle_rejected(self, pipeline_dir, capsys, flags):
+        """Such edges once made kernel exit 2 on a mostly-NaN Gram; reduce now
+        stops them with one line that names the flags, and writes nothing."""
+        before = _file_bytes(pipeline_dir)
         capsys.readouterr()
-        assert run_cli("kernel", "--workdir", pipeline_dir) == 2
+        assert run_cli("reduce", "--workdir", pipeline_dir, *flags) == 1
         err = capsys.readouterr().err
-        assert err == "numerical error: Gram rows 0 to 95 hold a non-finite value\n"
-        assert not list(pipeline_dir.glob("gram*"))
+        assert err.count("\n") == 1 and err.startswith("error: --scale-lo "), err
+        assert "--scale-hi" in err and "MAX_SCALE_EDGE" in err
+        assert _file_bytes(pipeline_dir) == before
+
+    def test_largest_scale_edges_keep_the_gram_finite(self, pipeline_dir):
+        assert run_cli("reduce", "--workdir", pipeline_dir, "--scale-lo=-1e150",
+                       "--scale-hi", 1e150) == 0
+        assert run_cli("kernel", "--workdir", pipeline_dir) == 0
+        assert np.isfinite(np.load(pipeline_dir / "gram.npy")).all()
 
     # 2**63 is one more than the largest count NumPy's binomial and multinomial accept.
     @pytest.mark.parametrize("command, shots", [

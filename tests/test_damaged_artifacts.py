@@ -5,8 +5,9 @@ A damage ends in exit 1 with exactly one stderr line.  That line starts with
 "error: " and the damaged file's path, names the file only once and holds no
 traceback, and no file under the run's directory changes.  EXCEPTIONS lists
 the other outcomes: a damaged Gram cache is a miss that train recomputes, a
-damage that leaves a valid file exits 0, and a stage manifest that no longer
-hashes as the model's stage makes evaluate name the model first.
+damage that leaves a valid file exits 0, a stage manifest that no longer
+hashes as the model's stage makes evaluate name the model first, and a model
+whose kernel or decision values overflow exits 2 with one numerical error.
 """
 
 import contextlib
@@ -120,12 +121,26 @@ EXTRA = {
         lambda d: d["kernel"]["feature_map"].update(entanglement="full")))],
     "work/vqc_model.json": [("entanglement full", _json_edit(
         lambda d: d["feature_map"].update(entanglement="full")))],
+    "work/svc_model.json": [
+        ("degree 2**70", _json_edit(lambda d: d["kernel"]["poly"].update(degree=2**70))),
+        ("gamma 1e308", _json_edit(lambda d: d["kernel"]["poly"].update(gamma=1e308))),
+        ("coef0 1e308", _json_edit(lambda d: d["kernel"]["poly"].update(coef0=1e308))),
+        ("a dual coefficient 1e308", _json_edit(
+            lambda d: d["per_class"][0]["dual_coefs"].__setitem__(0, 1e308))),
+        ("C and class 0's dual coefficients 1e308", _json_edit(
+            lambda d: (d.update(C=1e308),
+                       d["per_class"][0].update(dual_coefs=[1e308] * len(d["per_class"][0]["dual_coefs"]))))),
+    ],
 }
 
 # Outcomes other than a one-line error about the file, by (file, damage,
 # command); "*" stands for every damage.  "miss" and "hit" are Gram cache
 # reads, reported on stdout; they and "valid" exit 0 with nothing on stderr.
+# "numerical" exits 2 with one "numerical error: " line.
 EXCEPTIONS = {
+    # The polynomial kernel overflows, or the decision values do.
+    **{("work/svc_model.json", damage, EVALUATE_SVC): "numerical"
+       for damage in ("gamma 1e308", "coef0 1e308", "C and class 0's dual coefficients 1e308")},
     # A damaged cache is recomputed.  data_hash is part of the cache key, so
     # without it the cache is stale: a miss too.
     ("work/gram.npy", "*", TRAIN_QSVC): "miss",
@@ -214,7 +229,12 @@ def test_damaged_file(quickstart, tmp_path, name, damage, how, command, outcome)
     before = _snapshot(base)
     argv = [str(a).format(base=base, work=work) for a in command] + ["--workdir", work]
     code, out, err = _run(argv)
-    if outcome in ("error", "stale"):
+    if outcome == "numerical":
+        assert code == 2, out
+        assert err.count("\n") == 1 and err.startswith("numerical error: "), err
+        assert "Traceback" not in err and "Warning" not in err, err
+        assert _snapshot(base) == before
+    elif outcome in ("error", "stale"):
         assert code == 1, out
         assert err.count("\n") == 1 and "Traceback" not in err, err
         if outcome == "stale":

@@ -1,11 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from qtc.circuits import MAX_GATES
 from qtc.corpus import FeatureMatrix
 from qtc.errors import ValidationError
-from qtc.reduce import fit_pca, fit_scaler, transform_pca, transform_scale
+from qtc.reduce import MAX_SCALE_EDGE, fit_pca, fit_scaler, transform_pca, transform_scale
 
 
 def _fm(values, ids=None):
@@ -145,6 +147,19 @@ class TestScaler:
         assert out.values.min() >= 0.25 and out.values.max() <= 2.0
         assert np.allclose(out.values.min(axis=0), 0.25)
         assert np.allclose(out.values.max(axis=0), 2.0)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1e308), (-1e300, 1.0), (-MAX_SCALE_EDGE * 1.01, 0.0),
+                                        (0.0, math.inf), (math.nan, 1.0)])
+    def test_edge_past_bound_rejected(self, lo, hi):
+        with pytest.raises(ValidationError, match="MAX_SCALE_EDGE"):
+            fit_scaler(_fm(np.ones((3, 1))), lo, hi)
+
+    def test_bound_keeps_a_fused_phase_sum_finite(self):
+        # A zz angle 2(pi - x_i)(pi - x_j) with |x| <= E, summed over MAX_GATES gates.
+        largest = MAX_GATES * 2.0 * (math.pi + MAX_SCALE_EDGE) ** 2
+        assert math.isfinite(largest) and largest < sys.float_info.max / 1e4
+        scaler = fit_scaler(_fm(np.ones((3, 1))), -MAX_SCALE_EDGE, MAX_SCALE_EDGE)
+        assert (scaler.lo, scaler.hi) == (-1e150, 1e150)
 
     def test_lo_ge_hi_rejected(self):
         with pytest.raises(ValidationError):

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qtc.circuits import FeatureMapSpec
-from qtc.errors import ParseError, ValidationError
+from qtc.errors import NumericalError, ParseError, ValidationError
 from qtc.kernel import gram
 from qtc.svm import (
+    MAX_POLY_DEGREE,
     SUPPORT_EPS,
     MulticlassSvm,
     PolyKernelSpec,
@@ -435,6 +436,13 @@ class TestDecision:
         f2 = decision(model, 2 * k) - model.bias
         assert f2 == pytest.approx(2 * f1, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [[1e308, 1e308], [np.inf, -np.inf]], ids=["over", "invalid"])
+    def test_overflow_or_invalid_is_a_numerical_error(self, k):
+        model = SvmBinaryModel(alpha=np.array([1e308, 1e308]), y=np.array([1.0, 1.0]), bias=0.0,
+                               C=1e308, tol=1e-3, converged=True)
+        with pytest.raises(NumericalError, match="^decision values: "):
+            decision(model, k)
+
     def test_block_of_rows_is_support_columns_times_dual_coefs(self):
         rng = np.random.default_rng(3)
         G, y = random_instance(rng, 20, separable=False)
@@ -522,7 +530,7 @@ class TestSerialization:
             assert m.stop == "tolerance" and m.updates > 0 and m.kkt_gap < 1e-4
 
     def test_shared_support_id_is_one_column(self):
-        d = {"C": 1.0, "tol": 1e-3, "per_class": [
+        d = {"C": 2.0, "tol": 1e-3, "per_class": [
             {"support_ids": ["a", "b"], "dual_coefs": [0.5, -1.0], "bias": 0.1, "converged": True,
              "updates": 2, "stop": "tolerance", "kkt_gap": 1e-4},
             {"support_ids": ["c", "b"], "dual_coefs": [1.0, 2.0], "bias": 0.2, "converged": True,
@@ -557,6 +565,7 @@ class TestSerialization:
         lambda d: d["per_class"].__setitem__(0, "class zero"),
         lambda d: d["per_class"][0]["dual_coefs"].__setitem__(0, float("nan")),
         lambda d: d["per_class"][1].update(bias=float("-inf")),
+        lambda d: d["per_class"][0]["dual_coefs"].__setitem__(0, -1.5 * d["C"]),
     ])
     def test_damaged_dict_raises_parse_error(self, damage):
         G, labels, ids = three_class_problem()
@@ -601,6 +610,28 @@ class TestPolyKernel:
         for G, B in [(poly_gram(X, spec=spec), X), (poly_gram(X, Y, spec=spec), Y)]:
             expected = (spec.gamma * (X @ B.T) + spec.coef0) ** spec.degree
             assert np.array_equal(G, expected)
+
+    @pytest.mark.parametrize("degree", [0, MAX_POLY_DEGREE + 1, 2**70])
+    def test_degree_outside_bound_rejected(self, degree):
+        with pytest.raises(ValidationError, match="MAX_POLY_DEGREE"):
+            PolyKernelSpec(degree=degree)
+
+    def test_largest_degree_is_exact_in_float64(self):
+        assert float(MAX_POLY_DEGREE) == MAX_POLY_DEGREE
+        assert float(MAX_POLY_DEGREE + 1) == float(MAX_POLY_DEGREE)
+
+    @pytest.mark.parametrize("spec", [PolyKernelSpec(gamma=1e308), PolyKernelSpec(coef0=1e308),
+                                      PolyKernelSpec(degree=2000)])
+    def test_overflow_is_a_numerical_error(self, spec):
+        X = np.array([[2.0, 1.0], [1.0, 3.0]])
+        with pytest.raises(NumericalError, match="^polynomial kernel: overflow"):
+            poly_gram(X, spec=spec)
+
+    def test_underflow_to_a_subnormal_keeps_its_value(self):
+        # (1e-104)**3 is 1e-312, below the smallest normal float64 (2.2e-308).
+        X = np.array([[1e-52], [1e-52]])
+        G = poly_gram(X, spec=PolyKernelSpec(degree=3))
+        assert np.array_equal(G, (X @ X.T) ** 3) and 0 < G[0, 0] < np.finfo(float).tiny
 
     def test_default_gamma(self):
         rng = np.random.default_rng(15)

@@ -8,6 +8,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qtc
 import qtc.variational
@@ -521,3 +523,23 @@ class TestSerialization:
         damage(d)
         with pytest.raises(ParseError):
             VariationalModel.from_dict(d)
+
+
+def _cumsum_class_sums(dist, k):
+    """The fold as a running sum over each class's outcomes: the oracle for _class_sums."""
+    sums = np.zeros((len(dist), k))
+    for c in range(min(k, dist.shape[1])):
+        sums[:, c] = np.cumsum(dist[:, c::k], axis=1)[:, -1]
+    return sums
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_qubits=st.integers(1, 12), k=st.one_of(st.integers(2, 8), st.integers(2, 5000)),
+       rows=st.integers(1, 100), seed=st.integers(0, 2**32))
+def test_property_class_sums_bitwise_equal_running_sums(n_qubits, k, rows, seed):
+    """Class counts up to 5,000 include more classes than the 2**n outcomes."""
+    dist = np.random.default_rng(seed).random((rows, 1 << n_qubits))
+    dist /= dist.sum(axis=1, keepdims=True)
+    got = qtc.variational._class_sums(dist, k)
+    assert got.shape == (rows, k)
+    assert got.tobytes() == _cumsum_class_sums(dist, k).tobytes()
