@@ -275,7 +275,7 @@ def cmd_train(args, cfg: dict) -> None:
     if cfg["model"] in ("svc", "qsvc"):
         if cfg["model"] == "svc":
             spec = svm_mod.PolyKernelSpec(degree=3, gamma=svm_mod.default_gamma(X), coef0=0.0)
-            G = svm_mod.poly_gram(X, spec=spec)
+            G = svm_mod.PolyRows(X, spec)
             payload["kernel"] = {"poly": spec.to_dict()}
         else:
             data_hash = _data_hash(ids, X)

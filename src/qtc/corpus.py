@@ -514,6 +514,8 @@ def load_stage(directory, expect_stage: str | None = None) -> StageData:
             test_fraction=float(json_field(s, "test_fraction", NUMBER)),
             seed=json_field(s, "seed", int),
         )
+        if split.seed < 0:  # preprocess takes a seed >= 0 and writes it here
+            raise ParseError(f"split seed must be >= 0, got {split.seed}")
 
     with _csv_reader(os.path.join(directory, "features.csv")) as reader:
         header = next(reader, None)

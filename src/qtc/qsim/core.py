@@ -7,8 +7,8 @@ Conventions
 * Gate matrices: H = (1/sqrt 2)[[1,1],[1,-1]]; P(t) = diag(1, e^{it});
   RY(t) = [[cos t/2, -sin t/2],[sin t/2, cos t/2]]; CX flips the target when
   the control is 1.
-* Angles are floats; P alone also takes a per-row float array (one phase
-  angle per state of a batch).  ``run`` is the one way to make a state:
+* Angles are finite floats; P alone also takes a per-row float array (one
+  phase angle per state of a batch).  ``run`` is the one way to make a state:
   ``run(Circuit(n))`` is |0...0>.
 
 One circuit structure runs over a whole batch of states at once, through a
@@ -139,9 +139,13 @@ class Gate:
                 raise ValidationError(f"{self.kind} angles must be real numbers") from exc
             if angle.ndim != 1:
                 raise ValidationError("an angle array holds one angle per row (1-D)")
+            if not np.isfinite(angle).all():
+                raise ValidationError(f"{self.kind} angles must be finite")
             object.__setattr__(self, "angle", angle)
         elif isinstance(self.angle, bool) or not isinstance(self.angle, (type(None), numbers.Real)):
             raise ValidationError(f"{self.kind} angle must be a real number, got {self.angle!r}")
+        elif self.angle is not None and not _is_finite(self.angle):
+            raise ValidationError(f"{self.kind} angle must be finite, got {self.angle!r}")
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown gate kind {self.kind!r}")
         if self.kind == "cx":
@@ -162,6 +166,13 @@ class Gate:
                 raise ValidationError(f"{self.kind} requires an angle")
         if any(q < 0 for q in self.qubits):
             raise ValidationError("qubit indices must be nonnegative")
+
+
+def _is_finite(angle: numbers.Real) -> bool:
+    try:
+        return math.isfinite(angle)
+    except OverflowError:  # an int past the float64 range
+        return False
 
 
 @dataclass(frozen=True)

@@ -5,20 +5,30 @@ The solver works on the standard soft-margin dual
 with Q_ij = y_i y_j K_ij.  Each step picks the maximal-KKT-violating pair
 (most violating index from the "up" set against the "low" set, ties broken
 by lowest index, so training is fully deterministic), solves the 2-variable
-subproblem analytically, and updates the gradient from two rows of the
-symmetric Gram.  It stops when the violation gap drops below ``tol``, when
-one of the sets is empty, or after ``max_updates`` pair updates; each model
-records which (``stop``), its ``updates`` and the last gap (``kkt_gap``).
+subproblem analytically, and updates the KKT violation -y * grad from two
+rows of the symmetric Gram.  It stops when the violation gap drops below
+``tol``, when one of the sets is empty, or after ``max_updates`` pair
+updates; each model records which (``stop``), its ``updates`` and the last
+gap (``kkt_gap``).
 
-Multiclass is one-vs-rest with decision-value argmax.  The classical
-baseline uses a polynomial kernel on the same solver, so the kernel is the
-only difference from the quantum-kernel classifier.  A trained classifier
-serializes to the ``model.json`` fields with ``MulticlassSvm.to_dict`` and
-reads back with ``from_dict``; scoring takes a block of kernel rows.
+The solver reads the Gram through three things only: ``shape``,
+``diagonal()`` and ``G[i]``, row i.  A NumPy array has all three, and the
+quantum kernel's cached Gram is one.  The classical baseline passes
+``PolyRows``: the dot products X @ X.T, with a row raised to the polynomial
+kernel in place the first time SMO reads it, so training never raises the
+rows SMO does not select.  Either way the kernel is the only difference
+from the quantum-kernel classifier.
+
+Multiclass is one-vs-rest with decision-value argmax; the one-vs-rest solves
+share one Gram, so a row PolyRows raised for one class is raised for all.  A
+trained classifier serializes to the ``model.json`` fields with
+``MulticlassSvm.to_dict`` and reads back with ``from_dict``; scoring takes a
+block of kernel rows.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,15 +46,17 @@ __all__ = [
     "train_multiclass",
     "predict_multiclass",
     "poly_gram",
+    "PolyRows",
     "default_gamma",
     "dual_objective",
 ]
 
 SUPPORT_EPS = 1e-12
-# The highest polynomial kernel degree.  poly_gram raises a float64 Gram to
-# the degree as a float64, and 2**53 is the last integer below which every
-# integer is one, so the power taken is the degree the model names.  qtc
-# trains degree 3; a larger degree comes only from an edited model.json.
+# The highest polynomial kernel degree.  _poly_power raises float64 dot
+# products to the degree as a float64, and 2**53 is the last integer below
+# which every integer is one, so the power taken is the degree the model
+# names.  qtc trains degree 3; a larger degree comes only from an edited
+# model.json.
 MAX_POLY_DEGREE = 2**53
 STOPS = ("tolerance", "budget", "no_pair")  # why an SMO solve stopped
 
@@ -174,11 +186,26 @@ def check_params(C: float, tol: float) -> None:
 def train_binary(G, y, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_000) -> SvmBinaryModel:
     """Solve the binary soft-margin dual on Gram matrix G with labels y in {-1,+1}.
 
-    G must be symmetric: the gradient update reads rows G[i] where the dual
-    needs columns, because a row is contiguous.  Every Gram qtc builds is
-    bitwise symmetric, and load_gram rejects a cached one that is not.
+    G is an m x m array, or anything else with ``shape``, ``diagonal()`` and
+    ``G[i]`` returning row i as a float64 array, such as ``PolyRows``.  The
+    solver reads the diagonal once and then only the two rows of each pair
+    it updates, so a ``PolyRows`` Gram raises only the rows SMO selects.
+
+    G must be symmetric: the update reads rows G[i] where the dual needs
+    columns, because a row is contiguous.  Every Gram qtc builds is bitwise
+    symmetric, and load_gram rejects a cached one that is not.
+
+    The loop carries the KKT violation viol = -y * grad, where grad = Q a - 1
+    is the gradient of the dual, rather than grad itself.  A pair update adds
+    y * t to grad, with t = G[i] y_i da_i + G[j] y_j da_j; sign flips are
+    exact and rounding is symmetric, so subtracting t from viol gives
+    -y * grad bit for bit, at three fewer passes over m values.  The one
+    exception is a value that cancels to zero: it is +0 here and -y * 0 in
+    -y * grad, and the signs are restored before the bias and the last gap
+    are taken.
     """
-    G = np.asarray(G, dtype=float)
+    if isinstance(G, (np.ndarray, list, tuple)):
+        G = np.asarray(G, dtype=float)
     y = np.asarray(y, dtype=float)
     m = y.shape[0]
     if G.shape != (m, m):
@@ -193,7 +220,7 @@ def train_binary(G, y, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_
 
     # Q is never formed: Q_ij = y_i y_j G_ij only flips signs, which is exact,
     # so every product with it is taken as the same product with G.
-    grad = -np.ones(m)  # gradient of the dual objective: Q a - 1
+    viol = y.copy()  # -y * grad at a = 0, where grad = -1
     # Floor on the pair's curvature.  A pair is updated only when its gradient
     # gap is at least tol, so below tau the step exceeds tol / tau and, for any
     # C under that, the box clips it; the floor keeps the step finite.
@@ -207,30 +234,33 @@ def train_binary(G, y, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_
     # At alpha = 0, +1 labels are in up and -1 labels in low, unless C is so
     # small that 0 is not below the top of the box.
     up, low = (y > 0) & (0.0 < top), (y < 0) & (0.0 < top)
-    neg_y, viol, step_i, step_j = -y, np.empty(m), np.empty(m), np.empty(m)
+    t, t_j = np.empty(m), np.empty(m)
 
     kkt_gap = None
     for updates in range(max_updates):
-        np.multiply(neg_y, grad, out=viol)
         m_up = np.where(up, viol, -np.inf)
         m_low = np.where(low, viol, np.inf)
         i = int(m_up.argmax())
         j = int(m_low.argmin())
-        if m_up[i] == -np.inf or m_low[j] == np.inf:  # the up or the low set is empty
+        v_i, v_j = m_up.item(i), m_low.item(j)
+        if v_i == -np.inf or v_j == np.inf:  # the up or the low set is empty
             stop, kkt_gap = "no_pair", None
             break
-        kkt_gap = float(m_up[i] - m_low[j])
+        kkt_gap = v_i - v_j
         if kkt_gap < tol:
             stop = "tolerance"
             break
 
+        # The step's gradient difference is the gap up to sign: with
+        # grad_k = -y_k viol_k, -grad_i - grad_j = y_i (v_i - v_j) when the
+        # labels differ and grad_i - grad_j = -y_i (v_i - v_j) when they agree.
         old_i, old_j, y_i, y_j = alpha[i], alpha[j], labels[i], labels[j]
         row_i, row_j = G[i], G[j]
         if y_i != y_j:
             quad = diag[i] + diag[j] + 2.0 * (y_i * y_j * row_i.item(j))
             if quad < tau:
                 quad = tau
-            delta = (-grad.item(i) - grad.item(j)) / quad
+            delta = y_i * kkt_gap / quad
             diff = old_i - old_j
             a_i, a_j = old_i + delta, old_j + delta
             if diff > 0:
@@ -247,7 +277,7 @@ def train_binary(G, y, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_
             quad = diag[i] + diag[j] - 2.0 * (y_i * y_j * row_i.item(j))
             if quad < tau:
                 quad = tau
-            delta = (grad.item(i) - grad.item(j)) / quad
+            delta = -y_i * kkt_gap / quad
             total = old_i + old_j
             a_i, a_j = old_i - delta, old_j + delta
             if total > box:
@@ -262,12 +292,10 @@ def train_binary(G, y, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_
                     a_i, a_j = 0.0, total
         alpha[i], alpha[j] = a_i, a_j
 
-        np.multiply(y, y_i * (a_i - old_i), out=step_i)
-        np.multiply(row_i, step_i, out=step_i)
-        np.multiply(y, y_j * (a_j - old_j), out=step_j)
-        np.multiply(row_j, step_j, out=step_j)
-        np.add(step_i, step_j, out=step_i)
-        grad += step_i
+        np.multiply(row_i, y_i * (a_i - old_i), out=t)
+        np.multiply(row_j, y_j * (a_j - old_j), out=t_j)
+        t += t_j
+        viol -= t
         for k, a in ((i, a_i), (j, a_j)):
             if labels[k] > 0:
                 up[k], low[k] = a < top, a > SUPPORT_EPS
@@ -276,15 +304,23 @@ def train_binary(G, y, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_
     else:
         updates, stop = max_updates, "budget"
 
+    np.copysign(viol, -y, out=viol, where=viol == 0.0)
+    if stop == "tolerance":  # the gap of two zeros has the sign of the restored zeros
+        kkt_gap = viol.item(i) - viol.item(j)
     alpha = np.array(alpha)
-    bias = _bias_of(alpha, y, grad, C)
+    bias = _bias_of_violation(alpha, y, viol, C)
     return SvmBinaryModel(alpha=alpha, y=y, bias=bias, C=C, tol=tol, converged=stop != "budget",
                           updates=updates, stop=stop, kkt_gap=kkt_gap)
 
 
 def _bias_of(alpha, y, grad, C) -> float:
-    """Midpoint bias; at exact KKT, -y*grad equals the bias for every free vector."""
-    viol = -y * grad
+    """The midpoint bias from the gradient grad of the dual rather than its violation."""
+    return _bias_of_violation(alpha, y, -y * grad, C)
+
+
+def _bias_of_violation(alpha, y, viol, C) -> float:
+    """Midpoint bias; at exact KKT, the violation viol = -y*grad equals the bias
+    for every free vector."""
     free = (alpha > SUPPORT_EPS) & (alpha < C - SUPPORT_EPS)
     if free.any():
         return float(viol[free].mean())
@@ -307,11 +343,8 @@ def decision(model: SvmBinaryModel, K):
         raise ValidationError(
             f"kernel row length {K.shape[-1]} does not match training size {model.alpha.shape[0]}"
         )
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            return K[..., model.support] @ model.dual_coef + model.bias
-        except FloatingPointError as exc:
-            raise NumericalError(f"decision values: {exc}") from exc
+    with _numerical("decision values"):
+        return K[..., model.support] @ model.dual_coef + model.bias
 
 
 def train_multiclass(G, labels, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_000) -> MulticlassSvm:
@@ -333,6 +366,32 @@ def predict_multiclass(clf: MulticlassSvm, K):
     return np.argmax(values, axis=-1).astype(np.int64)
 
 
+@contextlib.contextmanager
+def _numerical(what: str):
+    """Raise an overflow or an invalid value inside as NumericalError("{what}: ...").
+
+    Underflow, even to a subnormal, passes: it is a small value, not a failure.
+    """
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise NumericalError(f"{what}: {exc}") from exc
+
+
+def _poly_power(dots: np.ndarray, spec: PolyKernelSpec) -> np.ndarray:
+    """Raise dot products to the kernel (gamma * dots + coef0) ** degree in place.
+
+    An overflow or an invalid value raises NumericalError; ``dots`` is then
+    left partly raised.
+    """
+    with _numerical("polynomial kernel"):
+        dots *= spec.gamma
+        dots += spec.coef0
+        dots **= spec.degree
+    return dots
+
+
 def poly_gram(X, Y=None, *, spec: PolyKernelSpec) -> np.ndarray:
     """Polynomial kernel matrix over rows of X (or X versus Y).
 
@@ -341,15 +400,45 @@ def poly_gram(X, Y=None, *, spec: PolyKernelSpec) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     Ym = X if Y is None else np.asarray(Y, dtype=float)
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            G = X @ Ym.T
-            G *= spec.gamma
-            G += spec.coef0
-            G **= spec.degree
-        except FloatingPointError as exc:
-            raise NumericalError(f"polynomial kernel: {exc}") from exc
-    return G
+    with _numerical("polynomial kernel"):
+        return _poly_power(X @ Ym.T, spec)
+
+
+class PolyRows:
+    """The polynomial Gram over rows of X, each row raised when it is first read.
+
+    It holds the dot products D = X @ X.T, the product ``poly_gram`` takes,
+    so every entry is bitwise ``poly_gram(X, spec=spec)``'s.  ``diagonal()``
+    is raised up front.  ``rows[i]`` raises row i of D in place the first
+    time it is read, and a flag per row records that it was.  So the peak
+    is one m x m float64 array plus O(m), as for ``poly_gram``, and a row no
+    caller reads is never raised.
+
+    A row that overflows raises NumericalError when it is read, and is then
+    left partly raised.  ``train`` uses coef0 = 0, where |x.y| is at most
+    max(|x|^2, |y|^2): up to rounding at the threshold, an off-diagonal
+    entry cannot overflow unless a diagonal entry does, and the diagonal is
+    raised in the constructor.
+    """
+
+    def __init__(self, X, spec: PolyKernelSpec):
+        X = np.asarray(X, dtype=float)
+        with _numerical("polynomial kernel"):
+            self._dots = X @ X.T
+        self._diagonal = _poly_power(self._dots.diagonal().copy(), spec)
+        self._raised = np.zeros(X.shape[0], dtype=bool)
+        self._spec = spec
+        self.shape = self._dots.shape
+
+    def diagonal(self) -> np.ndarray:
+        return self._diagonal
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        row = self._dots[i]
+        if not self._raised[i]:
+            _poly_power(row, self._spec)
+            self._raised[i] = True
+        return row
 
 
 def default_gamma(X) -> float:

@@ -25,7 +25,8 @@ from qtc.corpus import (
 from qtc.errors import ValidationError
 from qtc.qsim import MAX_QUBITS
 from qtc.reduce import fit_pca, transform_pca
-from qtc.svm import MulticlassSvm, decision, predict_multiclass, train_multiclass
+from qtc.svm import (MulticlassSvm, PolyKernelSpec, decision, default_gamma, poly_gram,
+                     predict_multiclass, train_multiclass)
 
 
 def run_cli(*args):
@@ -139,6 +140,21 @@ class TestPipeline:
             assert payload["type"] == model
             assert len(payload["per_class"]) == 3
             assert all("support_ids" in entry for entry in payload["per_class"])
+
+    def test_svc_model_is_the_poly_gram_model(self, pipeline_dir):
+        """train --model svc, which raises Gram rows on demand, writes the
+        model that training on the whole poly_gram gives, byte for byte."""
+        stage = load_stage(pipeline_dir / "reduce", expect_stage="reduce")
+        ids = stage.split.train_ids
+        rows = stage.features.positions(ids)
+        X, y = stage.features.values[rows], stage.labels[rows]
+        spec = PolyKernelSpec(degree=3, gamma=default_gamma(X), coef0=0.0)
+        expected = train_multiclass(poly_gram(X, spec=spec), y, C=1.0, tol=1e-3).to_dict(ids)
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "svc") == 0
+        model = json.loads((pipeline_dir / "model.json").read_text())
+        assert model["kernel"] == {"poly": spec.to_dict()}
+        assert (json.dumps({k: model[k] for k in expected}, sort_keys=True)
+                == json.dumps(expected, sort_keys=True))
 
     def test_stage_skipping_blocked(self, tmp_path, capsys):
         work = tmp_path / "empty"

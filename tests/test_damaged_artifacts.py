@@ -21,6 +21,7 @@ import pytest
 from qtc.cli import main
 
 STAGE_FIELDS = ("classes", "created_utc", "parameters", "seed", "split", "stage", "upstream_hash")
+GRAM_FIELDS = ("data_hash", "feature_map", "mode", "seed", "shape", "shots", "upstream_hash")
 SVM_FIELDS = ("C", "classes", "config", "kernel", "per_class", "tol", "type", "upstream_hash")
 VARIATIONAL_FIELDS = (
     "ansatz", "classes", "config", "converged", "evaluations", "feature_map", "final_loss",
@@ -45,9 +46,7 @@ FILES = {
     "work/reduce/features.csv": ((), REDUCE_READERS),
     "work/reduce/manifest.json": (STAGE_FIELDS, REDUCE_READERS),
     "work/gram.npy": ((), [TRAIN_QSVC]),
-    "work/gram.manifest.json": (
-        ("data_hash", "feature_map", "mode", "seed", "shape", "shots", "upstream_hash"),
-        [TRAIN_QSVC]),
+    "work/gram.manifest.json": (GRAM_FIELDS, [TRAIN_QSVC]),
     "work/model.json": (SVM_FIELDS, [EVALUATE_QSVC]),
     "work/svc_model.json": (SVM_FIELDS, [EVALUATE_SVC]),
     "work/vqc_model.json": (VARIATIONAL_FIELDS, [EVALUATE_VQC]),
@@ -110,13 +109,62 @@ def _repeat_last_row(data):
 
 REPEAT = [("last row's id repeated", _repeat_last_row)]
 
-# Inputs that no qtc writer produces, and readers reject.
+
+def _retyped(value):
+    """A JSON value of another type than ``value``: an int as a float, a float
+    as a string, a list inside an object and anything else inside a list."""
+    if type(value) is int:
+        return float(value)
+    if type(value) is float:
+        return str(value)
+    return {"items": value} if isinstance(value, list) else [value]
+
+
+def _edit_at(path, new):
+    """A damage that replaces the field at ``path`` (keys and indices from the
+    top) by ``new(old)``, or deletes it when ``new`` is None."""
+    def edit(d):
+        *parents, key = path
+        for parent in parents:
+            d = d[parent]
+        if new is None:
+            del d[key]
+        else:
+            d[key] = new(d[key])
+    return _json_edit(edit)
+
+
+def _manifest_damages(fields, nested, integers):
+    """Every field retyped, every nested field retyped and deleted, and each
+    integer field set to -1 and to 2**70."""
+    for key in fields:
+        yield f"{key} retyped", _edit_at((key,), _retyped)
+    for parent, keys in nested.items():
+        for key in keys:
+            yield f"{parent}.{key} retyped", _edit_at((parent, key), _retyped)
+            yield f"drop {parent}.{key}", _edit_at((parent, key), None)
+    for path in integers:
+        for label, value in (("-1", -1), ("2**70", 2**70)):
+            yield f"{'.'.join(map(str, path))} {label}", _edit_at(path, lambda old, v=value: v)
+
+
+STAGE_DAMAGES = list(_manifest_damages(
+    STAGE_FIELDS, {"split": ("seed", "test_fraction", "test_ids", "train_ids")},
+    [("seed",), ("split", "seed")]))
+
+# Inputs that no qtc writer produces, and readers reject, and field changes
+# that EXCEPTIONS lists where a reader does not read the field.
 EXTRA = {
     "work/tfidf/features.csv": REPEAT,
     "work/reduce/features.csv": [("label index 99", _label(99)),
                                  ("label index 2**70", _label(2**70)), *REPEAT],
     "work/gram.npy": [("NaN at a symmetric pair", _nan_at_symmetric_pair)],
-    "work/reduce/manifest.json": [("split null", _json_edit(lambda d: d.update(split=None)))],
+    "work/gram.manifest.json": list(_manifest_damages(
+        GRAM_FIELDS, {"feature_map": ("entanglement", "kind", "n_qubits", "reps")},
+        [("shape", 0), ("shape", 1), ("shots",), ("seed",)])),
+    "work/tfidf/manifest.json": STAGE_DAMAGES,
+    "work/reduce/manifest.json": [("split null", _json_edit(lambda d: d.update(split=None))),
+                                  *STAGE_DAMAGES],
     "work/model.json": [("entanglement full", _json_edit(
         lambda d: d["kernel"]["feature_map"].update(entanglement="full")))],
     "work/vqc_model.json": [("entanglement full", _json_edit(
@@ -146,7 +194,8 @@ EXCEPTIONS = {
     ("work/gram.npy", "*", TRAIN_QSVC): "miss",
     ("work/gram.manifest.json", "*", TRAIN_QSVC): "miss",
     # upstream_hash is not part of the cache key.
-    ("work/gram.manifest.json", "drop upstream_hash", TRAIN_QSVC): "hit",
+    **{("work/gram.manifest.json", damage, TRAIN_QSVC): "hit"
+       for damage in ("drop upstream_hash", "upstream_hash retyped")},
     # Fields that evaluate does not read.
     **{(name, f"drop {key}", command): "valid"
        for name, command in (("work/model.json", EVALUATE_QSVC),
@@ -156,15 +205,19 @@ EXCEPTIONS = {
        for key in ("classes", "config")},
     ("work/vqc_model.json", "drop final_loss", EVALUATE_VQC): "valid",
     ("work/qnnc_model.json", "drop final_loss", EVALUATE_QNNC): "valid",
-    # created_utc is not hashed, so no reader sees it go.
-    **{(f"work/{stage}/manifest.json", "drop created_utc", command): "valid"
+    # created_utc is not hashed, so no reader sees it go or change.
+    **{(f"work/{stage}/manifest.json", damage, command): "valid"
+       for damage in ("drop created_utc", "created_utc retyped")
        for stage, commands in (("tfidf", [REDUCE]), ("reduce", REDUCE_READERS))
        for command in commands},
-    # load_stage does not read these fields.  Without them the stage hashes
-    # differently, which only a model's upstream_hash check sees: evaluate's
-    # error is about the model, trained against a stage other than this one.
-    **{(f"work/{stage}/manifest.json", f"drop {key}", command): outcome
-       for key in ("parameters", "seed", "upstream_hash")
+    # load_stage does not read these fields, and preprocess writes any split
+    # seed >= 0.  Changed, the stage hashes differently, which only a model's
+    # upstream_hash check sees: evaluate's error is about the model, trained
+    # against a stage other than this one.
+    **{(f"work/{stage}/manifest.json", damage, command): outcome
+       for damage in ("drop parameters", "parameters retyped", "drop seed", "seed retyped",
+                      "seed -1", "seed 2**70", "drop upstream_hash", "upstream_hash retyped",
+                      "split.seed 2**70")
        for stage, commands, outcome in (
            ("tfidf", [REDUCE], "valid"),
            ("reduce", (KERNEL, TRAIN_QSVC, TRAIN_VQC), "valid"),

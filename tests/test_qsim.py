@@ -383,6 +383,27 @@ class TestBatchRun:
         with pytest.raises(ValidationError, match=f"^{kind} angle"):
             Gate(kind, (0,), angle)
 
+    @pytest.mark.parametrize("kind", ["p", "ry"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.nan), 2**1100],
+                             ids=["inf", "-inf", "nan", "np-nan", "int-past-float64"])
+    def test_non_finite_angle_rejected(self, kind, bad):
+        with pytest.raises(ValidationError, match=f"^{kind} angle must be finite, got "):
+            Gate(kind, (0,), bad)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_in_a_row_array_rejected(self, bad):
+        angles = np.linspace(0.0, 1.0, 5)
+        angles[3] = bad
+        with pytest.raises(ValidationError, match="^p angles must be finite$"):
+            Gate("p", (0,), angles)
+
+    @pytest.mark.parametrize("angle", [np.finfo(float).max, -np.finfo(float).max, 5e-324, -0.0,
+                                       2**1000, np.array([np.finfo(float).max, 0.0])],
+                             ids=["max", "-max", "subnormal", "-0", "int-2**1000", "max-array"])
+    def test_extreme_finite_angle_kept(self, angle):
+        gate = Gate("p", (0,), angle)
+        assert gate.angle is angle or np.array_equal(gate.angle, angle)
+
     def test_only_p_takes_per_row_angles(self):
         with pytest.raises(ValidationError, match="only p does"):
             Gate("ry", (0,), np.array([0.1, 0.2]))

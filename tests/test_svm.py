@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qtc.svm import (
     SUPPORT_EPS,
     MulticlassSvm,
     PolyKernelSpec,
+    PolyRows,
     SvmBinaryModel,
     decision,
     default_gamma,
@@ -306,6 +308,22 @@ class TestMatchesReference:
         y[:2] = [1.0, -1.0]
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             assert_matches_reference(G, y, 1.0, 1e-4)
+
+    def test_bias_of_zero_violations_keeps_the_gradient_sign(self):
+        # The free vectors' violations cancel to zero; -y * grad holds them as
+        # -0.0 for +1 labels, and so does the bias.
+        X = np.array([[-1.0], [-1.0], [0.0]])
+        model = assert_matches_reference(X @ X.T, np.array([1.0, 1.0, -1.0]), 1.0, 1e-3)
+        assert model.bias == 0.0 and np.signbit(model.bias)
+
+    def test_gap_of_zero_violations_keeps_the_gradient_sign(self):
+        # After one update the pair selected is a +1 label against a -1 label,
+        # both with violation zero: -y * grad holds them as -0.0 and +0.0.
+        G = np.array([[0.0, 1.0, 1.0, -1.0], [1.0, 2.0, -1.0, -1.0],
+                      [1.0, -1.0, 0.0, 1.0], [-1.0, -1.0, 1.0, 0.0]])
+        model = assert_matches_reference(G, np.array([-1.0, -1.0, 1.0, 1.0]), 0.5, 1e-3)
+        assert (model.stop, model.updates) == ("tolerance", 1)
+        assert model.kkt_gap == 0.0 and np.signbit(model.kkt_gap)
 
     def test_benchmark_shape(self):
         """One seeded solve at m = 2,001 on a fidelity Gram, the size of the
@@ -638,3 +656,101 @@ class TestPolyKernel:
         X = rng.normal(size=(50, 4))
         expected = 1.0 / (4 * X.var(axis=0).mean())
         assert default_gamma(X) == pytest.approx(expected, rel=1e-12)
+
+
+class _ReadRecorder:
+    """A Gram that records which rows the solver reads."""
+
+    def __init__(self, G):
+        self.G, self.shape, self.reads = G, G.shape, []
+
+    def diagonal(self):
+        return self.G.diagonal()
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return self.G[i]
+
+
+def _raised(rows):
+    """The rows a PolyRows has raised so far, ascending."""
+    return np.flatnonzero(rows._raised).tolist()
+
+
+def _multiclass_bytes(clf):
+    return json.dumps(clf.to_dict(list(range(clf.models[0].alpha.size)))), [
+        m.alpha.tobytes() for m in clf.models]
+
+
+@st.composite
+def poly_problems(draw):
+    """Points, a kernel, labels with every class present, C, tol and a budget."""
+    m = draw(st.integers(2, 200))
+    X = draw(hnp.arrays(np.float64, (m, draw(st.integers(1, 20))),
+                        elements=st.floats(-3, 3, allow_subnormal=False)))
+    spec = PolyKernelSpec(degree=draw(st.integers(1, 4)),
+                          gamma=draw(st.floats(1e-3, 1.0)), coef0=draw(st.floats(-1.0, 1.0)))
+    n_classes = draw(st.integers(2, min(m, 4)))
+    labels = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=m, max_size=m)))
+    labels[:n_classes] = np.arange(n_classes)
+    C = draw(st.floats(1e-3, 1e3))
+    tol = draw(st.sampled_from([1e-4, 1e-3, 1e-2]))
+    max_updates = draw(st.sampled_from([0, 1, 2, 10, 10_000]))
+    return X, spec, labels, C, tol, max_updates
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_problems())
+def test_property_rows_train_the_poly_gram_model(problem):
+    """Training through PolyRows is training on poly_gram(X), bit for bit; it
+    raises exactly the rows the solver reads, each bitwise poly_gram's row."""
+    X, spec, labels, C, tol, max_updates = problem
+    G = poly_gram(X, spec=spec)
+    rows = PolyRows(X, spec)
+    recorder = _ReadRecorder(G)
+    expected = train_multiclass(recorder, labels, C=C, tol=tol, max_updates=max_updates)
+    clf = train_multiclass(rows, labels, C=C, tol=tol, max_updates=max_updates)
+    assert _multiclass_bytes(clf) == _multiclass_bytes(expected)
+    assert len(recorder.reads) == 2 * sum(m.updates for m in clf.models)
+    assert _raised(rows) == sorted(set(recorder.reads))
+    assert rows.diagonal().tobytes() == G.diagonal().tobytes()
+    for i in _raised(rows):
+        assert rows[i].tobytes() == G[i].tobytes()
+
+
+class TestPolyRows:
+    def test_peak_is_one_gram_of_dot_products(self):
+        """Training at m = 400 holds one m x m float64 array plus O(m)."""
+        m = 400
+        rng = np.random.default_rng(32)
+        X = rng.normal(size=(m, 5))
+        labels = rng.integers(0, 3, size=m)
+
+        def train():
+            return train_multiclass(PolyRows(X, PolyKernelSpec(gamma=default_gamma(X))), labels)
+
+        train()
+        tracemalloc.start()
+        try:
+            clf = train()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(model.updates for model in clf.models) > 10
+        assert peak <= 8 * m * m + 512 * m
+
+    def test_overflowing_diagonal_raises_on_construction(self):
+        with pytest.raises(NumericalError, match="^polynomial kernel: overflow"):
+            PolyRows(np.array([[2.0, 1.0], [1.0, 3.0]]), PolyKernelSpec(gamma=1e308))
+
+    def test_overflowing_row_raises_when_read(self):
+        # coef0 = -gamma cancels both diagonal entries to 0, and the
+        # off-diagonal entry gamma * (-1) + coef0 overflows.
+        rows = PolyRows(np.array([[1.0], [-1.0]]), PolyKernelSpec(gamma=1e308, coef0=-1e308))
+        assert rows.diagonal().tolist() == [0.0, 0.0]
+        with pytest.raises(NumericalError, match="^polynomial kernel: overflow"):
+            rows[0]
+        with pytest.raises(NumericalError, match="^polynomial kernel: overflow"):
+            train_binary(PolyRows(np.array([[1.0], [-1.0]]),
+                                  PolyKernelSpec(gamma=1e308, coef0=-1e308)),
+                         np.array([1.0, -1.0]))
