@@ -143,12 +143,13 @@ def _data_hash(ids, values: np.ndarray) -> str:
 
 
 def cmd_synth(args, cfg: dict) -> None:
-    docs = synth_mod.synthesize_corpus(
-        classes=cfg["classes"],
-        per_class=cfg["per_class"],
-        vocab_size=cfg["vocab_size"],
-        seed=cfg["seed"],
-    )
+    with _options(cfg, "classes", "per_class", "vocab_size"):
+        docs = synth_mod.synthesize_corpus(
+            classes=cfg["classes"],
+            per_class=cfg["per_class"],
+            vocab_size=cfg["vocab_size"],
+            seed=cfg["seed"],
+        )
     synth_mod.write_corpus_csv(args.out, docs)
     print(f"wrote {len(docs)} documents to {args.out}")
 

@@ -494,7 +494,9 @@ def load_stage(directory, expect_stage: str | None = None) -> StageData:
     """Load a stage saved by save_stage; verifies the stage name if given.
 
     Every split id must have a row in features.csv, and every row a label
-    index into the manifest's classes; no id may have two rows.
+    index into the manifest's classes; no id may have two rows.  The
+    manifest fields are checked whether or not they are used: seed an int
+    >= 0, parameters an object and upstream_hash a string or null.
     """
     manifest_path = os.path.join(directory, "manifest.json")
     try:
@@ -514,8 +516,13 @@ def load_stage(directory, expect_stage: str | None = None) -> StageData:
             test_fraction=float(json_field(s, "test_fraction", NUMBER)),
             seed=json_field(s, "seed", int),
         )
-        if split.seed < 0:  # preprocess takes a seed >= 0 and writes it here
-            raise ParseError(f"split seed must be >= 0, got {split.seed}")
+        seed = json_field(manifest, "seed", int)
+        # preprocess takes a seed >= 0 and writes it in both places.
+        for what, value in (("seed", seed), ("split seed", split.seed)):
+            if value < 0:
+                raise ParseError(f"{what} must be >= 0, got {value}")
+        json_field(manifest, "parameters", dict)
+        json_field(manifest, "upstream_hash", (str, type(None)))
 
     with _csv_reader(os.path.join(directory, "features.csv")) as reader:
         header = next(reader, None)

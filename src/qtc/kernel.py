@@ -12,15 +12,17 @@ never change the result.
 
 save_gram persists a Gram twice next to its manifest: gram.npy, the exact
 binary cache that load_gram reads back, and gram.csv, a human-readable copy
-that the pipeline never reads.  gram.csv holds each value as "%.17g"
-formats it, "," between the values of a row, "\n" after each row and no
-header: the bytes of numpy.savetxt(path, K, fmt="%.17g", delimiter=",").  A
+that the pipeline never reads.  gram.csv holds each value as "%.16e"
+formats it (all 17 significant digits, so numpy.loadtxt reads the file back
+bit for bit), "," between the values of a row, "\n" after each row and no
+header: the bytes of numpy.savetxt(path, K, fmt="%.16e", delimiter=",").  A
 block encoder produces those bytes with array arithmetic, one block of whole
-rows at a time; values outside its exact fast path are formatted one by one.
+rows at a time, as fixed-width records; values outside its exact fast path
+are formatted one by one.
 Blocks are encoded on a thread pool of up to _MAX_CSV_WORKERS threads, one
-per CPU the process may use, each with its own scratch buffer allocated by
-the calling thread, and written in order, so the bytes do not depend on the
-thread count.
+per CPU the process may use, each with its own scratch buffer, into a ring
+of record buffers, all allocated by the calling thread, and written in
+order, so the bytes do not depend on the thread count.
 save_gram removes the old manifest first and writes the new one last: an
 interrupted save leaves a cache that reads as missing.
 """
@@ -190,19 +192,20 @@ def psd_project(g: GramMatrix) -> GramMatrix:
     return GramMatrix(out, g.mode, g.feature_map, g.shots, g.seed)
 
 
-# gram.csv encoder.  "%.17g" prints a value v in [1e-4, 1) as "0.", then
-# -E - 1 zeros, then the 17 correctly rounded significant digits
-# N = round(v * 10**(16 - E)) with trailing zeros dropped, E = floor(log10 v).
+# gram.csv encoder.  "%.16e" prints a value v in [1e-4, 1) as its 17
+# correctly rounded significant digits N = round(v * 10**(16 - E)), E =
+# floor(log10 v), with "." after the first digit, then "e-0" and -E.
 # 10**17 to 10**20 are exact doubles, so Dekker's TwoProduct gives the scaled
 # value as an exact sum p + err, and N is rounded from that sum exactly.  Any
 # other value and a value within _TIE_GUARD of a rounding tie are formatted
-# by "%.17g" itself; so, as a safeguard, is a value whose N falls outside
+# by "%.16e" itself; so, as a safeguard, is a value whose N falls outside
 # [10**16, 10**17), which no double in [1e-4, 1) gives.
 #
-# Each value gets a slot of seven uint32 words, and a keep-mask picks its
-# bytes: "0.00" | "0", pad, pad, leading digit | four 4-digit groups |
-# separator, pad.  The longest "%.17g" string has 24 bytes, so a fallback
-# string and its separator fit in a slot too.
+# Every such string has 22 bytes, so each value gets a record of six uint32
+# words: "d.dd" | three 4-digit groups | "dde-" | "0E", separator, pad.  One
+# strided copy drops the pad bytes.  A fallback string of 22 bytes goes into
+# its record too; any other length (a negative value, |E| >= 100, nan, inf)
+# has its whole block formatted value by value.
 #
 # Every temporary of a block is a view of one scratch buffer, filled through
 # out=, and each running encode reuses one of the pool's buffers.
@@ -210,7 +213,8 @@ def psd_project(g: GramMatrix) -> GramMatrix:
 # fresh temporary per step, was about 60% slower on one thread.
 
 _CSV_BLOCK_VALUES = 1 << 14  # values per block: large enough that NumPy, not Python, holds the time
-_SLOT_BYTES = 28
+_RECORD_BYTES = 23  # one "%.16e" string of 22 bytes and its separator
+_SLOT_BYTES = 24  # a record and one pad byte: six uint32 words
 _TIE_GUARD = 1e-6
 _SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split into 26- and 27-bit halves
 
@@ -220,10 +224,9 @@ _SCRATCH = (
     ("scale_hi", np.float64, 1), ("scale_lo", np.float64, 1), ("err", np.float64, 1),
     ("up", np.float64, 1), ("diff", np.float64, 1),
     ("e4", np.intp, 1), ("n", np.int64, 1), ("as_int", np.int64, 1), ("rest", np.int64, 1),
-    ("lead", np.int64, 1), ("high", np.int64, 1), ("low", np.int64, 1), ("g1", np.int64, 1),
-    ("g2", np.int64, 1), ("g3", np.int64, 1), ("g4", np.int64, 1), ("code", np.intp, 1),
-    ("slots", np.uint32, _SLOT_BYTES // 4), ("keep", np.uint32, _SLOT_BYTES // 4),
-    ("word", np.uint32, 1), ("trailing", np.uint8, 1), ("group_trailing", np.uint8, 1),
+    ("head", np.int64, 1), ("high", np.int64, 1), ("low", np.int64, 1), ("g1", np.int64, 1),
+    ("g2", np.int64, 1), ("g3", np.int64, 1), ("pair", np.int64, 1),
+    ("slots", np.uint32, _SLOT_BYTES // 4), ("word", np.uint32, 1),
     ("fast", np.bool_, 1), ("mask", np.bool_, 1),
 )
 _SCRATCH_BYTES_PER_VALUE = sum(np.dtype(dtype).itemsize * items for _, dtype, items in _SCRATCH)
@@ -250,45 +253,19 @@ def _split(a, hi, lo):
     return hi, lo
 
 
-def _word(text: bytes) -> np.uint32:
-    return np.frombuffer(text, np.uint32)[0]
+def _words(texts) -> np.ndarray:
+    """Strings of four ASCII bytes each, as uint32 words."""
+    return np.frombuffer("".join(texts).encode("ascii"), np.uint32)
 
 
 # 10**(16 - E) for E = -4 .. -1, indexed by E + 4, with its split halves.
 _SCALE = np.array([1e20, 1e19, 1e18, 1e17])
 _SCALE_HI, _SCALE_LO = _split(_SCALE, np.empty(4), np.empty(4))
-_HEAD = _word(b"0.00")
-_COMMA = _word(b",\0\0\0")
-_NEWLINE = _word(b"\n\0\0\0")
-_LEAD = np.frombuffer(b"".join(b"0\0\0" + b"%d" % d for d in range(10)), np.uint32)
-
-
-def _group_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Per 4-digit group 0000 .. 9999: its ASCII digits as one uint32 word, and
-    its count of trailing zero digits (4 for 0000).  Narrow dtypes keep these
-    process-lifetime tables, and the temporaries that build them, small."""
-    group = np.arange(10_000, dtype=np.uint16)
-    digits = np.stack([group // 1000, group // 100 % 10, group // 10 % 10, group % 10],
-                      axis=1).astype(np.uint8)
-    text = (digits + ord("0")).view(np.uint32).reshape(-1)
-    trailing = (digits[:, ::-1] == 0).cumprod(axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
-    return text, trailing
-
-
-_GROUP, _GROUP_TRAILING = _group_tables()
-
-
-def _keep_masks() -> np.ndarray:
-    """Slot bytes to keep, as uint32 words: row 17 * (E + 4) + trailing zeros
-    for the fast path, row 68 + length for a fallback string."""
-    pos = np.arange(_SLOT_BYTES)
-    rows = [(pos < 2) | ((pos >= 2 + e4) & (pos < 5)) | ((pos >= 7) & (pos < 24 - tz)) | (pos == 24)
-            for e4 in range(4) for tz in range(17)]
-    rows += [pos <= length for length in range(_SLOT_BYTES)]
-    return np.array(rows).view(np.uint32)
-
-
-_KEEP = _keep_masks()
+# Record words indexed by N's first 3 digits, by any 4 or by its last 2, and by E + 4.
+_HEAD = _words(f"{k // 100}.{k % 100:02d}" for k in range(1000))
+_GROUP = _words(f"{k:04d}" for k in range(10_000))
+_PAIR = _words(f"{k:02d}e-" for k in range(100))
+_TAIL = _words(f"0{4 - e4},\0" for e4 in range(4))
 
 
 def _round17(v: np.ndarray, s: SimpleNamespace) -> None:
@@ -327,12 +304,16 @@ def _round17(v: np.ndarray, s: SimpleNamespace) -> None:
     np.copyto(n, 10**16, where=np.logical_not(fast, out=mask))
 
 
-def _csv_bytes(block: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+def _csv_bytes(block: np.ndarray, scratch: np.ndarray | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
     """The gram.csv bytes of a C-contiguous float64 block of whole rows, as a
-    new uint8 array.
+    uint8 array: the first bytes of ``out`` when the block is encoded as
+    records, else a new array.
 
     Every temporary is a view of ``scratch``, a uint8 buffer of at least
-    _SCRATCH_BYTES_PER_VALUE bytes per value; without one, one is allocated.
+    _SCRATCH_BYTES_PER_VALUE bytes per value, and the records are copied into
+    ``out``, one of at least _RECORD_BYTES per value; either one is allocated
+    when not given.
     """
     rows, cols = block.shape
     if cols == 0:
@@ -342,40 +323,30 @@ def _csv_bytes(block: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarr
         scratch = np.empty(v.size * _SCRATCH_BYTES_PER_VALUE, np.uint8)
     s = _carve(scratch, v.size)
     _round17(v, s)
-    lead, g1, g2, g3, g4 = s.lead, s.g1, s.g2, s.g3, s.g4
-    np.divmod(s.n, 10**16, out=(lead, s.rest))
-    np.divmod(s.rest, 10**8, out=(s.high, s.low))
-    np.divmod(s.high, 10**4, out=(g1, g2))
-    np.divmod(s.low, 10**4, out=(g3, g4))
-    # Trailing zero digits of N: a group's count counts only while every later group is 0000.
-    trailing = _GROUP_TRAILING.take(g1, out=s.trailing, mode="clip")
-    for group in (g2, g3, g4):
-        np.copyto(trailing, 0, where=np.not_equal(group, 0, out=s.mask))
-        trailing += _GROUP_TRAILING.take(group, out=s.group_trailing, mode="clip")
-
+    np.divmod(s.n, 10**14, out=(s.head, s.rest))
+    np.divmod(s.rest, 10**10, out=(s.g1, s.high))
+    np.divmod(s.high, 10**6, out=(s.g2, s.low))
+    np.divmod(s.low, 100, out=(s.g3, s.pair))
     slots = s.slots
-    slots[:, 0] = _HEAD
-    for k, (table, index) in enumerate(((_LEAD, lead), (_GROUP, g1), (_GROUP, g2),
-                                        (_GROUP, g3), (_GROUP, g4)), start=1):
+    for k, (table, index) in enumerate(((_HEAD, s.head), (_GROUP, s.g1), (_GROUP, s.g2),
+                                        (_GROUP, s.g3), (_PAIR, s.pair), (_TAIL, s.e4))):
         slots[:, k] = table.take(index, out=s.word, mode="clip")
-    ends = slots.reshape(rows, cols, -1)[:, :, 6]
-    ends[:, :-1] = _COMMA
-    ends[:, -1] = _NEWLINE
-    code = np.multiply(s.e4, 17, out=s.code)
-    np.copyto(s.as_int, trailing)
-    code += s.as_int
+    raw = slots.view(np.uint8)
 
     slow = np.flatnonzero(np.logical_not(s.fast, out=s.mask))
     if slow.size:
-        text = ["%.17g" % f for f in v[slow].tolist()]
-        length = np.fromiter(map(len, text), np.intp, len(text))
-        padded = "".join(t.ljust(_SLOT_BYTES, "\0") for t in text).encode("ascii")
-        raw = slots.view(np.uint8)
-        raw[slow] = np.frombuffer(padded, np.uint8).reshape(-1, _SLOT_BYTES)
-        raw[slow, length] = np.where(slow % cols == cols - 1, ord("\n"), ord(","))
-        code[slow] = 68 + length
-    keep = _KEEP.take(code, axis=0, out=s.keep, mode="clip").view(np.bool_).reshape(-1)
-    return slots.view(np.uint8).reshape(-1)[keep]
+        text = ["%.16e" % f for f in v[slow].tolist()]
+        if any(len(t) != _RECORD_BYTES - 1 for t in text):
+            return np.frombuffer("".join(",".join("%.16e" % f for f in row) + "\n"
+                                         for row in block.tolist()).encode("ascii"), np.uint8)
+        raw[slow, :_RECORD_BYTES - 1] = np.frombuffer("".join(text).encode("ascii"),
+                                                      np.uint8).reshape(-1, _RECORD_BYTES - 1)
+    raw.reshape(rows, cols, _SLOT_BYTES)[:, -1, _RECORD_BYTES - 1] = ord("\n")
+    if out is None:
+        out = np.empty(v.size * _RECORD_BYTES, np.uint8)
+    records = out[:v.size * _RECORD_BYTES]
+    np.copyto(records.reshape(v.size, _RECORD_BYTES), raw[:, :_RECORD_BYTES])
+    return records
 
 
 # Threads that encode gram.csv blocks, at most.  NumPy releases the GIL inside
@@ -401,17 +372,24 @@ def _write_csv(path, values: np.ndarray) -> None:
     step = max(1, _CSV_BLOCK_VALUES // max(cols, 1))
     starts = range(0, rows, step)
     workers = max(1, min(_cpu_count(), len(starts), _MAX_CSV_WORKERS))
-    # One scratch per thread, allocated here so that glibc serves it from this
-    # thread's malloc arena rather than opening one in a pool thread.  At most
-    # ``workers`` blocks encode at once, so get() never waits.
+    # One scratch per thread and one record buffer per block in flight, all
+    # allocated here so that glibc serves them from this thread's malloc arena
+    # rather than from arenas that pool threads open and keep.  At most
+    # ``workers`` blocks encode at once, so get() never waits.  At most
+    # ``depth`` blocks are in flight, so a block reuses the records of the
+    # block ``depth`` before it, written before this block was submitted.
+    depth = 2 * workers
+    values_per_block = min(step, rows) * cols
     scratches = queue.SimpleQueue()
     for _ in range(workers):
-        scratches.put(np.empty(min(step, rows) * cols * _SCRATCH_BYTES_PER_VALUE, np.uint8))
+        scratches.put(np.empty(values_per_block * _SCRATCH_BYTES_PER_VALUE, np.uint8))
+    records = [np.empty(values_per_block * _RECORD_BYTES, np.uint8) for _ in range(depth)]
 
     def encode(start: int) -> np.ndarray:
         scratch = scratches.get()
         try:
-            return _csv_bytes(values[start:start + step], scratch)
+            return _csv_bytes(values[start:start + step], scratch,
+                              records[start // step % depth])
         finally:
             scratches.put(scratch)
 
@@ -420,7 +398,7 @@ def _write_csv(path, values: np.ndarray) -> None:
         with open(path, "wb") as fh:
             pending = deque()
             for start in starts:
-                if len(pending) == 2 * workers:
+                if len(pending) == depth:
                     fh.write(pending.popleft().result())
                 pending.append(pool.submit(encode, start))
             while pending:

@@ -313,11 +313,6 @@ def train_binary(G, y, C: float = 1.0, tol: float = 1e-3, max_updates: int = 10_
                           updates=updates, stop=stop, kkt_gap=kkt_gap)
 
 
-def _bias_of(alpha, y, grad, C) -> float:
-    """The midpoint bias from the gradient grad of the dual rather than its violation."""
-    return _bias_of_violation(alpha, y, -y * grad, C)
-
-
 def _bias_of_violation(alpha, y, viol, C) -> float:
     """Midpoint bias; at exact KKT, the violation viol = -y*grad equals the bias
     for every free vector."""

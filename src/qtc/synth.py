@@ -34,7 +34,7 @@ import numpy as np
 from .corpus import STOPWORDS, Document
 from .errors import ValidationError
 
-__all__ = ["synthesize_corpus", "write_corpus_csv", "CLASS_NAMES", "MAX_VOCAB_SIZE"]
+__all__ = ["synthesize_corpus", "write_corpus_csv", "CLASS_NAMES", "MAX_VOCAB_SIZE", "MAX_PER_CLASS"]
 
 CLASS_NAMES = [
     "ALFA", "BRAVO", "CHARLIE", "DELTA", "ECHO", "FOXTROT", "GOLF", "HOTEL",
@@ -61,6 +61,13 @@ def _is_word(token: str) -> bool:
 
 _N_SYLLABLES = len(_ONSETS) * len(_VOWELS)
 MAX_VOCAB_SIZE = _N_SYLLABLES**2 + _N_SYLLABLES**3 - sum(map(_is_word, STOPWORDS))
+
+# Documents per class, at most; without a bound a large value draws until
+# memory runs out.  At 26 classes that is 260,000 documents, which took ~4 s
+# and ~140 MB of RSS to draw (x86_64).  Already at 3 classes the training
+# split has 24,000 rows: kernel would build its Gram at 24 bytes an entry
+# (~14 GB) and train --model svc would hold its dot products at 8 (~4.6 GB).
+MAX_PER_CLASS = 10_000
 
 KEYWORD_SHARE = 0.6  # fraction of tokens drawn from the class keyword set
 DOC_LEN_RANGE = (25, 40)
@@ -153,6 +160,8 @@ def synthesize_corpus(
         raise ValidationError("need at least 2 classes")
     if per_class < 4:
         raise ValidationError("need at least 4 documents per class")
+    if per_class > MAX_PER_CLASS:
+        raise ValidationError(f"per_class must be <= MAX_PER_CLASS = {MAX_PER_CLASS}, got {per_class}")
     if classes > len(CLASS_NAMES):
         raise ValidationError(f"at most {len(CLASS_NAMES)} classes supported")
     if vocab_size < 2 * classes + 2:

@@ -27,6 +27,7 @@ from qtc.qsim import MAX_QUBITS
 from qtc.reduce import fit_pca, transform_pca
 from qtc.svm import (MulticlassSvm, PolyKernelSpec, decision, default_gamma, poly_gram,
                      predict_multiclass, train_multiclass)
+from qtc.synth import MAX_PER_CLASS
 
 
 def run_cli(*args):
@@ -59,6 +60,16 @@ class TestSynth:
         assert len(rows) == 120
         labels = [r["Category"] for r in rows]
         assert all(labels.count(lab) == 40 for lab in set(labels))
+
+    @pytest.mark.parametrize("per_class", [MAX_PER_CLASS + 1, 2**70])
+    def test_per_class_above_max_rejected(self, tmp_path, capsys, per_class):
+        out = tmp_path / "corpus.csv"
+        capsys.readouterr()
+        assert run_cli("synth", "--per-class", per_class, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: --classes 3, --per-class ") and "MAX_PER_CLASS" in err
+        assert not out.exists()
 
     def test_seed_reproducibility(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -336,7 +347,7 @@ class TestPipeline:
         reps2_model = (pipeline_dir / "model.json").read_bytes()
         reps2_npy = (pipeline_dir / "gram.npy").read_bytes()
 
-        def fail(block, scratch=None):
+        def fail(block, scratch=None, out=None):
             raise interruption
 
         # The reps-3 save fails after gram.npy and during gram.csv.

@@ -369,10 +369,19 @@ class TestGramPersistence:
         values[0, 0] = 1.0
         values[1, 1] = 1e-300
         save_gram(tmp_path, GramMatrix(values, "exact", ZZ2), data_hash="abc123")
-        expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in values)
+        expected = "".join(",".join(f"{v:.16e}" for v in row) + "\n" for row in values)
         assert (tmp_path / "gram.csv").read_text(encoding="utf-8") == expected
         back, _ = load_gram(tmp_path)
         assert np.array_equal(back.values, values)
+
+    def test_rewrite_writes_the_same_bytes(self, tmp_path):
+        """A second save of one Gram into one directory writes the same bytes."""
+        g = GramMatrix(np.random.default_rng(44).uniform(0, 1, (40, 40)), "exact", ZZ2)
+        save_gram(tmp_path, g, data_hash="abc123")
+        names = ("gram.npy", "gram.csv", "gram.manifest.json")
+        first = {name: (tmp_path / name).read_bytes() for name in names}
+        save_gram(tmp_path, g, data_hash="abc123")
+        assert {name: (tmp_path / name).read_bytes() for name in names} == first
 
     @pytest.mark.parametrize(
         "damage",
@@ -482,8 +491,8 @@ def test_property_save_load_round_trip_bitwise(values):
 
 
 def per_value_csv(values) -> bytes:
-    """The reference gram.csv bytes: one "%.17g" per value."""
-    return "".join(",".join("%.17g" % v for v in row) + "\n"
+    """The reference gram.csv bytes: one "%.16e" per value."""
+    return "".join(",".join("%.16e" % v for v in row) + "\n"
                    for row in np.asarray(values).tolist()).encode("ascii")
 
 
@@ -517,7 +526,7 @@ def neighbours(x, steps=40):
 
 
 class TestCsvEncoder:
-    """The block encoder against per-value "%.17g"."""
+    """The block encoder against per-value "%.16e"."""
 
     @pytest.mark.parametrize("values", [
         [10.0**-k for k in range(6)] + [1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0],
@@ -528,21 +537,28 @@ class TestCsvEncoder:
         [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, math.nan, math.inf, -math.inf, 5e-324,
          2.2250738585072009e-308, -2.2250738585072014e-308, 1.7976931348623157e308,
          0.099999999999999992, 0.99999999999999989, 0.12345678901234567, 1e-16, 123.25],
+        # The diagonal's rounding, 3-digit exponents and a negative zero.
+        [1.0000000000000004, 1e-100, 1e-300, -0.0, 0.5],
     ], ids=["powers_of_ten", "powers_of_two", "fast_range_ends", "decade_ends", "ties",
-         "specials"])
+         "specials", "record_lengths"])
     def test_fixed_values(self, values):
-        column = np.array(values, dtype=float).reshape(-1, 1)
-        assert _csv_bytes(column).tobytes() == per_value_csv(column)
-        assert _csv_bytes(column.T).tobytes() == per_value_csv(column.T)
+        """Each list as a column and as a row, and again without the values
+        whose string is not 22 bytes: one of those sends its whole block to
+        per-value formatting."""
+        records = [v for v in values if len("%.16e" % v) == 22]
+        for kept in (values, records):
+            column = np.array(kept, dtype=float).reshape(-1, 1)
+            assert _csv_bytes(column).tobytes() == per_value_csv(column)
+            assert _csv_bytes(column.T).tobytes() == per_value_csv(column.T)
 
     def test_exact_zz_gram_300(self):
         X = np.random.default_rng(48).uniform(0, 2 * math.pi, (300, 2))
         K = gram(ZZ2, X).values
         text = written_csv(K)
         assert text == per_value_csv(K)
-        # The format is numpy.savetxt's with fmt="%.17g" and delimiter=",".
+        # The format is numpy.savetxt's with fmt="%.16e" and delimiter=",".
         buffer = io.BytesIO()
-        np.savetxt(buffer, K, fmt="%.17g", delimiter=",")
+        np.savetxt(buffer, K, fmt="%.16e", delimiter=",")
         assert text == buffer.getvalue()
 
     @pytest.mark.parametrize("shape", [
@@ -568,16 +584,30 @@ any_double = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
-                  elements=any_double))
+# Doubles whose "%.16e" string is 22 bytes.  A block of any_double almost
+# always holds another one, which sends the whole block to per-value
+# formatting; a block of these is encoded as records.
+record_double = st.one_of(
+    st.floats(min_value=1e-99, max_value=9e99),
+    st.floats(min_value=1e-4, max_value=1.0),
+    st.sampled_from([0.0, 1.0, 1.0000000000000004]),
+)
+
+
+def double_arrays(elements):
+    return hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                      elements=elements)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(double_arrays(any_double), double_arrays(record_double)))
 def test_property_csv_encoder_matches_per_value_format(values):
     assert _csv_bytes(values).tobytes() == per_value_csv(values)
 
 
 def savetxt_csv(values) -> bytes:
     buffer = io.BytesIO()
-    np.savetxt(buffer, values, fmt="%.17g", delimiter=",")
+    np.savetxt(buffer, values, fmt="%.16e", delimiter=",")
     return buffer.getvalue()
 
 
@@ -592,12 +622,13 @@ class TestCsvWorkers:
     ], ids=["column", "many_blocks", "wide_rows"])
     def test_bytes_equal_savetxt(self, monkeypatch, workers, shape):
         monkeypatch.setattr(kernel_mod, "_cpu_count", lambda: workers)
-        threads, buffers = set(), set()
+        threads, buffers, records = set(), set(), set()
 
-        def encode(block, scratch=None):
+        def encode(block, scratch=None, out=None):
             threads.add(threading.current_thread().name)
             buffers.add(scratch.ctypes.data)
-            return _csv_bytes(block, scratch)
+            records.add(out.ctypes.data)
+            return _csv_bytes(block, scratch, out)
 
         monkeypatch.setattr(kernel_mod, "_csv_bytes", encode)
         values = np.random.default_rng(50).uniform(-0.01, 1, shape)
@@ -611,6 +642,7 @@ class TestCsvWorkers:
             sys.setswitchinterval(interval)
         assert written == savetxt_csv(values)
         assert len(threads) <= workers and len(buffers) <= workers
+        assert len(records) <= 2 * workers
         assert all(name.startswith("gram-csv") for name in threads)
 
     def test_failing_block_stops_the_pool(self, monkeypatch, tmp_path):
@@ -618,14 +650,14 @@ class TestCsvWorkers:
         failure = RuntimeError("block 3 failed")
         numbers, calls = itertools.count(1), []
 
-        def encode(block, scratch=None):
+        def encode(block, scratch=None, out=None):
             call = next(numbers)  # one C call: atomic across threads
             calls.append(call)
             if call == 3:
                 raise failure
             if call > 3:
                 time.sleep(1.0)  # both threads stay busy while the failure reaches the caller
-            return _csv_bytes(block, scratch)
+            return _csv_bytes(block, scratch, out)
 
         monkeypatch.setattr(kernel_mod, "_csv_bytes", encode)
         values = np.random.default_rng(51).uniform(0, 1, (20 * 16, 1000))  # 20 blocks
@@ -642,14 +674,14 @@ class TestCsvWorkers:
 
 
 def test_csv_writer_memory_bound(monkeypatch, tmp_path):
-    """One scratch buffer per thread, plus the bytes of the blocks in flight
-    (2 per thread) and of the block being written."""
+    """One scratch buffer per thread, plus one record buffer per block in
+    flight (2 per thread)."""
     monkeypatch.setattr(kernel_mod, "_cpu_count", lambda: 2)
     X = np.random.default_rng(601).uniform(0, math.pi, (GRAM_ROWS, 2))
     g = gram(ZZ2, X)
     workers, block = 2, _CSV_BLOCK_VALUES // GRAM_ROWS * GRAM_ROWS
     bound = (workers * block * kernel_mod._SCRATCH_BYTES_PER_VALUE
-             + (2 * workers + 1) * block * kernel_mod._SLOT_BYTES + (1 << 20))
+             + 2 * workers * block * kernel_mod._RECORD_BYTES + (1 << 20))
     assert _traced_peak(lambda: save_gram(tmp_path, g, data_hash="h")) <= bound
 
 

@@ -22,7 +22,7 @@ from qtc.svm import (
     dual_objective,
     poly_gram,
     predict_multiclass,
-    _bias_of,
+    _bias_of_violation,
     train_binary,
     train_multiclass,
 )
@@ -34,6 +34,11 @@ def poly_kernel(x, y, spec: PolyKernelSpec) -> float:
     y = np.asarray(y, dtype=float)
     assert x.shape == y.shape
     return float((spec.gamma * float(x @ y) + spec.coef0) ** spec.degree)
+
+
+def _bias_of(alpha, y, grad, C) -> float:
+    """The midpoint bias from the gradient grad of the dual rather than its violation."""
+    return _bias_of_violation(alpha, y, -y * grad, C)
 
 
 TWO_POINT_G = np.array([[1.0, -1.0], [-1.0, 1.0]])  # linear kernel on x = -1, +1
