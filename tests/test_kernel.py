@@ -575,6 +575,83 @@ class TestCsvEncoder:
         with np.errstate(all="raise"):
             assert _csv_bytes(values).tobytes() == per_value_csv(values)
 
+    def test_allocates_no_block_sized_array(self):
+        """Given its scratch and its records, a block of Gram rows allocates
+        less than one byte per value, so the pool's threads allocate no
+        block-sized array (see _write_csv)."""
+        X = np.random.default_rng(605).uniform(0, math.pi, (GRAM_ROWS, 2))
+        block = gram(ZZ2, X).values[:_CSV_BLOCK_VALUES // GRAM_ROWS]
+        scratch = np.empty(block.size * kernel_mod._SCRATCH_BYTES_PER_VALUE, np.uint8)
+        out = np.empty(block.size * kernel_mod._RECORD_BYTES, np.uint8)
+        assert _csv_bytes(block, scratch, out).tobytes() == per_value_csv(block)
+        assert _traced_peak(lambda: _csv_bytes(block, scratch, out)) < block.size
+
+
+def record_text(n: int, e4: int) -> str:
+    """The "%.16e" string of N * 10**(E - 16), with E = e4 - 4, and its comma."""
+    digits = str(n)
+    return f"{digits[0]}.{digits[1:]}e-0{4 - e4},"
+
+
+def fast_path(values: np.ndarray) -> np.ndarray:
+    """Which values _round17 rounds itself rather than leaving to "%.16e"."""
+    s = kernel_mod._carve(np.empty(values.size * kernel_mod._SCRATCH_BYTES_PER_VALUE, np.uint8),
+                          values.size)
+    kernel_mod._round17(values, s)
+    return s.fast.copy()
+
+
+class TestDigitSplit:
+    """N split into its record's digit groups: "d.dd" (head), three groups of
+    4 and the pair of 2, through N // 10**9 and uint32 arithmetic."""
+
+    DIGITS = "12345678901234567"
+    GROUPS = {"g1": (3, 7), "g2": (7, 11), "g3": (11, 15), "pair": (15, 17)}
+
+    def zeroed(self) -> list[str]:
+        """DIGITS with each group, then the pair, set to zeros."""
+        return [self.DIGITS[:a] + "0" * (b - a) + self.DIGITS[b:] for a, b in self.GROUPS.values()]
+
+    def boundary_n(self) -> list[int]:
+        # N at and beside multiples of 10**9, where the quotient q and the
+        # remainder r meet.
+        around_split = [k * 10**9 + d for k in (10**7, 12345678, 10**8 - 1) for d in (-1, 0, 1)]
+        drawn = np.random.default_rng(607).integers(10**16, 10**17, 2000).tolist()
+        ns = [10**16, 10**16 + 1, 10**17 - 1, 99900000000000000, *map(int, self.zeroed()),
+              *around_split, *drawn]
+        return [n for n in ns if 10**16 <= n < 10**17]
+
+    @pytest.mark.parametrize("e4", range(4))
+    def test_records_of_boundary_n(self, e4):
+        ns = self.boundary_n()
+        # r is N's low 32 bits minus q * 10**9 modulo 2**32: cover N where that wraps.
+        assert any(n % 2**32 < n // 10**9 * 10**9 % 2**32 for n in ns)
+        assert any(n % 2**32 >= n // 10**9 * 10**9 % 2**32 for n in ns)
+        size = len(ns)
+        s = kernel_mod._carve(np.empty(size * kernel_mod._SCRATCH_BYTES_PER_VALUE, np.uint8), size)
+        s.n[:], s.e4[:] = ns, e4
+        out = np.empty(size * kernel_mod._RECORD_BYTES, np.uint8)
+        kernel_mod._write_records(out.view(kernel_mod._RECORD), s)
+        assert out.tobytes().decode("ascii") == "".join(record_text(n, e4) for n in ns)
+
+    @pytest.mark.parametrize("e4", range(4))
+    def test_doubles_at_the_boundaries(self, e4):
+        """In each decade of [1e-4, 1): doubles beside its ends, and doubles
+        whose N has 0000 in a group or 00 in the pair, on the record path."""
+        e = e4 - 4
+        seeds = [10.0**e, np.nextafter(10.0 ** (e + 1), 0.0)]
+        seeds += [float(f"{z[0]}.{z[1:]}e{e}") for z in self.zeroed()]
+        near = {v for seed in seeds for v in neighbours(seed, 60)}
+        values = np.array(sorted(v for v in near if int(("%.16e" % v)[-3:]) == e))
+        n_fast = [int(t[0] + t[2:18]) for t, fast in zip(["%.16e" % v for v in values],
+                                                          fast_path(values)) if fast]
+        assert min(n_fast) <= 10**16 + 1 and max(n_fast) >= 10**17 - 25
+        for a, b in self.GROUPS.values():
+            assert any(str(n)[a:b] == "0" * (b - a) for n in n_fast), (a, b)
+        column = values.reshape(-1, 1)
+        assert _csv_bytes(column).tobytes() == per_value_csv(column)
+        assert _csv_bytes(column.T).tobytes() == per_value_csv(column.T)
+
 
 any_double = st.one_of(
     st.floats(),
@@ -611,8 +688,13 @@ def savetxt_csv(values) -> bytes:
     return buffer.getvalue()
 
 
+@pytest.fixture(scope="module")
+def zz_gram_400():
+    return gram(ZZ2, np.random.default_rng(608).uniform(0, math.pi, (400, 2))).values
+
+
 class TestCsvWorkers:
-    """gram.csv written by 1, 2 and 3 encoding threads."""
+    """gram.csv written by 1 to 4 encoding threads."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("shape", [
@@ -642,8 +724,16 @@ class TestCsvWorkers:
             sys.setswitchinterval(interval)
         assert written == savetxt_csv(values)
         assert len(threads) <= workers and len(buffers) <= workers
-        assert len(records) <= 2 * workers
+        assert len(records) <= workers + 1
         assert all(name.startswith("gram-csv") for name in threads)
+
+    @pytest.mark.parametrize("block_values", [1 << 10, 1 << 14, 1 << 15])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_block_sizes(self, monkeypatch, zz_gram_400, block_values, workers):
+        """One Gram in blocks of 2 to 81 rows (200 to 5 blocks)."""
+        monkeypatch.setattr(kernel_mod, "_CSV_BLOCK_VALUES", block_values)
+        monkeypatch.setattr(kernel_mod, "_cpu_count", lambda: workers)
+        assert written_csv(zz_gram_400) == savetxt_csv(zz_gram_400)
 
     def test_failing_block_stops_the_pool(self, monkeypatch, tmp_path):
         monkeypatch.setattr(kernel_mod, "_cpu_count", lambda: 2)
@@ -660,14 +750,13 @@ class TestCsvWorkers:
             return _csv_bytes(block, scratch, out)
 
         monkeypatch.setattr(kernel_mod, "_csv_bytes", encode)
-        values = np.random.default_rng(51).uniform(0, 1, (20 * 16, 1000))  # 20 blocks
+        values = np.random.default_rng(51).uniform(0, 1, (20 * 16, 1000))  # 10 blocks
         before = threading.active_count()
         with pytest.raises(RuntimeError) as raised:
             save_gram(tmp_path, GramMatrix(values, "exact", ZZ2), data_hash="abc123")
         assert raised.value is failure
-        # Six blocks were submitted: 2 x 2 in flight, plus one for each of the
-        # two blocks written.  No thread was free for the sixth before the
-        # failure reached the caller, so it was cancelled and never ran.
+        # Five blocks were submitted: 2 + 1 in flight, plus one for each of
+        # the two blocks written before the failure reached the caller.
         assert len(calls) <= 5
         assert threading.active_count() == before
         assert not (tmp_path / "gram.manifest.json").exists()
@@ -675,14 +764,31 @@ class TestCsvWorkers:
 
 def test_csv_writer_memory_bound(monkeypatch, tmp_path):
     """One scratch buffer per thread, plus one record buffer per block in
-    flight (2 per thread)."""
+    flight (one more than threads).  At 2 threads the bound itself stays at
+    or below 8,694,976 B, so the block size, the ring and the scratch cannot
+    grow together unnoticed."""
     monkeypatch.setattr(kernel_mod, "_cpu_count", lambda: 2)
     X = np.random.default_rng(601).uniform(0, math.pi, (GRAM_ROWS, 2))
     g = gram(ZZ2, X)
     workers, block = 2, _CSV_BLOCK_VALUES // GRAM_ROWS * GRAM_ROWS
     bound = (workers * block * kernel_mod._SCRATCH_BYTES_PER_VALUE
-             + 2 * workers * block * kernel_mod._RECORD_BYTES + (1 << 20))
+             + (workers + 1) * block * kernel_mod._RECORD_BYTES + (1 << 20))
+    assert bound <= 8_694_976
     assert _traced_peak(lambda: save_gram(tmp_path, g, data_hash="h")) <= bound
+
+
+class TestMirrorUpper:
+    def test_equals_row_loop_bitwise(self):
+        """Random bit patterns, NaNs among them, in bands of 128 rows: none,
+        part of one, and several with a partial last band."""
+        rng = np.random.default_rng(609)
+        for m in [*range(301), 2001]:
+            K = rng.integers(0, 2**64, (m, m), dtype=np.uint64).view(np.float64)
+            expected = K.copy()
+            for i in range(1, m):
+                expected[i, :i] = expected[:i, i]
+            kernel_mod._mirror_upper(K)
+            assert K.tobytes() == expected.tobytes(), m
 
 
 class TestBatchedEncoding:
