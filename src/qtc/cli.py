@@ -4,8 +4,7 @@ Stages mirror the hybrid flow: synth -> preprocess -> reduce -> kernel ->
 train -> evaluate.  Each stage persists its artifacts under the work
 directory and embeds the hash of the upstream manifest, so stages cannot be
 skipped or mixed across runs.  Re-running a stage with identical
-configuration and seeds reproduces its artifacts byte for byte (the manifest
-timestamp lives under its own key and is excluded from hashing).
+configuration and seeds reproduces its artifacts byte for byte.
 
 Option precedence: command-line flag > --config JSON file > built-in
 default.  The resolved configuration is echoed by every command.
@@ -155,14 +154,24 @@ def cmd_synth(args, cfg: dict) -> None:
 
 
 def cmd_preprocess(args, cfg: dict) -> None:
+    with _options(cfg, "max_features"):
+        if cfg["max_features"] < 1:  # before the corpus is read
+            raise ValidationError("max_features must be >= 1")
     docs = corpus_mod.load_corpus(
         args.corpus, id_col=cfg["id_col"], text_col=cfg["text_col"], label_col=cfg["label_col"]
     )
-    counts = corpus_mod.count_terms(docs)
-    model = corpus_mod.fit_tfidf(counts, cfg["max_features"])
+    with naming(args.corpus):
+        counts = corpus_mod.count_terms(docs)
+        model = corpus_mod.fit_tfidf(counts, cfg["max_features"])
+        encoding, labels = corpus_mod.encode_labels(docs)
+        sizes = np.bincount(labels)
+        if sizes.min() < 2:
+            raise ValidationError(f"class {encoding.classes[sizes.argmin()]!r} has 1 document; "
+                                  "the split needs 2 or more per class")
     features = corpus_mod.transform_tfidf(model, counts)
-    encoding, labels = corpus_mod.encode_labels(docs)
-    split = stratified_split(labels, features.ids, cfg["test_fraction"], cfg["seed"])
+    with _options(cfg, "test_fraction"):
+        split = stratified_split(labels, features.ids, cfg["test_fraction"], cfg["seed"],
+                                 encoding.classes)
     save_stage(
         os.path.join(args.workdir, "tfidf"),
         features,
@@ -256,6 +265,13 @@ def cmd_train(args, cfg: dict) -> None:
     # Every spec is built, and so checked, before any work starts.
     fm = None if cfg["model"] == "svc" else _feature_map(cfg, X.shape[1])
     if cfg["model"] in ("vqc", "qnnc"):
+        n_classes = len(stage.encoding.classes)
+        with _options(cfg, "model"):
+            if 2 ** X.shape[1] < n_classes:  # the outcome fold could never predict some class
+                raise ValidationError(
+                    f"{X.shape[1]} qubit(s) give {2 ** X.shape[1]} measurement outcomes for "
+                    f"{n_classes} classes; rerun reduce with --components "
+                    f"{(n_classes - 1).bit_length()} or more")
         with _options(cfg, "ansatz_reps"):
             ansatz = AnsatzSpec(X.shape[1], cfg["ansatz_reps"])
         with _options(cfg, "iters"):
@@ -296,7 +312,7 @@ def cmd_train(args, cfg: dict) -> None:
             feature_map=fm,
             ansatz=ansatz,
             theta=np.zeros(ansatz.n_parameters),
-            n_classes=len(stage.encoding.classes),
+            n_classes=n_classes,
             loss_kind="cross_entropy" if cfg["model"] == "vqc" else "squared_error",
             shots=cfg["shots"],
             seed=cfg["seed"],

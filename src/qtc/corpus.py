@@ -14,8 +14,9 @@ transform without tokenizing again; given documents, each counts them
 itself.  The TF-IDF matrix is filled by one scatter over the table.
 
 Stage artifacts are one CSV file plus a JSON manifest so every intermediate
-is diffable and reproduces bit-for-bit: floats are written with 17
-significant digits, which round-trips IEEE doubles exactly.  load_stage
+is diffable and reproduces bit-for-bit: features.csv writes floats with 17
+significant digits and the manifest as JSON's shortest round-trip repr, both
+of which read back exactly.  load_stage
 reads features.csv column by column: one set of row lengths, the label
 column through int() with one range check, each value column through
 float().  Only when one of those checks fails does it walk the rows, so the
@@ -34,7 +35,6 @@ import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from functools import cached_property
 from itertools import chain
 
@@ -80,7 +80,7 @@ STOPWORDS = frozenset(
     """.split()
 )
 
-_TOKEN_RE = re.compile(r"[^0-9a-z]+")
+_TOKEN_RE = re.compile(r"[0-9a-z]{2,}")
 
 
 @dataclass(frozen=True)
@@ -230,13 +230,9 @@ def load_corpus(
 
 
 def preprocess(text: str) -> list[str]:
-    """Lowercase, split on non-alphanumeric runs, drop short/stop/numeric tokens."""
-    tokens = _TOKEN_RE.split(text.lower())
-    return [
-        t
-        for t in tokens
-        if len(t) >= 2 and t not in STOPWORDS and not t.isdigit()
-    ]
+    """Lowercase, take each run of two or more ASCII letters and digits, drop
+    stopwords and all-digit tokens."""
+    return [t for t in _TOKEN_RE.findall(text.lower()) if t not in STOPWORDS and not t.isdigit()]
 
 
 @dataclass(frozen=True)
@@ -336,8 +332,12 @@ def encode_labels(docs: list[Document]) -> tuple[LabelEncoding, np.ndarray]:
     return encoding, vector
 
 
-def stratified_split(labels, ids, test_fraction: float, seed: int) -> DatasetSplit:
-    """Per-class seeded shuffle; round(test_fraction * class_size) go to test."""
+def stratified_split(labels, ids, test_fraction: float, seed: int, classes=None) -> DatasetSplit:
+    """Per-class seeded shuffle; round(test_fraction * class_size) go to test.
+
+    Every class must keep a training document and the test side must get
+    one.  An error names label index i as ``classes[i]`` when given.
+    """
     labels = np.asarray(labels)
     ids = list(ids)
     if len(labels) != len(ids):
@@ -348,18 +348,17 @@ def stratified_split(labels, ids, test_fraction: float, seed: int) -> DatasetSpl
     position = {doc_id: k for k, doc_id in enumerate(ids)}
     test_ids: list[str] = []
     train_ids: list[str] = []
-    for cls in np.unique(labels):
+    for cls in np.unique(labels).tolist():
         members = np.flatnonzero(labels == cls)
-        if members.size < 2:
-            raise ValidationError(f"class {cls} has fewer than 2 samples")
         n_test = int(math.floor(test_fraction * members.size + 0.5))
         if n_test >= members.size:
-            raise ValidationError(
-                f"test_fraction {test_fraction} leaves class {cls} with no training document"
-            )
+            name = cls if classes is None else repr(classes[cls])
+            raise ValidationError(f"test_fraction leaves class {name} with no training document")
         order = rng.permutation(members.size)
         test_ids.extend(ids[members[k]] for k in order[:n_test])
         train_ids.extend(ids[members[k]] for k in order[n_test:])
+    if not test_ids:
+        raise ValidationError("test_fraction leaves no test document")
     # Emit in original corpus order so artifacts are stable.
     return DatasetSplit(
         train_ids=sorted(train_ids, key=position.__getitem__),
@@ -381,7 +380,9 @@ class StageData:
 
 
 def manifest_hash(manifest: dict) -> str:
-    """Stable digest of a manifest, ignoring its timestamp key."""
+    """Stable digest of a manifest.  A ``created_utc`` key is ignored only so
+    that stage manifests written with that old timestamp keep their hashes,
+    and the models trained on them still evaluate."""
     stripped = {k: v for k, v in manifest.items() if k != "created_utc"}
     blob = json.dumps(stripped, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -445,7 +446,6 @@ def save_stage(
             "seed": split.seed,
         },
         "upstream_hash": upstream_hash,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
     }
     write_json(manifest_path, manifest)
     return manifest

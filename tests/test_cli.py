@@ -789,22 +789,7 @@ def _file_bytes(workdir):
             for path in sorted(workdir.rglob("*")) if path.is_file()}
 
 
-def _snapshot(workdir):
-    """File contents keyed by relative path, with manifest timestamps dropped."""
-    snap = {}
-    for root, _, files in os.walk(workdir):
-        for name in files:
-            path = os.path.join(root, name)
-            rel = os.path.relpath(path, workdir)
-            if name == "manifest.json":
-                with open(path, encoding="utf-8") as fh:
-                    data = json.load(fh)
-                data.pop("created_utc", None)
-                snap[rel] = json.dumps(data, sort_keys=True)
-            else:
-                with open(path, "rb") as fh:
-                    snap[rel] = fh.read()
-    return snap
+_snapshot = _file_bytes  # the name tests/test_acceptance.py imports
 
 
 class TestDeterminism:
@@ -825,10 +810,99 @@ class TestDeterminism:
     def test_byte_identical_artifacts(self, tmp_path):
         w1 = self._run_all(tmp_path / "one")
         w2 = self._run_all(tmp_path / "two")
-        s1, s2 = _snapshot(w1), _snapshot(w2)
+        s1, s2 = _file_bytes(w1), _file_bytes(w2)
         assert s1.keys() == s2.keys()
         for rel in s1:
             assert s1[rel] == s2[rel], f"artifact differs: {rel}"
+
+
+class TestPreprocessRefusals:
+    """A refusal caused by a flag starts with the flag and its value, one
+    caused by the corpus with the corpus path; neither writes a stage."""
+
+    @pytest.fixture()
+    def corpus(self, tmp_path):
+        corpus = tmp_path / "corpus.csv"
+        assert run_cli("synth", "--out", corpus) == 0
+        return corpus
+
+    def _refused(self, capsys, corpus, *flags):
+        work = corpus.parent / "work"
+        capsys.readouterr()
+        assert run_cli("preprocess", "--corpus", corpus, "--workdir", work, *flags) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not work.exists()
+        return err
+
+    @pytest.mark.parametrize("fraction, message", [
+        ("0.99", "test_fraction leaves class 'ALFA' with no training document"),
+        ("0.01", "test_fraction leaves no test document"),
+        ("0.001", "test_fraction leaves no test document"),
+        ("1.5", "test_fraction must lie in (0, 1)"),
+    ], ids=["no_training_document", "no_test_document", "no_test_document_ci", "above_1"])
+    def test_test_fraction_named(self, capsys, corpus, fraction, message):
+        err = self._refused(capsys, corpus, "--test-fraction", fraction)
+        assert err == f"error: --test-fraction {fraction}: {message}\n"
+
+    def test_max_features_named(self, capsys, corpus):
+        err = self._refused(capsys, corpus, "--max-features", 0)
+        assert err == "error: --max-features 0: max_features must be >= 1\n"
+
+    def test_one_document_class_names_the_corpus_and_the_label(self, capsys, corpus):
+        with corpus.open("a", encoding="utf-8", newline="") as fh:
+            fh.write("lone,alpha beta gamma,ZULU\n")
+        err = self._refused(capsys, corpus)
+        assert err.startswith(f"error: {corpus}: class 'ZULU' has 1 document;"), err
+
+    @pytest.mark.parametrize("row, message", [
+        (["d1", "alpha beta", ""], "document 'd1' has no label"),
+        (["d1", "the of and", "A"], "empty vocabulary after preprocessing"),
+    ], ids=["no_label", "no_vocabulary"])
+    def test_corpus_refusal_names_the_corpus(self, capsys, tmp_path, row, message):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("ID,Resume_str,Category\n" + ",".join(row) + "\n", encoding="utf-8")
+        err = self._refused(capsys, corpus)
+        assert err == f"error: {corpus}: {message}\n"
+
+
+class TestVariationalOutcomes:
+    """vqc and qnnc fold 2**qubits outcomes onto the classes, so fewer
+    outcomes than classes is refused before any work."""
+
+    @pytest.mark.parametrize("model", ["vqc", "qnnc"])
+    def test_fewer_outcomes_than_classes_rejected(self, pipeline_dir, capsys, model):
+        assert run_cli("reduce", "--workdir", pipeline_dir, "--components", 1) == 0
+        before = _file_bytes(pipeline_dir)
+        capsys.readouterr()
+        code, peak = traced_run("train", "--workdir", pipeline_dir, "--model", model)
+        err = capsys.readouterr().err
+        assert code == 1 and peak < SMALL_PEAK
+        assert err == (f"error: --model {model}: 1 qubit(s) give 2 measurement outcomes for "
+                       "3 classes; rerun reduce with --components 2 or more\n")
+        assert _file_bytes(pipeline_dir) == before
+
+
+class TestOldStageManifests:
+    """Stage manifests written with a created_utc key, as qtc wrote them
+    before, keep their hashes, so their models and Gram caches stay valid."""
+
+    def test_created_utc_ignored(self, pipeline_dir, capsys):
+        assert run_cli("kernel", "--workdir", pipeline_dir) == 0
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
+        for stage in ("tfidf", "reduce"):
+            path = pipeline_dir / stage / "manifest.json"
+            manifest = json.loads(path.read_text())
+            assert "created_utc" not in manifest
+            before = corpus_mod.manifest_hash(manifest)
+            manifest["created_utc"] = "2026-10-22T20:53:16.402917+00:00"
+            path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            assert corpus_mod.manifest_hash(json.loads(path.read_text())) == before
+        capsys.readouterr()
+        assert run_cli("evaluate", "--workdir", pipeline_dir) == 0
+        assert run_cli("train", "--workdir", pipeline_dir, "--model", "qsvc") == 0
+        assert "gram cache: hit" in capsys.readouterr().out
+        assert run_cli("evaluate", "--workdir", pipeline_dir) == 0
 
 
 class TestQsvcScoring:

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qtc.corpus import (
+    STOPWORDS,
     DatasetSplit,
     Document,
     FeatureMatrix,
@@ -118,6 +120,23 @@ class TestPreprocess:
 
     def test_short_tokens_dropped(self):
         assert preprocess("a b cd x7 77") == ["cd", "x7"]
+
+
+def _split_and_filter(text):
+    """preprocess as qtc wrote it before one regex matched the tokens: split the
+    lowercased text on runs of characters other than 0-9 and a-z, keep the
+    pieces of two or more characters and drop stopwords and all-digit ones."""
+    return [t for t in re.split(r"[^0-9a-z]+", text.lower())
+            if len(t) >= 2 and t not in STOPWORDS and not t.isdigit()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | st.text(alphabet="aB7 -_.\u0130\u212a\u00e9\u00df\ufb01\n"))
+@example("\u0130stanbul \u212aelvin caf\u00e9 stra\u00dfe \ufb01le x7 a b 42 the Then")
+def test_property_regex_tokens_equal_split_and_filter(text):
+    """Arbitrary text, non-ASCII included (U+0130 and U+212A lowercase to
+    ASCII letters): the regex gives the split-and-filter tokens."""
+    assert preprocess(text) == _split_and_filter(text)
 
 
 class TestTfidf:
@@ -320,6 +339,24 @@ class TestSplit:
         ids = [f"d{i}" for i in range(120)]
         with pytest.raises(ValidationError, match="no training document"):
             stratified_split(labels, ids, 0.99, seed=7)
+
+    def test_class_named_by_its_label(self):
+        labels = np.repeat([0, 1, 2], 40)
+        ids = [f"d{i}" for i in range(120)]
+        with pytest.raises(ValidationError, match="class 'ALFA' with no training document"):
+            stratified_split(labels, ids, 0.99, seed=7, classes=["ALFA", "BRAVO", "CHARLIE"])
+
+    @pytest.mark.parametrize("fraction", [0.01, 0.001])
+    def test_fraction_leaving_no_test_document_rejected(self, fraction):
+        labels = np.repeat([0, 1, 2], 40)
+        ids = [f"d{i}" for i in range(120)]
+        with pytest.raises(ValidationError, match="^test_fraction leaves no test document$"):
+            stratified_split(labels, ids, fraction, seed=7)
+
+    def test_one_test_document_accepted(self):
+        labels = np.repeat([0, 1], [2, 40])
+        split = stratified_split(labels, [f"d{i}" for i in range(42)], 0.02, seed=7)
+        assert len(split.test_ids) == 1 and len(split.train_ids) == 41
 
 
 class TestStageRoundTrip:

@@ -20,7 +20,7 @@ import pytest
 
 from qtc.cli import main
 
-STAGE_FIELDS = ("classes", "created_utc", "parameters", "seed", "split", "stage", "upstream_hash")
+STAGE_FIELDS = ("classes", "parameters", "seed", "split", "stage", "upstream_hash")
 GRAM_FIELDS = ("data_hash", "feature_map", "mode", "seed", "shape", "shots", "upstream_hash")
 SVM_FIELDS = ("C", "classes", "config", "kernel", "per_class", "tol", "type", "upstream_hash")
 VARIATIONAL_FIELDS = (
@@ -205,11 +205,6 @@ EXCEPTIONS = {
        for key in ("classes", "config")},
     ("work/vqc_model.json", "drop final_loss", EVALUATE_VQC): "valid",
     ("work/qnnc_model.json", "drop final_loss", EVALUATE_QNNC): "valid",
-    # created_utc is not hashed, so no reader sees it go or change.
-    **{(f"work/{stage}/manifest.json", damage, command): "valid"
-       for damage in ("drop created_utc", "created_utc retyped")
-       for stage, commands in (("tfidf", [REDUCE]), ("reduce", REDUCE_READERS))
-       for command in commands},
     # preprocess writes any seed >= 0, in both places.  Changed, the stage
     # hashes differently, which only a model's upstream_hash check sees:
     # evaluate's error is about the model, trained against a stage other
